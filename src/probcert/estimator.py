@@ -11,6 +11,15 @@ Two workflows:
 Sample sources are single-owner, seeded streams; values outside [0, 1] abort
 the estimate rather than being clamped, since the guarantee's boundedness
 hypothesis is a precondition, not a preference.
+
+Means are summed exactly and rounded once, bit for bit as ``math.fsum``
+would, but without a Python-level loop: error-free extraction (Rump, Ogita &
+Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
+31(1), 2008) splits an array into a few slices whose numpy sums are exact,
+and ``fsum`` only adds those partial sums.  Planned estimates draw in chunks
+of at most ``_DRAW_CHUNK`` values and keep only each chunk's exact partial
+sums, so memory stays constant in the planned n.  Because the accumulated
+sum is exact, the chunk size never changes a certificate.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ __all__ = [
     "estimate_from_batch",
     "stable_mean",
 ]
+
+# Planned estimates draw at most this many values at a time (512 KiB of float64).
+_DRAW_CHUNK = 65_536
 
 _BOUNDARY_NOTE = (
     "estimate lies on the boundary of [0, 1]; the guarantee assumes a true "
@@ -66,8 +78,9 @@ class SampleSource:
                 f"source produced {values.shape[0] if values.ndim else 0} of "
                 f"{k} requested values"
             )
-        bad = np.flatnonzero((values < 0.0) | (values > 1.0) | ~np.isfinite(values))
-        if bad.size:
+        # NaN fails this test too; only then is the offender located
+        if k and not (values.min() >= 0.0 and values.max() <= 1.0):
+            bad = np.flatnonzero((values < 0.0) | (values > 1.0) | ~np.isfinite(values))
             i = int(bad[0])
             raise SampleValueError(float(values[i]), self.draws_made + i)
         self.draws_made += k
@@ -167,12 +180,46 @@ class Certificate:
         )
 
 
+def _exact_parts(values) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    Each pass rounds every remainder r to q = (r + sigma) - sigma, a multiple
+    of ulp(sigma) / 2 with |q| <= 2^e, where max|r| < 2^e and
+    sigma = 2^(e + k) with 2^k > m + 1 for m values.  Every partial sum of the
+    q's is then below 2^(e + k) on that grid, so ``q.sum()`` is exact in any
+    order, and r - q is exact too.  Each pass removes 53 - k bits, until every
+    remainder is zero.  Non-finite values, or values so large that sigma could
+    overflow, are returned as they are, leaving their inf/nan/overflow
+    handling to ``math.fsum``.
+    """
+    r = np.asarray(values, dtype=float)
+    if r.size == 0:
+        return []
+    top = float(np.abs(r).max())
+    if not top <= 2.0**900:  # also true for nan
+        return r.tolist()
+    k = (r.size + 1).bit_length()
+    parts = []
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+        q = (r + sigma) - sigma
+        parts.append(float(q.sum()))
+        r = r - q
+        top = float(np.abs(r).max())
+    return parts
+
+
+def _exact_sum(values) -> float:
+    """The correctly rounded sum of ``values``; bit-identical to ``math.fsum``."""
+    return math.fsum(_exact_parts(values))
+
+
 def stable_mean(values: Sequence[float]) -> float:
     """Compensated mean: exact (error-free) summation, then one rounding."""
     n = len(values)
     if n == 0:
         raise DomainError("cannot take the mean of an empty sequence")
-    return math.fsum(values) / n
+    return _exact_sum(values) / n
 
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:
@@ -193,12 +240,17 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     """Draw exactly the planned number of samples and certify the mean.
 
     The returned certificate has delta_achieved < spec.delta by construction
-    of the plan.  Samples are consumed in a single sequential pass so the
-    certificate is reproducible from the source seed.
+    of the plan.  Samples are consumed in a single sequential pass, in chunks
+    of at most ``_DRAW_CHUNK`` draws whose exact partial sums are kept, so
+    memory does not grow with n and the certificate is reproducible from the
+    source seed whatever the chunk size.
     """
     plan = minimum_sample_size(spec)
-    values = source.draw(plan.n)
-    return _certificate(stable_mean(values), plan.n, spec.eps_a, spec.eps_r, "planned")
+    parts: list[float] = []
+    for start in range(0, plan.n, _DRAW_CHUNK):
+        parts += _exact_parts(source.draw(min(_DRAW_CHUNK, plan.n - start)))
+    mu_hat = math.fsum(parts) / plan.n
+    return _certificate(mu_hat, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 
 def estimate_from_batch(

