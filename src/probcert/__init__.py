@@ -15,9 +15,7 @@ and ``probcert.cli`` for the command-line surface.
 from .errors import (
     ConfigError,
     DomainError,
-    GradientUnavailableError,
     InvalidSpecError,
-    MomentOverflowError,
     ProbcertError,
     SampleValueError,
     SourceExhaustedError,
@@ -52,7 +50,6 @@ from .chernoff_opt import (
     ScenarioSet,
     ScenarioSource,
     certify_probability,
-    chernoff_upper_bound,
     empirical_moment,
     empirical_moment_gradient,
     make_model,
@@ -78,8 +75,6 @@ __all__ = [
     "InvalidSpecError",
     "SampleValueError",
     "SourceExhaustedError",
-    "MomentOverflowError",
-    "GradientUnavailableError",
     "ConfigError",
     "ErrorSpec",
     "SamplePlan",
@@ -111,7 +106,6 @@ __all__ = [
     "scenario_sample_size",
     "minimize",
     "certify_probability",
-    "chernoff_upper_bound",
     "optimize_probability",
     "GridSpec",
     "ScanReport",

@@ -5,22 +5,33 @@ E[exp(-lambda Y)] for every lambda > 0, because exp(-lambda y) >= 1{y <= 0}
 pointwise.  Freezing n i.i.d. scenarios Delta_1..Delta_n turns the bound into
 the smooth deterministic objective
 
-    g(lambda, theta) = (1/n) sum_i exp(-lambda Y(theta, Delta_i)),
+    g(lambda, theta) = (1/n) sum_i exp(-lambda Y(theta, Delta_i)).
 
-which is minimized jointly over (lambda, theta) by gradient descent with a
-backtracking (Armijo) line search.  lambda stays positive by construction:
-descent runs in nu = ln(lambda), capped above because the empirical objective
-can push lambda to infinity when every scenario survives (a vacuous direction
-of the bound).  The optimized theta is then certified on fresh scenarios,
-never the ones optimized over, via the estimator module.
+Descent minimizes log g, which has the same minimizer, is convex in lambda
+for fixed theta (it is an empirical log-moment-generating function; see
+Nemirovski & Shapiro, "Convex approximations of chance constrained
+programs", SIAM J. Optim. 17(4), 2006) and cannot overflow: with
+top = max_i(-lambda Y_i) it is computed as
+
+    log g = top + log((1/n) sum_i w_i),   w_i = exp(-lambda Y_i - top),
+
+where every shifted weight w_i lies in [0, 1] and the largest is 1.  Its
+gradient is a w-weighted mean of -Y (in lambda) and of -lambda dY/dtheta (in
+theta), built from the same Y and w, so each descent iterate costs one model
+evaluation.  The descent is gradient descent with a backtracking (Armijo)
+line search; lambda stays positive by construction because it runs in
+nu = ln(lambda), capped above because the empirical objective can push
+lambda to infinity when every scenario survives (a vacuous direction of the
+bound).  The optimized theta is then certified on fresh scenarios, never the
+ones optimized over, via the estimator module.
 
 Models are evaluated on a whole batch of scenario rows per call, never row
 by row.  Scenario sets are immutable after construction and safe to share;
-objective and gradient sums are exact and rounded once (the estimator's
-vectorised error-free summation, bit-identical to ``math.fsum``), so results
-do not depend on summation order or evaluation scheduling.  Certification
-draws fresh scenarios in the estimator's fixed-size chunks, so its memory
-does not grow with the planned sample size.
+sums are exact and rounded once (the estimator's vectorised error-free
+summation, bit-identical to ``math.fsum``), so results do not depend on
+summation order or evaluation scheduling.  Certification draws fresh
+scenarios in the estimator's fixed-size chunks, so its memory does not grow
+with the planned sample size.
 """
 
 from __future__ import annotations
@@ -32,14 +43,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    GradientUnavailableError,
-    MomentOverflowError,
-    ProbcertError,
-)
-from .estimator import Certificate, SampleSource, _exact_sum, estimate_with_plan, stable_mean
+from .errors import ConfigError, DomainError
+from .estimator import Certificate, SampleSource, estimate_with_plan, stable_mean
 from .tail_bounds import ErrorSpec, minimum_sample_size
 
 __all__ = [
@@ -56,7 +61,6 @@ __all__ = [
     "scenario_sample_size",
     "minimize",
     "certify_probability",
-    "chernoff_upper_bound",
     "optimize_probability",
 ]
 
@@ -64,6 +68,8 @@ __all__ = [
 # finite double at every iterate.
 _NU_FLOOR = -690.0
 _STEP_FLOOR = 1e-20
+# largest x with math.exp(x) finite
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -170,18 +176,19 @@ class ScenarioSet:
     """Frozen i.i.d. draws of Delta, one row per scenario."""
 
     scenarios: np.ndarray
-    n: int
     seed: int
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.scenarios, dtype=float))
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError(f"scenario array must be (n, d) with n >= 1, got shape {arr.shape}")
-        if self.n != arr.shape[0]:
-            raise DomainError(f"declared n={self.n} but array has {arr.shape[0]} rows")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "scenarios", arr)
+
+    @property
+    def n(self) -> int:
+        return self.scenarios.shape[0]
 
     @property
     def dim_delta(self) -> int:
@@ -195,13 +202,11 @@ class ScenarioSet:
         if n < 1:
             raise DomainError(f"scenario count must be positive, got {n!r}")
         rng = np.random.default_rng(seed)
-        rows = np.asarray(model.sample_scenarios(rng, n), dtype=float)
-        return cls(scenarios=rows, n=n, seed=int(seed))
+        return cls(scenarios=model.sample_scenarios(rng, n), seed=int(seed))
 
     @classmethod
     def from_array(cls, rows: np.ndarray, seed: int = 0) -> "ScenarioSet":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return cls(scenarios=rows, n=rows.shape[0], seed=int(seed))
+        return cls(scenarios=rows, seed=int(seed))
 
     @classmethod
     def from_csv(cls, path, seed: int = 0) -> "ScenarioSet":
@@ -215,7 +220,7 @@ class ScenarioSet:
             raise DomainError(f"malformed scenario CSV {path!r}: {exc}") from None
         if rows.size == 0:
             raise DomainError(f"scenario CSV {path!r} contains no rows")
-        return cls(scenarios=rows, n=rows.shape[0], seed=int(seed))
+        return cls(scenarios=rows, seed=int(seed))
 
 
 class ScenarioSource:
@@ -287,86 +292,102 @@ def _check_theta(theta, dim_theta: int) -> np.ndarray:
     return arr
 
 
-def _checked_exp(exponents: np.ndarray) -> np.ndarray:
-    """exp() that aborts with the offending scenario index instead of returning inf."""
-    with np.errstate(over="ignore"):
-        out = np.exp(exponents)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        i = int(bad[0])
-        raise MomentOverflowError(i, float(exponents[i]))
-    return out
-
-
-def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
-    """g(lambda, theta) = (1/n) sum_i exp(-lambda Y_i), exactly summed."""
+def _check_lambda(lam: float) -> None:
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam!r}")
-    ys = obj.performance_values(theta)
-    weights = _checked_exp(-lam * ys)
-    return stable_mean(weights)
 
 
-def empirical_moment_gradient(
-    obj: ChernoffObjective, lam: float, theta, fd_fallback: bool = True
-) -> tuple[float, np.ndarray]:
-    """Partials of the surrogate:
+def _exp(log_value: float) -> float:
+    """exp() of a log surrogate value: inf past the double range, never an error."""
+    return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
 
-        dg/dlambda  = -(1/n) sum_i Y_i exp(-lambda Y_i)
-        dg/dtheta_j = -(lambda/n) sum_i dY/dtheta_j exp(-lambda Y_i)
 
-    Models without an analytic gradient fall back to central differences of
-    the surrogate itself, step 1e-6 * (1 + |theta_j|) per component; pass
-    fd_fallback=False to make a missing gradient an error instead.
+def _log_moment(obj: ChernoffObjective, lam: float, theta: np.ndarray):
+    """log g(lambda, theta), with the Y values and shifted weights behind it.
+
+    With top = max_i(-lambda Y_i), log g = top + log((1/n) sum_i w_i) where
+    w_i = exp(-lambda Y_i - top).  Every w_i lies in [0, 1] and the largest is
+    exactly 1, so the mean is at least 1/n and its log is finite.  Returns
+    (log g, Y, w); the gradient reuses Y and w.
     """
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    theta = _check_theta(theta, obj.model.dim_theta)
     ys = obj.performance_values(theta)
-    weights = _checked_exp(-lam * ys)
-    n = ys.size
+    with np.errstate(over="ignore"):
+        exponents = -lam * ys
+    top = float(exponents.max())
+    if math.isinf(top):  # lambda * Y itself is beyond the double range
+        return top, ys, (exponents == top).astype(float)
+    weights = np.exp(exponents - top)
+    return top + math.log(stable_mean(weights)), ys, weights
 
-    terms = ys * weights
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
-        i = int(bad[0])
-        raise MomentOverflowError(i, float(-lam * ys[i]))
-    d_lambda = -stable_mean(terms)
 
+def _log_moment_gradient(
+    obj: ChernoffObjective, lam: float, theta: np.ndarray, ys: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Partials of log g from the Y values and weights ``_log_moment`` returned:
+
+        d log g / d lambda  = -mean(Y w) / mean(w)
+        d log g / d theta_j = -lambda mean(dY/dtheta_j w) / mean(w)
+
+    Models without an analytic gradient get central differences of log g,
+    step 1e-6 * (1 + |theta_j|) per component.
+    """
+    mean_w = stable_mean(weights)
+    d_lambda = -stable_mean(ys * weights) / mean_w
+    d_theta = np.empty(obj.model.dim_theta)
     if obj.model.gradient_theta is not None:
         rows = obj.scenarios.scenarios
         grads = np.asarray(obj.model.gradient_theta(theta, rows), dtype=float)
-        if grads.shape != (n, obj.model.dim_theta):
+        if grads.shape != (ys.size, obj.model.dim_theta):
             raise DomainError(
                 f"model {obj.model.name!r} returned gradient shape {grads.shape}, "
-                f"expected {(n, obj.model.dim_theta)}"
+                f"expected {(ys.size, obj.model.dim_theta)}"
             )
-        d_theta = np.empty(obj.model.dim_theta)
         for j in range(obj.model.dim_theta):
-            d_theta[j] = -(lam / n) * _exact_sum(grads[:, j] * weights)
-    elif fd_fallback:
-        d_theta = np.empty(obj.model.dim_theta)
+            d_theta[j] = -lam * stable_mean(grads[:, j] * weights) / mean_w
+    else:
         for j in range(obj.model.dim_theta):
             h = 1e-6 * (1.0 + abs(theta[j]))
             bump = np.zeros_like(theta)
             bump[j] = h
             d_theta[j] = (
-                empirical_moment(obj, lam, theta + bump)
-                - empirical_moment(obj, lam, theta - bump)
+                _log_moment(obj, lam, theta + bump)[0] - _log_moment(obj, lam, theta - bump)[0]
             ) / (2.0 * h)
-    else:
-        raise GradientUnavailableError(
-            f"model {obj.model.name!r} provides no gradient and fd_fallback is disabled"
-        )
-    return float(d_lambda), d_theta
+    return d_lambda, d_theta
+
+
+def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
+    """g(lambda, theta) = (1/n) sum_i exp(-lambda Y_i), as exp(log g).
+
+    Beyond the double range the result is inf.
+    """
+    _check_lambda(lam)
+    return _exp(_log_moment(obj, lam, theta)[0])
+
+
+def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tuple[float, np.ndarray]:
+    """Partials of the surrogate, g times the partials of log g:
+
+        dg/dlambda  = -(1/n) sum_i Y_i exp(-lambda Y_i)
+        dg/dtheta_j = -(lambda/n) sum_i dY/dtheta_j exp(-lambda Y_i)
+
+    Models without an analytic gradient get central differences of log g in
+    theta.  Beyond the double range the partials are infinite.
+    """
+    _check_lambda(lam)
+    theta = _check_theta(theta, obj.model.dim_theta)
+    log_g, ys, weights = _log_moment(obj, lam, theta)
+    d_lambda, d_theta = _log_moment_gradient(obj, lam, theta, ys, weights)
+    g = _exp(log_g)
+    return float(g * d_lambda), g * d_theta
 
 
 def scenario_sample_size(spec: ErrorSpec) -> int:
-    """Scenario count making the surrogate track its expectation to spec accuracy.
+    """Scenario count from the mixed-criterion plan for ``spec``.
 
-    Each summand exp(-lambda Y) lies in (0, 1] for Y >= 0 and is bounded on
-    the optimization region, so the mixed-criterion plan applies; delegation
-    keeps the count auditable against the estimation guarantee.
+    This is a sizing heuristic, not a guarantee about the surrogate: the plan
+    assumes [0, 1]-bounded summands, and exp(-lambda Y) exceeds 1 wherever
+    Y < 0.  The guarantee on the optimized theta comes from certifying it on
+    fresh draws (``certify_probability``).
     """
     return minimum_sample_size(spec).n
 
@@ -461,13 +482,15 @@ class OptimizationOutcome:
 
 
 def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> OptimizationOutcome:
-    """Projected gradient descent on (nu, theta) with Armijo backtracking.
+    """Projected gradient descent on log g over (nu, theta) with Armijo backtracking.
 
     nu is clamped to [ln-floor, ln(lambda_cap)]; at a clamp boundary the
     outward gradient component is projected to zero so theta progress
-    continues.  Accepted steps satisfy the sufficient-decrease condition, so
-    the objective trace is non-increasing.  Termination: projected gradient
-    norm <= grad_tol, iteration cap, or line-search step underflow.
+    continues.  Each line-search trial evaluates the model once, and the
+    accepted trial's Y values and weights give the next gradient.  Accepted
+    steps satisfy the sufficient-decrease condition, so the objective trace
+    (reported as g = exp(log g)) is non-increasing.  Termination: projected
+    gradient norm <= grad_tol, iteration cap, or line-search step underflow.
     """
     if obj.model.dim_theta != len(settings.theta0):
         raise DomainError(
@@ -482,22 +505,16 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
         # exp(log(cap)) can overshoot cap by an ulp; keep lambda <= cap exactly
         return min(math.exp(nu), settings.lambda_cap)
 
-    def objective(x: np.ndarray) -> float:
-        return empirical_moment(obj, lam_of(x[0]), x[1:])
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        lam = lam_of(x[0])
-        d_lam, d_theta = empirical_moment_gradient(obj, lam, x[1:])
-        return np.concatenate(([lam * d_lam], d_theta))
-
     x = np.concatenate(([clamp_nu(settings.nu0)], settings.theta0))
-    f = objective(x)  # non-finite start propagates as an overflow error
+    f, ys, weights = _log_moment(obj, lam_of(x[0]), x[1:])
     trace = [f]
     iterations = 0
     termination = "max_iters"
 
     for _ in range(settings.max_iters):
-        grad = gradient(x)
+        lam = lam_of(x[0])
+        d_lam, d_theta = _log_moment_gradient(obj, lam, x[1:], ys, weights)
+        grad = np.concatenate(([lam * d_lam], d_theta))
         projected = grad.copy()
         if x[0] >= nu_cap and grad[0] < 0.0:
             projected[0] = 0.0
@@ -511,30 +528,17 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
         slope = -grad_norm * grad_norm  # directional derivative along -projected
         step = settings.initial_step
         accepted = False
-        saw_finite_trial = False
-        overflow: MomentOverflowError | None = None
         while step >= _STEP_FLOOR:
             trial = x - step * projected
             trial[0] = clamp_nu(trial[0])
-            try:
-                f_trial = objective(trial)
-            except MomentOverflowError as exc:
-                overflow = exc
-                step *= settings.backtrack_shrink
-                continue
-            saw_finite_trial = True
+            f_trial, ys_trial, weights_trial = _log_moment(obj, lam_of(trial[0]), trial[1:])
             if f_trial <= f + settings.armijo_c * step * slope:
-                x, f = trial, f_trial
+                x, f, ys, weights = trial, f_trial, ys_trial, weights_trial
                 accepted = True
                 break
             step *= settings.backtrack_shrink
 
         if not accepted:
-            if not saw_finite_trial:
-                raise ProbcertError(
-                    f"objective overflowed at every backtracking step from "
-                    f"lambda={math.exp(x[0])!r}, theta={tuple(x[1:])!r}"
-                ) from overflow
             termination = "step_underflow"
             break
         iterations += 1
@@ -543,7 +547,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     return OptimizationOutcome(
         theta_star=tuple(float(t) for t in x[1:]),
         lambda_star=lam_of(float(x[0])),
-        objective_trace=tuple(trace),
+        objective_trace=tuple(_exp(v) for v in trace),
         iterations=iterations,
         termination=termination,
     )
@@ -574,18 +578,6 @@ def certify_probability(
     """
     theta = _check_theta(theta, model.dim_theta)
     return estimate_with_plan(_IndicatorSource(model, theta, source), spec)
-
-
-def chernoff_upper_bound(obj: ChernoffObjective, theta, lambda_grid) -> float:
-    """Best surrogate value over a lambda grid: an empirical stand-in for
-    inf over lambda > 0 of the moment bound on p(theta)."""
-    grid = [float(lam) for lam in lambda_grid]
-    if not grid:
-        raise DomainError("lambda grid is empty")
-    for lam in grid:
-        if not lam > 0.0:
-            raise DomainError(f"lambda grid values must be positive, got {lam!r}")
-    return min(empirical_moment(obj, lam, theta) for lam in grid)
 
 
 def optimize_probability(

@@ -35,25 +35,6 @@ class SourceExhaustedError(ProbcertError, RuntimeError):
     """A finite sample source ran out before the requested number of draws."""
 
 
-class MomentOverflowError(ProbcertError, OverflowError):
-    """exp(-lambda * Y) overflowed for some scenario.
-
-    ``scenario_index`` identifies the offending row.
-    """
-
-    def __init__(self, scenario_index: int, exponent: float):
-        self.scenario_index = scenario_index
-        self.exponent = exponent
-        super().__init__(
-            f"exp overflow at scenario {scenario_index}: exponent {exponent:.6g} "
-            "exceeds the double-precision range"
-        )
-
-
-class GradientUnavailableError(ProbcertError, ValueError):
-    """The model has no analytic gradient and the finite-difference fallback is disabled."""
-
-
 class ConfigError(ProbcertError, ValueError):
     """A run configuration is malformed.  ``field`` names the offending entry."""
 

@@ -53,6 +53,17 @@ _BOUNDARY_NOTE = (
 )
 
 
+def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
+    """Raise SampleValueError at the first value outside [0, 1], NaN included.
+
+    ``offset`` is added to the reported index.
+    """
+    # NaN fails this test too; only then is the offender located
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        i = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
+        raise SampleValueError(float(values[i]), offset + i)
+
+
 class SampleSource:
     """Deterministic stream of values in [0, 1].
 
@@ -78,11 +89,7 @@ class SampleSource:
                 f"source produced {values.shape[0] if values.ndim else 0} of "
                 f"{k} requested values"
             )
-        # NaN fails this test too; only then is the offender located
-        if k and not (values.min() >= 0.0 and values.max() <= 1.0):
-            bad = np.flatnonzero((values < 0.0) | (values > 1.0) | ~np.isfinite(values))
-            i = int(bad[0])
-            raise SampleValueError(float(values[i]), self.draws_made + i)
+        _check_unit_interval(values, self.draws_made)
         self.draws_made += k
         return values
 
@@ -260,11 +267,8 @@ def estimate_from_batch(
 
     Every value must lie in [0, 1]; the first offender is reported by index.
     """
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DomainError("batch is empty")
-    bad = np.flatnonzero((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr))
-    if bad.size:
-        i = int(bad[0])
-        raise SampleValueError(float(arr[i]), i)
+    _check_unit_interval(arr)
     return _certificate(stable_mean(arr), int(arr.size), eps_a, eps_r, "post_hoc")

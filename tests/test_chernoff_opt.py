@@ -10,14 +10,11 @@ from probcert import (
     ChernoffObjective,
     ConfigError,
     DomainError,
-    GradientUnavailableError,
-    MomentOverflowError,
     OptimizationOutcome,
     OptimizationSettings,
     ScenarioSet,
     ScenarioSource,
     certify_probability,
-    chernoff_upper_bound,
     empirical_moment,
     empirical_moment_gradient,
     make_model,
@@ -71,10 +68,6 @@ class TestScenarioSet:
         scen = ScenarioSet.from_array([[1.0], [2.0]])
         with pytest.raises(ValueError):
             scen.scenarios[0, 0] = 9.9
-
-    def test_count_mismatch(self):
-        with pytest.raises(DomainError):
-            ScenarioSet(scenarios=np.zeros((3, 1)), n=2, seed=0)
 
     def test_from_csv(self, tmp_path):
         path = tmp_path / "scenarios.csv"
@@ -185,12 +178,16 @@ class TestEmpiricalMoment:
         mc_se = float(np.std(weights) / math.sqrt(scen.n))
         assert abs(value - MOMENT_UNIFORM_ORACLE) < 3.0 * mc_se
 
-    def test_overflow_reports_scenario_index(self):
+    def test_overflow_returns_inf(self):
         model = make_model("uniform_gap")
         obj = ChernoffObjective(model, ScenarioSet.from_array([[0.0], [1.0]]))
-        with pytest.raises(MomentOverflowError) as exc_info:
-            empirical_moment(obj, 800.0, [0.0])  # -800 * (0 - 1) = +800
-        assert exc_info.value.scenario_index == 1
+        # -800 * (0 - 1) = +800: g is past the double range, log g is not
+        assert empirical_moment(obj, 800.0, [0.0]) == math.inf
+        d_lam, _ = empirical_moment_gradient(obj, 800.0, [0.0])
+        assert d_lam == math.inf
+        # lambda * Y itself past the double range
+        far = ChernoffObjective(model, ScenarioSet.from_array([[10.0]]))
+        assert empirical_moment(far, 1e308, [0.0]) == math.inf
 
     def test_nonpositive_lambda(self):
         obj = plus_minus_one_objective()
@@ -259,12 +256,6 @@ class TestMomentGradient:
         _, fallback = empirical_moment_gradient(obj_fd, 1.3, [0.4])
         np.testing.assert_allclose(fallback, analytic, rtol=1e-5)
 
-    def test_fallback_disabled_raises(self):
-        stripped = dataclasses.replace(make_model("quadratic_well"), gradient_theta=None)
-        obj = ChernoffObjective(stripped, ScenarioSet.from_array([[0.1]]))
-        with pytest.raises(GradientUnavailableError):
-            empirical_moment_gradient(obj, 1.0, [0.0], fd_fallback=False)
-
 
 class TestScenarioSampleSize:
     def test_delegates_to_plan(self):
@@ -290,6 +281,37 @@ class TestMinimize:
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert 0.0 < out.lambda_star <= settings.lambda_cap
 
+    @pytest.mark.parametrize(
+        "seed",
+        [833800806, 962022703, 323639837, 38557709, 410894514, 1049530411, 95832482],
+    )
+    def test_converges_where_descent_on_g_stalled(self, seed):
+        # descent on g itself stalled on the lambda -> 0 plateau at these seeds
+        settings = OptimizationSettings(theta0=(0.8,), max_iters=1000)
+        out = optimize_probability(
+            make_model("quadratic_well", sigma=0.5), settings, seed=seed, n_scenarios=5000
+        )
+        assert out.termination == "gradient_tol"
+        assert abs(out.theta_star[0]) <= 0.15
+
+    @pytest.mark.parametrize(
+        "seed, n, theta0, nu0, step",
+        [
+            (24, 35, -3.498256619433854, 3.0448902856284237, 0.4550185120183626),
+            (624, 34, -3.7830232438034264, 3.776601785182441, 0.13226101722760247),
+            (2175, 11, -3.5020687554176693, 3.663214620076425, 0.20925880547025996),
+        ],
+    )
+    def test_extreme_start_completes(self, seed, n, theta0, nu0, step):
+        # from these starts descent on g overflowed or reached Y = -inf
+        model = make_model("quadratic_well")
+        obj = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed=seed))
+        settings = OptimizationSettings(
+            theta0=(theta0,), nu0=nu0, initial_step=step, max_iters=30
+        )
+        trace = minimize(obj, settings).objective_trace
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+
     def test_theta_frozen_when_objective_ignores_it(self):
         model = make_model("affine", a=[0.0], b=[-1.0], c=0.5)
         scen = ScenarioSet.from_model(model, 200, seed=13)
@@ -314,7 +336,8 @@ class TestMinimize:
         scen = ScenarioSet.from_array(np.random.default_rng(2).random((300, 1)))
         settings = OptimizationSettings(theta0=(0.0,), max_iters=3000, lambda_cap=10.0)
         out = minimize(ChernoffObjective(model, scen), settings)
-        assert 0.0 < out.lambda_star <= 10.0
+        assert out.lambda_star == 10.0
+        assert out.iterations <= 10
         trace = out.objective_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         # all Y >= 0 keeps the objective in (0, 1]
@@ -384,31 +407,3 @@ class TestCertifyProbability:
         source = ScenarioSource.from_model(model, 8)
         certify_probability(model, [0.0], SPEC, source)
         assert source.draws_made == 577
-
-
-class TestChernoffUpperBound:
-    def test_singleton_grid_equals_moment(self):
-        obj = plus_minus_one_objective()
-        assert chernoff_upper_bound(obj, [0.0], [1.0]) == empirical_moment(obj, 1.0, [0.0])
-
-    def test_y_zero_returns_one(self):
-        model = make_model("uniform_gap")
-        obj = ChernoffObjective(model, ScenarioSet.from_array([[0.0]]))
-        assert chernoff_upper_bound(obj, [0.0], [0.5, 1.0, 2.0]) == 1.0
-
-    def test_dominates_fresh_failure_rate(self):
-        model = make_model("quadratic_well")
-        obj = ChernoffObjective(model, ScenarioSet.from_model(model, 2000, seed=6))
-        grid = np.arange(0.1, 2.0, 0.2)
-        bound = chernoff_upper_bound(obj, [0.0], grid)
-        fresh = ScenarioSource.from_model(model, 60).draw(2000)
-        fails = int(np.count_nonzero(model.evaluate(np.array([0.0]), fresh) <= 0.0))
-        p_hat = fails / 2000
-        assert bound >= p_hat - 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / 2000)
-
-    def test_grid_validation(self):
-        obj = plus_minus_one_objective()
-        with pytest.raises(DomainError):
-            chernoff_upper_bound(obj, [0.0], [])
-        with pytest.raises(DomainError):
-            chernoff_upper_bound(obj, [0.0], [1.0, -0.5])

@@ -306,6 +306,15 @@ class TestEstimateFromBatch:
         with pytest.raises(SampleValueError) as exc_info:
             estimate_from_batch([0.5, 0.5, 1.2, 0.5], 0.05, 0.2)
         assert exc_info.value.index == 2
+        with pytest.raises(SampleValueError) as exc_info:
+            estimate_from_batch(np.array([0.5, 0.25, math.nan, 2.0]), 0.05, 0.2)
+        assert exc_info.value.index == 2 and math.isnan(exc_info.value.value)
+
+    def test_ndarray_batch_matches_list(self):
+        values = np.random.default_rng(17).random(3001)
+        assert estimate_from_batch(values, 0.02, 0.2) == estimate_from_batch(
+            values.tolist(), 0.02, 0.2
+        )
 
     def test_empty_batch(self):
         with pytest.raises(DomainError):
