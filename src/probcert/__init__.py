@@ -34,9 +34,7 @@ from .tail_bounds import (
 from .estimator import (
     BernoulliSource,
     Certificate,
-    ConstantSource,
     SampleSource,
-    SequenceSource,
     estimate_from_batch,
     estimate_with_plan,
     stable_mean,
@@ -87,8 +85,6 @@ __all__ = [
     "validate_spec",
     "SampleSource",
     "BernoulliSource",
-    "ConstantSource",
-    "SequenceSource",
     "Certificate",
     "estimate_with_plan",
     "estimate_from_batch",

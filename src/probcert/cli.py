@@ -14,14 +14,16 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .chernoff_opt import (
     OptimizationSettings,
     make_model,
     optimize_probability,
     scenario_sample_size,
 )
-from .errors import ConfigError, DomainError, ProbcertError
-from .estimator import estimate_from_batch
+from .errors import ConfigError, DomainError, ProbcertError, SampleValueError
+from .estimator import _check_unit_interval, estimate_from_batch
 from .tail_bounds import achieved_confidence, minimum_sample_size, validate_spec
 from .verification import (
     GridSpec,
@@ -139,27 +141,30 @@ def _cmd_confidence(args) -> int:
     return 0
 
 
-def _read_sample_file(path: str) -> list[float]:
+def _read_sample_file(path: str) -> np.ndarray:
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
-    values = []
+    values, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
         try:
-            value = float(text)
+            values.append(float(text))
         except ValueError:
             raise DomainError(f"line {lineno}: not a decimal number: {text!r}") from None
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"line {lineno}: value {value!r} outside [0, 1]")
-        values.append(value)
+        linenos.append(lineno)
     if not values:
         raise DomainError(f"no sample values in {path!r}")
-    return values
+    arr = np.array(values)
+    try:
+        _check_unit_interval(arr)
+    except SampleValueError as exc:
+        raise DomainError(f"line {linenos[exc.index]}: value {exc.value!r} outside [0, 1]") from None
+    return arr
 
 
 def _cmd_estimate(args) -> int:

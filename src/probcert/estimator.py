@@ -15,18 +15,21 @@ hypothesis is a precondition, not a preference.
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
 would, but without a Python-level loop: error-free extraction (Rump, Ogita &
 Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
-31(1), 2008) splits an array into a few slices whose numpy sums are exact,
-and ``fsum`` only adds those partial sums.  Planned estimates draw in chunks
-of at most ``_DRAW_CHUNK`` values and keep only each chunk's exact partial
-sums, so memory stays constant in the planned n.  Because the accumulated
-sum is exact, the chunk size never changes a certificate.
+31(1), 2008) splits each row of a block into a few partial sums whose numpy
+sums are exact, and ``fsum`` only adds those.  The extraction reduces the
+drawn block in place against one reused scratch buffer, so no pass allocates
+a chunk-sized temporary.  Draws are taken at most ``_DRAW_CHUNK`` = 16,384
+values (128 KiB) at a time: one planned estimate is one row, and a coverage
+experiment draws many trials' rows per block.  Memory therefore stays
+constant in the planned n, and because the accumulated sums are exact the
+chunk size never changes a certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,16 +39,14 @@ from .tail_bounds import ErrorSpec, achieved_confidence, minimum_sample_size
 __all__ = [
     "SampleSource",
     "BernoulliSource",
-    "ConstantSource",
-    "SequenceSource",
     "Certificate",
     "estimate_with_plan",
     "estimate_from_batch",
     "stable_mean",
 ]
 
-# Planned estimates draw at most this many values at a time (512 KiB of float64).
-_DRAW_CHUNK = 65_536
+# Draws are taken at most this many values at a time (128 KiB of float64).
+_DRAW_CHUNK = 16_384
 
 _BOUNDARY_NOTE = (
     "estimate lies on the boundary of [0, 1]; the guarantee assumes a true "
@@ -80,7 +81,12 @@ class SampleSource:
         raise NotImplementedError
 
     def draw(self, k: int) -> np.ndarray:
-        """Emit the next k values, validated into [0, 1]."""
+        """Emit the next k values, validated into [0, 1].
+
+        The returned array belongs to the caller, which may overwrite it (the
+        estimators reduce drawn blocks in place).  ``_generate`` must therefore
+        return a fresh array, never a view of state the source keeps.
+        """
         if k < 0:
             raise DomainError(f"draw count must be nonnegative, got {k!r}")
         values = np.asarray(self._generate(k), dtype=float)
@@ -110,36 +116,6 @@ class BernoulliSource(SampleSource):
 
     def _generate(self, k: int) -> np.ndarray:
         return (self._rng.random(k) < self.p).astype(float)
-
-
-class ConstantSource(SampleSource):
-    """Emits the same value forever.  Out-of-range constants fail at draw time."""
-
-    def __init__(self, value: float, seed: int = 0):
-        super().__init__(seed)
-        self.value = float(value)
-
-    def _generate(self, k: int) -> np.ndarray:
-        return np.full(k, self.value)
-
-
-class SequenceSource(SampleSource):
-    """Replays a fixed sequence; exhausting it raises SourceExhaustedError."""
-
-    def __init__(self, values: Sequence[float], seed: int = 0):
-        super().__init__(seed)
-        self._values = np.asarray(list(values), dtype=float)
-        self._cursor = 0
-
-    def _generate(self, k: int) -> np.ndarray:
-        remaining = len(self._values) - self._cursor
-        if k > remaining:
-            raise SourceExhaustedError(
-                f"sequence exhausted: {remaining} values left, {k} requested"
-            )
-        out = self._values[self._cursor : self._cursor + k]
-        self._cursor += k
-        return out
 
 
 @dataclass(frozen=True)
@@ -187,46 +163,71 @@ class Certificate:
         )
 
 
-def _exact_parts(values) -> list[float]:
-    """A few floats whose exact sum is the exact sum of ``values``.
+def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[list[float]]:
+    """The exact, correctly rounded sum of each of ``rows`` consecutive rows
+    of ``n`` values; each is bit-identical to ``math.fsum`` of its row.
 
-    Each pass rounds every remainder r to q = (r + sigma) - sigma, a multiple
-    of ulp(sigma) / 2 with |q| <= 2^e, where max|r| < 2^e and
-    sigma = 2^(e + k) with 2^k > m + 1 for m values.  Every partial sum of the
-    q's is then below 2^(e + k) on that grid, so ``q.sum()`` is exact in any
-    order, and r - q is exact too.  Each pass removes 53 - k bits, until every
-    remainder is zero.  Non-finite values, or values so large that sigma could
-    overflow, are returned as they are, leaving their inf/nan/overflow
-    handling to ``math.fsum``.
+    ``take(k)`` returns the next k values of the stream as an array the
+    kernel may overwrite.  Blocks hold ``_DRAW_CHUNK // n`` whole rows, or
+    one chunk of a row when n exceeds ``_DRAW_CHUNK``, so the stream is
+    consumed in order and no block exceeds ``_DRAW_CHUNK`` values.
+
+    Each pass rounds every remainder r of a block to q = (r + sigma) - sigma,
+    a multiple of ulp(sigma) / 2 with |q| <= 2^e, where max|r| < 2^e over the
+    block and sigma = 2^(e + k) with 2^k > m + 1 for rows of m values.  Every
+    partial sum of a row's q's is then below 2^(e + k) on that grid, so its
+    numpy sum is exact in any order, and r - q is exact too.  Each pass
+    removes 53 - k bits, until every remainder is zero, and writes q into one
+    scratch buffer and r - q over the block, so no pass allocates.  ``fsum``
+    then rounds each row's few partial sums once.  A value that is not finite
+    or exceeds 2^900 in magnitude, where sigma could overflow, stops the
+    kernel with None; values in [0, 1] never do.
     """
-    r = np.asarray(values, dtype=float)
-    if r.size == 0:
-        return []
-    top = float(np.abs(r).max())
-    if not top <= 2.0**900:  # also true for nan
-        return r.tolist()
-    k = (r.size + 1).bit_length()
-    parts = []
-    while top > 0.0:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
-        q = (r + sigma) - sigma
-        parts.append(float(q.sum()))
-        r = r - q
-        top = float(np.abs(r).max())
-    return parts
-
-
-def _exact_sum(values) -> float:
-    """The correctly rounded sum of ``values``; bit-identical to ``math.fsum``."""
-    return math.fsum(_exact_parts(values))
+    per_block = min(rows, max(1, _DRAW_CHUNK // n))
+    width = min(n, _DRAW_CHUNK)
+    scratch = np.empty(per_block * width)
+    sums: list[float] = []
+    for first in range(0, rows, per_block):
+        b = min(per_block, rows - first)
+        # Python floats, not arrays: a row split over many chunks keeps a part per chunk
+        parts: list[list[float]] = [[] for _ in range(b)]
+        for start in range(0, n, width):
+            m = min(width, n - start)
+            r = take(b * m).reshape(b, m)
+            q = scratch[: b * m].reshape(b, m)
+            k = (m + 1).bit_length()
+            top = float(np.abs(r, out=q).max())
+            if not top <= 2.0**900:  # also true for nan
+                return None
+            while top > 0.0:
+                sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+                np.add(r, sigma, out=q)
+                q -= sigma
+                for row, total in zip(parts, q.sum(axis=1).tolist()):
+                    row.append(total)
+                r -= q
+                top = float(np.abs(r, out=q).max())
+        sums += [math.fsum(row) for row in parts]
+    return sums
 
 
 def stable_mean(values: Sequence[float]) -> float:
-    """Compensated mean: exact (error-free) summation, then one rounding."""
-    n = len(values)
+    """Compensated mean: exact summation of copies of ``values``, then one rounding."""
+    arr = np.asarray(values, dtype=float)
+    n = arr.size
     if n == 0:
         raise DomainError("cannot take the mean of an empty sequence")
-    return _exact_sum(values) / n
+    taken = 0
+
+    def copy_next(k: int) -> np.ndarray:
+        nonlocal taken
+        taken += k
+        return arr[taken - k : taken].copy()
+
+    sums = _row_sums(copy_next, 1, n)
+    if sums is None:  # inf, nan and overflow behave as in fsum
+        return math.fsum(arr.tolist()) / n
+    return sums[0] / n
 
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:
@@ -248,15 +249,12 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
 
     The returned certificate has delta_achieved < spec.delta by construction
     of the plan.  Samples are consumed in a single sequential pass, in chunks
-    of at most ``_DRAW_CHUNK`` draws whose exact partial sums are kept, so
-    memory does not grow with n and the certificate is reproducible from the
-    source seed whatever the chunk size.
+    of at most ``_DRAW_CHUNK`` draws that are summed exactly, so memory does
+    not grow with n and the certificate is reproducible from the source seed
+    whatever the chunk size.
     """
     plan = minimum_sample_size(spec)
-    parts: list[float] = []
-    for start in range(0, plan.n, _DRAW_CHUNK):
-        parts += _exact_parts(source.draw(min(_DRAW_CHUNK, plan.n - start)))
-    mu_hat = math.fsum(parts) / plan.n
+    mu_hat = _row_sums(source.draw, 1, plan.n)[0] / plan.n
     return _certificate(mu_hat, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 

@@ -33,8 +33,8 @@ from .chernoff_opt import (
     scenario_sample_size,
 )
 from .errors import DomainError
-from .estimator import BernoulliSource, estimate_with_plan
-from .tail_bounds import ErrorSpec, hoeffding_exponent, hoeffding_exponent_dmu
+from .estimator import BernoulliSource, _row_sums
+from .tail_bounds import ErrorSpec, hoeffding_exponent, hoeffding_exponent_dmu, minimum_sample_size
 
 __all__ = [
     "GridSpec",
@@ -300,8 +300,11 @@ def coverage_experiment(
 
     For each mu, runs `trials` independent planned estimates and counts
     failures of the mixed criterion (both disjuncts evaluated separately).
-    Passes when every empirical failure rate is within three binomial
-    standard errors above delta.  Use trials >= 1000 for meaningful slack.
+    The trials of one mu are drawn in blocks from one stream, consumed in the
+    same order as `trials` sequential ``estimate_with_plan`` calls, so each
+    trial's estimate is bit-identical to theirs.  Passes when every empirical
+    failure rate is within three binomial standard errors above delta.  Use
+    trials >= 1000 for meaningful slack.
     """
     if not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
@@ -309,16 +312,12 @@ def coverage_experiment(
     if not all(0.0 < mu < 1.0 for mu in mus):
         raise DomainError("mu grid must lie inside (0, 1)")
     threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
+    n = minimum_sample_size(spec).n
     violations: list = []
     for index, mu in enumerate(mus):
         source = BernoulliSource(mu, seed=seed + index)
-        failures = 0
-        for _ in range(trials):
-            cert = estimate_with_plan(source, spec)
-            abs_ok = abs(cert.mu_hat - mu) < spec.eps_a
-            rel_ok = abs(cert.mu_hat - mu) < spec.eps_r * mu
-            if not (abs_ok or rel_ok):
-                failures += 1
+        errors = np.abs(np.array(_row_sums(source.draw, trials, n)) / n - mu)
+        failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
         rate = failures / trials
         if rate > threshold:
             violations.append(((mu,), {"failure_rate": rate, "threshold": threshold}))

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+from typing import Sequence
+
 import numpy as np
 
-from probcert import ErrorSpec
+from probcert import ErrorSpec, SampleSource, SourceExhaustedError
 
 
 def random_valid_specs(count: int, seed: int) -> list[ErrorSpec]:
@@ -23,3 +25,34 @@ def random_valid_specs(count: int, seed: int) -> list[ErrorSpec]:
         delta = rng.uniform(0.001, 0.5)
         specs.append(ErrorSpec(eps_a=eps_a, eps_r=eps_r, delta=delta))
     return specs
+
+
+class ConstantSource(SampleSource):
+    """Emits the same value forever.  Out-of-range constants fail at draw time."""
+
+    def __init__(self, value: float, seed: int = 0):
+        super().__init__(seed)
+        self.value = float(value)
+
+    def _generate(self, k: int) -> np.ndarray:
+        return np.full(k, self.value)
+
+
+class SequenceSource(SampleSource):
+    """Replays a fixed sequence; exhausting it raises SourceExhaustedError."""
+
+    def __init__(self, values: Sequence[float], seed: int = 0):
+        super().__init__(seed)
+        self._values = np.asarray(list(values), dtype=float)
+        self._cursor = 0
+
+    def _generate(self, k: int) -> np.ndarray:
+        remaining = len(self._values) - self._cursor
+        if k > remaining:
+            raise SourceExhaustedError(
+                f"sequence exhausted: {remaining} values left, {k} requested"
+            )
+        # a copy: draws belong to the caller, who may overwrite them
+        out = self._values[self._cursor : self._cursor + k].copy()
+        self._cursor += k
+        return out

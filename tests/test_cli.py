@@ -88,6 +88,13 @@ class TestEstimate:
         assert code == 1
         assert "line 3" in err
 
+    def test_out_of_range_line_counts_blank_lines(self, capsys, tmp_path):
+        path = tmp_path / "gaps.txt"
+        path.write_text("0.5\n\n\n0.25\n  \n1.5\n0.5\n")
+        code, _, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert code == 1
+        assert "line 6: value 1.5 outside [0, 1]" in err
+
     def test_non_numeric_line_reported(self, capsys, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("0.5\npotato\n")

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from probcert import (
     BernoulliSource,
-    ConstantSource,
     DomainError,
     InvalidSpecError,
     SampleSource,
     SampleValueError,
     ScenarioSource,
-    SequenceSource,
     SourceExhaustedError,
     certify_probability,
     estimate_from_batch,
@@ -25,9 +23,12 @@ from probcert import (
     estimator,
     hoeffding_exponent,
     make_model,
+    minimum_sample_size,
     stable_mean,
     validate_spec,
+    verification,
 )
+from support import ConstantSource, SequenceSource
 
 # 50-digit oracle for the mean of 500000 copies each of float(1e-8) and 1.0
 ALT_MEAN_ORACLE = 0.500000005000000000000000104613
@@ -35,7 +36,7 @@ ACH_577 = 0.0497625041681963602055784651914
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
 SPEC_1755 = validate_spec(0.02, 0.2, 0.05)  # n = 1755: 577-draw chunks leave a remainder
-CHUNKS = (1, 7, 577, 65_536)
+CHUNKS = (1, 7, 577, 16_384, 65_536)
 
 # finite doubles whose error-free extraction cannot overflow
 EXTRACTABLE = st.floats(
@@ -122,6 +123,18 @@ class TestStableMean:
     def test_nan_inf_and_overflow_match_fsum(self, values):
         assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_chunked_input_matches_fsum_and_is_left_unchanged(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        values = np.random.default_rng(21).random(2000) - 0.25
+        before = values.copy()
+        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values.tolist())
+        np.testing.assert_array_equal(values, before)
+        # a value the extraction cannot take, late in the input, falls back to fsum
+        for special in (math.nan, math.inf, 1.5 * 2.0**950):
+            values[1500] = special
+            assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values.tolist())
+
 
 class TestSampleSources:
     def test_same_seed_same_sequence(self):
@@ -158,6 +171,13 @@ class TestSampleSources:
             SequenceSource([0.2, math.nan, 0.3]).draw(3)
         assert exc_info.value.index == 1
         assert math.isnan(exc_info.value.value)
+
+    def test_sequence_source_keeps_its_values_after_an_estimate(self):
+        values = np.random.default_rng(6).random(577)
+        source = SequenceSource(values)
+        estimate_with_plan(source, SPEC)
+        source.draw(0)
+        np.testing.assert_array_equal(source._values, values)
 
     def test_sequence_source_exhaustion(self):
         src = SequenceSource([0.1, 0.2, 0.3])
@@ -284,6 +304,51 @@ class TestChunkedDraws:
         estimate_with_plan(source, SPEC_1755)
         assert max(source.requests) <= chunk
         assert sum(source.requests) == 1755
+
+
+class TestBatchedTrials:
+    """Trials drawn in blocks equal sequential planned estimates, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("spec", [SPEC, SPEC_1755], ids=["n577", "n1755"])
+    def test_trial_means_match_sequential_estimates(self, monkeypatch, chunk, spec):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        n, trials = minimum_sample_size(spec).n, 12
+        batched = BernoulliSource(0.3, seed=8)
+        sequential = BernoulliSource(0.3, seed=8)
+        means = [total / n for total in estimator._row_sums(batched.draw, trials, n)]
+        expected = [estimate_with_plan(sequential, spec).mu_hat for _ in range(trials)]
+        assert means == expected
+        assert batched.draws_made == sequential.draws_made == trials * n
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_rows_of_different_scales_sum_exactly(self, monkeypatch, chunk):
+        # the block's largest row sets sigma; a row 2^-900 smaller still sums exactly
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        rows = rng.random((9, 700)) * np.ldexp(1.0, -rng.integers(0, 900, (9, 1)))
+        stream = rows.ravel()
+        taken = 0
+
+        def take(k):
+            nonlocal taken
+            taken += k
+            return stream[taken - k : taken].copy()
+
+        assert estimator._row_sums(take, 9, 700) == [math.fsum(row) for row in rows]
+        assert taken == stream.size
+
+    def test_coverage_draws_trials_times_n_from_each_source(self, monkeypatch):
+        sources = []
+
+        class Recorded(BernoulliSource):
+            def __init__(self, p, seed=0):
+                super().__init__(p, seed)
+                sources.append(self)
+
+        monkeypatch.setattr(verification, "BernoulliSource", Recorded)
+        verification.coverage_experiment(SPEC_1755, [0.2, 0.6], trials=30, seed=5)
+        assert [(s.seed, s.draws_made) for s in sources] == [(5, 30 * 1755), (6, 30 * 1755)]
 
 
 class TestEstimateFromBatch:
