@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -197,12 +197,9 @@ class ScenarioSet:
     @classmethod
     def from_model(cls, model: PerformanceModel, n: int, seed: int) -> "ScenarioSet":
         """Draw n scenarios from the model's Delta distribution; same seed, same rows."""
-        if model.sample_scenarios is None:
-            raise DomainError(f"model {model.name!r} has no scenario sampler")
         if n < 1:
             raise DomainError(f"scenario count must be positive, got {n!r}")
-        rng = np.random.default_rng(seed)
-        return cls(scenarios=model.sample_scenarios(rng, n), seed=int(seed))
+        return cls(scenarios=ScenarioSource.from_model(model, seed).draw(n), seed=int(seed))
 
     @classmethod
     def from_array(cls, rows: np.ndarray, seed: int = 0) -> "ScenarioSet":
@@ -408,7 +405,14 @@ class OptimizationSettings:
     def __post_init__(self):
         if isinstance(self.theta0, (str, bytes)):
             raise DomainError("theta0 must be a sequence of reals, not a string")
-        object.__setattr__(self, "theta0", tuple(float(t) for t in self.theta0))
+        theta0 = tuple(self.theta0)
+        # float(True) is 1.0 and True >= 0, so a bool would pass every check below
+        numbers = [("theta0", t) for t in theta0]
+        numbers += [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
+        for name, value in numbers:
+            if isinstance(value, bool):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+        object.__setattr__(self, "theta0", tuple(float(t) for t in theta0))
         if len(self.theta0) < 1:
             raise DomainError("theta0 must be nonempty")
         if not all(math.isfinite(t) for t in self.theta0):
@@ -431,20 +435,7 @@ class OptimizationSettings:
             raise DomainError(f"lambda_cap must be positive, got {self.lambda_cap!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "theta0": list(self.theta0),
-            "nu0": self.nu0,
-            "max_iters": self.max_iters,
-            "grad_tol": self.grad_tol,
-            "backtrack_shrink": self.backtrack_shrink,
-            "armijo_c": self.armijo_c,
-            "initial_step": self.initial_step,
-            "lambda_cap": self.lambda_cap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizationSettings":
-        return cls(**{**d, "theta0": tuple(d["theta0"])})
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -459,26 +450,7 @@ class OptimizationOutcome:
     certificate: Optional[Certificate] = None
 
     def to_dict(self) -> dict:
-        return {
-            "theta_star": list(self.theta_star),
-            "lambda_star": self.lambda_star,
-            "objective_trace": list(self.objective_trace),
-            "iterations": self.iterations,
-            "termination": self.termination,
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizationOutcome":
-        cert = d.get("certificate")
-        return cls(
-            theta_star=tuple(d["theta_star"]),
-            lambda_star=d["lambda_star"],
-            objective_trace=tuple(d["objective_trace"]),
-            iterations=d["iterations"],
-            termination=d["termination"],
-            certificate=None if cert is None else Certificate.from_dict(cert),
-        )
+        return asdict(self)
 
 
 def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> OptimizationOutcome:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -244,18 +245,11 @@ def _cmd_optimize(args) -> int:
 
     settings_cfg = _require(cfg, "settings", dict)
     theta0 = _require(settings_cfg, "theta0", list, where="settings.")
-    known = {
-        "nu0", "max_iters", "grad_tol", "backtrack_shrink",
-        "armijo_c", "initial_step", "lambda_cap",
-    }
-    unknown = set(settings_cfg) - known - {"theta0"}
+    unknown = set(settings_cfg) - {f.name for f in fields(OptimizationSettings)}
     if unknown:
         raise ConfigError(f"settings.{sorted(unknown)[0]}", "unknown field")
     try:
-        settings = OptimizationSettings(
-            theta0=tuple(theta0),
-            **{k: settings_cfg[k] for k in known if k in settings_cfg},
-        )
+        settings = OptimizationSettings(**{**settings_cfg, "theta0": tuple(theta0)})
     except (DomainError, TypeError, ValueError) as exc:
         raise ConfigError("settings", str(exc)) from None
 

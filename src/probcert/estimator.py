@@ -28,7 +28,7 @@ chunk size never changes a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -138,29 +138,7 @@ class Certificate:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "mu_hat": self.mu_hat,
-            "n": self.n,
-            "eps_a": self.eps_a,
-            "eps_r": self.eps_r,
-            "delta_achieved": self.delta_achieved,
-            "kind": self.kind,
-            "no_guarantee": self.no_guarantee,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        return cls(
-            mu_hat=d["mu_hat"],
-            n=d["n"],
-            eps_a=d["eps_a"],
-            eps_r=d["eps_r"],
-            delta_achieved=d["delta_achieved"],
-            kind=d["kind"],
-            no_guarantee=d.get("no_guarantee", False),
-            note=d.get("note", ""),
-        )
+        return asdict(self)
 
 
 def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[list[float]]:

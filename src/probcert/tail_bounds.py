@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, InvalidSpecError
 
@@ -90,11 +90,7 @@ class ErrorSpec:
         return self.eps_a / self.eps_r
 
     def to_dict(self) -> dict:
-        return {"eps_a": self.eps_a, "eps_r": self.eps_r, "delta": self.delta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ErrorSpec":
-        return cls(eps_a=d["eps_a"], eps_r=d["eps_r"], delta=d["delta"])
+        return asdict(self)
 
 
 def validate_spec(eps_a: float, eps_r: float, delta: float) -> ErrorSpec:
@@ -115,19 +111,7 @@ class SamplePlan:
     worst_case_exponent: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "spec": self.spec.to_dict(),
-            "worst_case_exponent": self.worst_case_exponent,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplePlan":
-        return cls(
-            n=d["n"],
-            spec=ErrorSpec.from_dict(d["spec"]),
-            worst_case_exponent=d["worst_case_exponent"],
-        )
+        return asdict(self)
 
 
 def hoeffding_exponent(eps: float, mu: float) -> float:
@@ -166,9 +150,10 @@ def hoeffding_exponent_dmu(eps: float, mu: float) -> float:
     return log_term + eps / mu + eps / (1.0 - mu)
 
 
-def _require_count(n: int) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+def _require_count(n: int, name: str = "n") -> int:
+    """Raise DomainError unless n is a positive int (a bool is not a count)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
     return n
 
 

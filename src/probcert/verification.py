@@ -20,7 +20,7 @@ quantities clear by many orders of magnitude away from the endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,13 @@ from .chernoff_opt import (
 )
 from .errors import DomainError
 from .estimator import BernoulliSource, _row_sums
-from .tail_bounds import ErrorSpec, hoeffding_exponent, hoeffding_exponent_dmu, minimum_sample_size
+from .tail_bounds import (
+    ErrorSpec,
+    _require_count,
+    hoeffding_exponent,
+    hoeffding_exponent_dmu,
+    minimum_sample_size,
+)
 
 __all__ = [
     "GridSpec",
@@ -83,12 +89,7 @@ class ScanReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "grid_description": self.grid_description,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"
@@ -106,8 +107,7 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
     Terms are formed in log space (lgamma) so large n stays in range; the
     ascending-order sum is accumulated exactly and rounded once.
     """
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _require_count(n)
     if not 0.0 < mu < 1.0:
         raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
@@ -258,8 +258,7 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
     tail Pr{mean >= (1+eps_r) mu} must stay below exp(n g(eps_a, eps_a/eps_r)).
     The grid must lie entirely in one of the two ranges.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _require_count(n)
     mus = [float(mu) for mu in mu_grid]
     if not mus:
         raise DomainError("mu grid is empty")
@@ -306,8 +305,7 @@ def coverage_experiment(
     failure rate is within three binomial standard errors above delta.  Use
     trials >= 1000 for meaningful slack.
     """
-    if not (isinstance(trials, int) and trials >= 1):
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    _require_count(trials, "trials")
     mus = [float(mu) for mu in mu_grid]
     if not all(0.0 < mu < 1.0 for mu in mus):
         raise DomainError("mu grid must lie inside (0, 1)")
@@ -340,8 +338,7 @@ def domination_experiment(
     indicator exactly (no tolerance), and the surrogate must stay above a
     fresh-sample failure-rate estimate minus three binomial standard errors.
     """
-    if not (isinstance(points, int) and points >= 1):
-        raise DomainError(f"points must be a positive integer, got {points!r}")
+    _require_count(points, "points")
     model = make_model(model_id)
     n = scenario_sample_size(spec)
     objective = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed))

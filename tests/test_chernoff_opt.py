@@ -1,12 +1,14 @@
 """Tests for the empirical Chernoff objective, descent, and certification."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from probcert import (
+    Certificate,
     ChernoffObjective,
     ConfigError,
     DomainError,
@@ -92,6 +94,19 @@ class TestScenarioSet:
         path.write_text("")
         with pytest.raises(DomainError):
             ScenarioSet.from_csv(path)
+
+    def test_from_model_checks_sampler_shape(self):
+        # a sampler answering (n,) for dim_delta = 1 must not become one n-wide row
+        flat = dataclasses.replace(
+            make_model("uniform_gap"), sample_scenarios=lambda rng, k: rng.random(k)
+        )
+        with pytest.raises(DomainError, match="shape"):
+            ScenarioSet.from_model(flat, 5, seed=1)
+
+    def test_from_model_matches_scenario_source(self):
+        model = make_model("quadratic_well")
+        rows = ScenarioSet.from_model(model, 50, seed=9).scenarios
+        np.testing.assert_array_equal(rows, ScenarioSource.from_model(model, 9).draw(50))
 
 
 class TestModelRegistry:
@@ -367,6 +382,17 @@ class TestMinimize:
         with pytest.raises(DomainError):
             OptimizationSettings(theta0=(0.0,), lambda_cap=0.0)
 
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(OptimizationSettings)][1:]
+    )
+    def test_settings_reject_booleans(self, field):
+        with pytest.raises(DomainError, match=field):
+            OptimizationSettings(theta0=(0.0,), **{field: True})
+
+    def test_settings_reject_boolean_theta0(self):
+        with pytest.raises(DomainError, match="theta0"):
+            OptimizationSettings(theta0=(0.0, False))
+
     def test_dimension_mismatch(self):
         obj = plus_minus_one_objective()
         with pytest.raises(DomainError):
@@ -378,7 +404,14 @@ class TestMinimize:
             make_model("quadratic_well"), settings, seed=5, n_scenarios=500,
             certify_spec=SPEC,
         )
-        assert OptimizationOutcome.from_dict(out.to_dict()) == out
+        # the JSON record is the constructor's keyword arguments, exactly
+        record = json.loads(json.dumps(out.to_dict()))
+        certificate = Certificate(**record.pop("certificate"))
+        rebuilt = OptimizationOutcome(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in record.items()},
+            certificate=certificate,
+        )
+        assert rebuilt == out
 
 
 class TestCertifyProbability:

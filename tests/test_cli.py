@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from probcert import Certificate, OptimizationOutcome, SamplePlan, ScanReport
+from probcert import (
+    OptimizationSettings,
+    ScanReport,
+    estimate_from_batch,
+    make_model,
+    minimum_sample_size,
+    optimize_probability,
+    validate_spec,
+)
 from probcert.cli import main
 
 
@@ -12,6 +20,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def as_json(record):
+    """What a --json payload holds for a record built in-process."""
+    return json.loads(json.dumps(record.to_dict()))
 
 
 class TestPlan:
@@ -27,7 +40,7 @@ class TestPlan:
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == 1755
-        assert SamplePlan.from_dict(payload).n == 1755
+        assert payload == as_json(minimum_sample_size(validate_spec(0.02, 0.2, 0.05)))
 
     def test_constraint_error_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--eps-a", "0.3", "--eps-r", "0.5", "--delta", "0.1")
@@ -42,8 +55,7 @@ class TestPlan:
         )
         assert code == 0
         written = json.loads(out_path.read_text())
-        plan = SamplePlan.from_dict(written)
-        assert plan.to_dict() == written
+        assert written == as_json(minimum_sample_size(validate_spec(0.05, 0.2, 0.05)))
 
 
 class TestConfidence:
@@ -71,9 +83,10 @@ class TestEstimate:
         path.write_text("0.5\n" * 577)
         code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2", "--json")
         assert code == 0
-        cert = Certificate.from_dict(json.loads(out))
-        assert cert.mu_hat == 0.5
-        assert cert.delta_achieved == pytest.approx(0.0497625, abs=1e-6)
+        payload = json.loads(out)
+        assert payload == as_json(estimate_from_batch([0.5] * 577, 0.05, 0.2))
+        assert payload["mu_hat"] == 0.5
+        assert payload["delta_achieved"] == pytest.approx(0.0497625, abs=1e-6)
 
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -129,12 +142,16 @@ class TestOptimize:
         code, _, _ = run_cli(capsys, "optimize", "--config", str(path), "--output", str(out_path))
         assert code == 0
         payload = json.loads(out_path.read_text())
-        outcome = OptimizationOutcome.from_dict(payload["outcome"])
+        settings = OptimizationSettings(theta0=(0.5,), max_iters=300)
+        outcome = optimize_probability(
+            make_model("quadratic_well", sigma=0.5), settings, seed=12, n_scenarios=1000,
+            certify_spec=validate_spec(0.05, 0.2, 0.05),
+        )
+        assert payload["outcome"] == as_json(outcome)
+        assert payload["run"]["settings"] == as_json(settings)
         assert abs(outcome.theta_star[0]) <= 0.15
         assert outcome.certificate is not None
         assert payload["run"]["n_scenarios"] == 1000
-        # round trip
-        assert outcome.to_dict() == payload["outcome"]
 
     def test_zero_iterations_echoes_start(self, capsys, tmp_path):
         path = write_config(
@@ -178,6 +195,14 @@ class TestOptimize:
         code, _, err = run_cli(capsys, "optimize", "--config", str(path))
         assert code == 1
         assert "settings.momentum" in err
+
+    @pytest.mark.parametrize("field", ["max_iters", "lambda_cap", "grad_tol"])
+    def test_boolean_settings_field_rejected(self, capsys, tmp_path, field):
+        path = write_config(tmp_path, settings={"theta0": [0.8], field: True})
+        code, out, err = run_cli(capsys, "optimize", "--config", str(path), "--json")
+        assert code == 1
+        assert out == ""
+        assert f"{field} must be a number" in err
 
     def test_spec_sizing_recorded(self, capsys, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -253,3 +278,39 @@ class TestUsage:
     def test_bad_flag_type(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--eps-a", "x", "--eps-r", "0.2", "--delta", "0.05")
         assert code == 1
+
+
+class TestRecordFormat:
+    def test_key_order_is_field_order(self):
+        spec = validate_spec(0.05, 0.2, 0.05)
+        settings = OptimizationSettings(theta0=(0.5,), max_iters=5)
+        outcome = optimize_probability(
+            make_model("quadratic_well"), settings, seed=3, n_scenarios=100, certify_spec=spec
+        )
+        report = ScanReport(lemma_id="L2", grid_description="g", violations=[((0.5,), {"value": 1.0})])
+        keys = {
+            "ErrorSpec": list(spec.to_dict()),
+            "SamplePlan": list(minimum_sample_size(spec).to_dict()),
+            "Certificate": list(outcome.certificate.to_dict()),
+            "OptimizationSettings": list(settings.to_dict()),
+            "OptimizationOutcome": list(outcome.to_dict()),
+            "ScanReport": list(report.to_dict()),
+        }
+        assert keys == {
+            "ErrorSpec": ["eps_a", "eps_r", "delta"],
+            "SamplePlan": ["n", "spec", "worst_case_exponent"],
+            "Certificate": [
+                "mu_hat", "n", "eps_a", "eps_r", "delta_achieved", "kind", "no_guarantee", "note",
+            ],
+            "OptimizationSettings": [
+                "theta0", "nu0", "max_iters", "grad_tol", "backtrack_shrink",
+                "armijo_c", "initial_step", "lambda_cap",
+            ],
+            "OptimizationOutcome": [
+                "theta_star", "lambda_star", "objective_trace", "iterations",
+                "termination", "certificate",
+            ],
+            "ScanReport": ["lemma_id", "grid_description", "violations", "passed"],
+        }
+        assert list(outcome.to_dict()["certificate"]) == keys["Certificate"]
+        assert list(minimum_sample_size(spec).to_dict()["spec"]) == keys["ErrorSpec"]

@@ -106,6 +106,22 @@ class TestLemmaScans:
         d = report.to_dict()
         assert set(d) == {"lemma_id", "grid_description", "violations", "passed"}
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: upper_tail_bound(True, 0.1, 0.5),
+            lambda: binomial_tail_exact(True, 0.5, 0),
+            lambda: lemma56_check(SPEC, [0.1], True),
+            lambda: coverage_experiment(SPEC, [0.5], True, 3),
+            lambda: domination_experiment("quadratic_well", SPEC, True, 3),
+        ],
+        ids=["upper_tail_bound", "binomial_tail_exact", "lemma56_check",
+             "coverage_experiment", "domination_experiment"],
+    )
+    def test_counts_reject_booleans(self, call):
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            call()
+
 
 class TestHoeffdingBoundVsExactBinomial:
     def test_bound_dominates_exact_tails(self):
