@@ -7,23 +7,17 @@ the smooth deterministic objective
 
     g(lambda, theta) = (1/n) sum_i exp(-lambda Y(theta, Delta_i)).
 
-Descent minimizes log g, which has the same minimizer, is convex in lambda
-for fixed theta (it is an empirical log-moment-generating function; see
-Nemirovski & Shapiro, "Convex approximations of chance constrained
-programs", SIAM J. Optim. 17(4), 2006) and cannot overflow: with
-top = max_i(-lambda Y_i) it is computed as
-
-    log g = top + log((1/n) sum_i w_i),   w_i = exp(-lambda Y_i - top),
-
-where every shifted weight w_i lies in [0, 1] and the largest is 1.  Its
-gradient is a w-weighted mean of -Y (in lambda) and of -lambda dY/dtheta (in
-theta), built from the same Y and w, so each descent iterate costs one model
-evaluation.  The descent is gradient descent with a backtracking (Armijo)
-line search; lambda stays positive by construction because it runs in
-nu = ln(lambda), capped above because the empirical objective can push
-lambda to infinity when every scenario survives (a vacuous direction of the
-bound).  The optimized theta is then certified on fresh scenarios, never the
-ones optimized over, via the estimator module.
+The optimizer works on log g, which has the same minimizer and cannot
+overflow: log g = top + log((1/n) sum_i w_i), with top = max_i(-lambda Y_i)
+and shifted weights w_i = exp(-lambda Y_i - top) in [0, 1].  For fixed theta,
+log g is convex in lambda, with slope -E_w[Y] and curvature Var_w(Y)
+(Nemirovski & Shapiro, SIAM J. Optim. 17(4), 2006).  So lambda is profiled
+out by a Newton solve on the Y values already computed, and only theta is
+descended, on F(theta) = min over lambda of log g, by BFGS with Armijo
+backtracking (Nocedal & Wright, "Numerical Optimization", ch. 6), whose
+gradient is the theta partial of log g at the optimal lambda.  The optimized
+theta is then certified on fresh scenarios, never the ones optimized over,
+via the estimator module.
 
 Models are evaluated on a whole batch of scenario rows per call, never row
 by row.  Scenario sets are immutable after construction and safe to share;
@@ -44,8 +38,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .estimator import Certificate, SampleSource, estimate_with_plan, stable_mean
-from .tail_bounds import ErrorSpec, minimum_sample_size
+from .estimator import Certificate, SampleSource, _exact_sums, estimate_with_plan, stable_mean
+from .tail_bounds import ErrorSpec, _require_count, minimum_sample_size
 
 __all__ = [
     "ScenarioSet",
@@ -64,10 +58,10 @@ __all__ = [
     "optimize_probability",
 ]
 
-# nu = ln(lambda) is clamped to this range so lambda = exp(nu) is a positive,
-# finite double at every iterate.
-_NU_FLOOR = -690.0
-_STEP_FLOOR = 1e-20
+_STEP_FLOOR = 1e-20  # the line search halves a unit first step down to this
+_ARMIJO_C = 1e-4
+_LAMBDA_RTOL = 1e-12  # the lambda solve ends at a step this small relative to lambda
+_LAMBDA_STEPS = 200
 # largest x with math.exp(x) finite
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -165,6 +159,10 @@ def make_model(name: str, **params) -> PerformanceModel:
             "model",
             f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}",
         ) from None
+    for key, value in params.items():
+        # float(True) is 1.0, so a boolean would pass for a number
+        if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
+            raise ConfigError("model_params", f"{key} must be a number, got {value!r}")
     try:
         return factory(**params)
     except TypeError as exc:
@@ -197,8 +195,7 @@ class ScenarioSet:
     @classmethod
     def from_model(cls, model: PerformanceModel, n: int, seed: int) -> "ScenarioSet":
         """Draw n scenarios from the model's Delta distribution; same seed, same rows."""
-        if n < 1:
-            raise DomainError(f"scenario count must be positive, got {n!r}")
+        n = _require_count(n, "scenario count")
         return cls(scenarios=ScenarioSource.from_model(model, seed).draw(n), seed=int(seed))
 
     @classmethod
@@ -299,57 +296,44 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
 
 
-def _log_moment(obj: ChernoffObjective, lam: float, theta: np.ndarray):
-    """log g(lambda, theta), with the Y values and shifted weights behind it.
-
-    With top = max_i(-lambda Y_i), log g = top + log((1/n) sum_i w_i) where
-    w_i = exp(-lambda Y_i - top).  Every w_i lies in [0, 1] and the largest is
-    exactly 1, so the mean is at least 1/n and its log is finite.  Returns
-    (log g, Y, w); the gradient reuses Y and w.
+def _moments(ys: np.ndarray, lam: float) -> tuple[float, float, float, np.ndarray]:
+    """(h, h', h'', w): h = log g at lambda from the Y values, h' = -E_w[Y] and
+    h'' = Var_w(Y) under the shifted weights w, from exact sums in one pass.
+    The largest weight is exactly 1, so log of their mean is finite.
     """
-    ys = obj.performance_values(theta)
     with np.errstate(over="ignore"):
         exponents = -lam * ys
-    top = float(exponents.max())
-    if math.isinf(top):  # lambda * Y itself is beyond the double range
-        return top, ys, (exponents == top).astype(float)
-    weights = np.exp(exponents - top)
-    return top + math.log(stable_mean(weights)), ys, weights
+    top = float(exponents.max())  # infinite when lambda * Y is beyond the double range
+    weights = (exponents == top).astype(float) if math.isinf(top) else np.exp(exponents - top)
+    s0, s1, s2 = _exact_sums(np.vstack((weights, ys * weights, ys * ys * weights)))
+    mean = s1 / s0
+    return top + math.log(s0 / ys.size), -mean, s2 / s0 - mean * mean, weights
 
 
-def _log_moment_gradient(
-    obj: ChernoffObjective, lam: float, theta: np.ndarray, ys: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Partials of log g from the Y values and weights ``_log_moment`` returned:
+def _theta_gradient(
+    obj: ChernoffObjective, lam: float, theta: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """d log g / d theta_j = -lambda sum(dY/dtheta_j w) / sum(w), from exact
+    sums in one pass.
 
-        d log g / d lambda  = -mean(Y w) / mean(w)
-        d log g / d theta_j = -lambda mean(dY/dtheta_j w) / mean(w)
-
-    Models without an analytic gradient get central differences of log g,
-    step 1e-6 * (1 + |theta_j|) per component.
+    Models without an analytic gradient get central differences of log g at
+    fixed lambda, step 1e-6 * (1 + |theta_j|) per component.
     """
-    mean_w = stable_mean(weights)
-    d_lambda = -stable_mean(ys * weights) / mean_w
-    d_theta = np.empty(obj.model.dim_theta)
-    if obj.model.gradient_theta is not None:
-        rows = obj.scenarios.scenarios
-        grads = np.asarray(obj.model.gradient_theta(theta, rows), dtype=float)
-        if grads.shape != (ys.size, obj.model.dim_theta):
+    model = obj.model
+    if model.gradient_theta is not None:
+        grads = np.asarray(model.gradient_theta(theta, obj.scenarios.scenarios), dtype=float)
+        if grads.shape != (weights.size, model.dim_theta):
             raise DomainError(
-                f"model {obj.model.name!r} returned gradient shape {grads.shape}, "
-                f"expected {(ys.size, obj.model.dim_theta)}"
+                f"model {model.name!r} returned gradient shape {grads.shape}, "
+                f"expected {(weights.size, model.dim_theta)}"
             )
-        for j in range(obj.model.dim_theta):
-            d_theta[j] = -lam * stable_mean(grads[:, j] * weights) / mean_w
-    else:
-        for j in range(obj.model.dim_theta):
-            h = 1e-6 * (1.0 + abs(theta[j]))
-            bump = np.zeros_like(theta)
-            bump[j] = h
-            d_theta[j] = (
-                _log_moment(obj, lam, theta + bump)[0] - _log_moment(obj, lam, theta - bump)[0]
-            ) / (2.0 * h)
-    return d_lambda, d_theta
+        sums = _exact_sums(np.vstack((weights, grads.T * weights)))
+        return -lam * np.array(sums[1:]) / sums[0]
+    d_theta = np.empty(model.dim_theta)
+    for j, bump in enumerate(np.diag(1e-6 * (1.0 + np.abs(theta)))):
+        up, down = (_moments(obj.performance_values(t), lam)[0] for t in (theta + bump, theta - bump))
+        d_theta[j] = (up - down) / (2.0 * bump[j])
+    return d_theta
 
 
 def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
@@ -358,7 +342,7 @@ def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
     Beyond the double range the result is inf.
     """
     _check_lambda(lam)
-    return _exp(_log_moment(obj, lam, theta)[0])
+    return _exp(_moments(obj.performance_values(theta), lam)[0])
 
 
 def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tuple[float, np.ndarray]:
@@ -372,10 +356,9 @@ def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tupl
     """
     _check_lambda(lam)
     theta = _check_theta(theta, obj.model.dim_theta)
-    log_g, ys, weights = _log_moment(obj, lam, theta)
-    d_lambda, d_theta = _log_moment_gradient(obj, lam, theta, ys, weights)
+    log_g, d_lambda, _, weights = _moments(obj.performance_values(theta), lam)
     g = _exp(log_g)
-    return float(g * d_lambda), g * d_theta
+    return float(g * d_lambda), g * _theta_gradient(obj, lam, theta, weights)
 
 
 def scenario_sample_size(spec: ErrorSpec) -> int:
@@ -391,15 +374,14 @@ def scenario_sample_size(spec: ErrorSpec) -> int:
 
 @dataclass(frozen=True)
 class OptimizationSettings:
-    """Descent configuration.  theta0 is the starting point; nu0 = ln(lambda0)."""
+    """Descent configuration.  theta0 is the starting point; exp(nu0) is the
+    first warm start of the lambda solve, whose range is (0, lambda_cap].
+    """
 
     theta0: tuple[float, ...]
     nu0: float = 0.0
     max_iters: int = 500
     grad_tol: float = 1e-6
-    backtrack_shrink: float = 0.5
-    armijo_c: float = 1e-4
-    initial_step: float = 1.0
     lambda_cap: float = 50.0
 
     def __post_init__(self):
@@ -423,14 +405,6 @@ class OptimizationSettings:
             raise DomainError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not self.grad_tol > 0.0:
             raise DomainError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if not 0.0 < self.backtrack_shrink < 1.0:
-            raise DomainError(
-                f"backtrack_shrink must lie in (0, 1), got {self.backtrack_shrink!r}"
-            )
-        if not 0.0 < self.armijo_c < 1.0:
-            raise DomainError(f"armijo_c must lie in (0, 1), got {self.armijo_c!r}")
-        if not self.initial_step > 0.0:
-            raise DomainError(f"initial_step must be positive, got {self.initial_step!r}")
         if not self.lambda_cap > 0.0:
             raise DomainError(f"lambda_cap must be positive, got {self.lambda_cap!r}")
 
@@ -446,79 +420,106 @@ class OptimizationOutcome:
     lambda_star: float
     objective_trace: tuple[float, ...]
     iterations: int
-    termination: str  # gradient_tol | max_iters | step_underflow
+    termination: str  # gradient_tol | max_iters | step_underflow | lambda_cap | trivial_bound
     certificate: Optional[Certificate] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> OptimizationOutcome:
-    """Projected gradient descent on log g over (nu, theta) with Armijo backtracking.
+def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.ndarray]:
+    """(lambda*, log g, weights there) for the Y values at one theta.
 
-    nu is clamped to [ln-floor, ln(lambda_cap)]; at a clamp boundary the
-    outward gradient component is projected to zero so theta progress
-    continues.  Each line-search trial evaluates the model once, and the
-    accepted trial's Y values and weights give the next gradient.  Accepted
-    steps satisfy the sufficient-decrease condition, so the objective trace
-    (reported as g = exp(log g)) is non-increasing.  Termination: projected
-    gradient norm <= grad_tol, iteration cap, or line-search step underflow.
+    lambda* minimizes the convex h = log g over (0, cap]: the cap when every
+    Y > 0.  When mean Y <= 0, h' >= 0 from 0 on, so lam is kept and theta
+    still gets a gradient.  Otherwise Newton steps from lam find the root of
+    h', or the cap if h' < 0 there; a step out of the bracket, or zero
+    curvature (all the weight on one scenario), bisects instead.
+    """
+    if ys.min() > 0.0:
+        lam = cap
+    elif stable_mean(ys) > 0.0:
+        lo, hi = 0.0, math.inf  # h' < 0 at lo, h' > 0 at hi
+        for _ in range(_LAMBDA_STEPS):
+            f, d1, d2, weights = _moments(ys, lam)
+            if d1 == 0.0 or (d1 < 0.0 and lam == cap):
+                return lam, f, weights
+            lo, hi = (lam, hi) if d1 < 0.0 else (lo, lam)
+            nxt = lam - d1 / d2 if d2 > 0.0 else math.nan
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi) if hi < math.inf else cap
+            nxt = min(nxt, cap)
+            if abs(nxt - lam) <= _LAMBDA_RTOL * lam:
+                return lam, f, weights
+            lam = nxt
+    f, _, _, weights = _moments(ys, lam)
+    return lam, f, weights
+
+
+def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> OptimizationOutcome:
+    """BFGS descent on F(theta) = min over lambda in (0, lambda_cap] of log g.
+
+    A trial costs one model evaluation; its lambda* is warm-started from the
+    last one (first from exp(nu0)).  Steps start at unit length and halve
+    until the Armijo condition holds, so the trace of g is non-increasing.
+    The loop ends at gradient norm <= grad_tol, max_iters or step underflow,
+    but a vacuous end point reports ``lambda_cap`` (every Y > 0) or
+    ``trivial_bound`` (mean Y <= 0) instead.
     """
     if obj.model.dim_theta != len(settings.theta0):
         raise DomainError(
             f"theta0 has {len(settings.theta0)} components, model needs {obj.model.dim_theta}"
         )
-    nu_cap = math.log(settings.lambda_cap)
-
-    def clamp_nu(nu: float) -> float:
-        return min(max(nu, _NU_FLOOR), nu_cap)
-
-    def lam_of(nu: float) -> float:
-        # exp(log(cap)) can overshoot cap by an ulp; keep lambda <= cap exactly
-        return min(math.exp(nu), settings.lambda_cap)
-
-    x = np.concatenate(([clamp_nu(settings.nu0)], settings.theta0))
-    f, ys, weights = _log_moment(obj, lam_of(x[0]), x[1:])
+    cap = settings.lambda_cap
+    theta = np.array(settings.theta0)
+    ys = obj.performance_values(theta)
+    # exp(log(cap)) can overshoot cap by an ulp; keep lambda <= cap exactly
+    lam, f, weights = _profile(ys, min(math.exp(min(settings.nu0, math.log(cap))), cap), cap)
+    grad = _theta_gradient(obj, lam, theta, weights)
+    inverse_hessian = np.eye(theta.size)
     trace = [f]
     iterations = 0
     termination = "max_iters"
 
     for _ in range(settings.max_iters):
-        lam = lam_of(x[0])
-        d_lam, d_theta = _log_moment_gradient(obj, lam, x[1:], ys, weights)
-        grad = np.concatenate(([lam * d_lam], d_theta))
-        projected = grad.copy()
-        if x[0] >= nu_cap and grad[0] < 0.0:
-            projected[0] = 0.0
-        if x[0] <= _NU_FLOOR and grad[0] > 0.0:
-            projected[0] = 0.0
-        grad_norm = float(np.linalg.norm(projected))
-        if grad_norm <= settings.grad_tol:
+        if float(np.linalg.norm(grad)) <= settings.grad_tol:
             termination = "gradient_tol"
             break
-
-        slope = -grad_norm * grad_norm  # directional derivative along -projected
-        step = settings.initial_step
-        accepted = False
+        direction = -inverse_hessian @ grad
+        slope = float(grad @ direction)
+        if not slope < 0.0:  # rounding broke positive definiteness: restart
+            inverse_hessian = np.eye(theta.size)
+            direction, slope = -grad, -float(grad @ grad)
+        step = 1.0
         while step >= _STEP_FLOOR:
-            trial = x - step * projected
-            trial[0] = clamp_nu(trial[0])
-            f_trial, ys_trial, weights_trial = _log_moment(obj, lam_of(trial[0]), trial[1:])
-            if f_trial <= f + settings.armijo_c * step * slope:
-                x, f, ys, weights = trial, f_trial, ys_trial, weights_trial
-                accepted = True
+            trial = theta + step * direction
+            ys_trial = obj.performance_values(trial)
+            lam_trial, f_trial, weights_trial = _profile(ys_trial, lam, cap)
+            if f_trial <= f + _ARMIJO_C * step * slope:
                 break
-            step *= settings.backtrack_shrink
-
-        if not accepted:
+            step *= 0.5
+        else:
             termination = "step_underflow"
             break
+        grad_trial = _theta_gradient(obj, lam_trial, trial, weights_trial)
+        s, y = trial - theta, grad_trial - grad
+        sy = float(s @ y)
+        if sy > 0.0:  # the curvature condition; otherwise keep the approximation
+            if iterations == 0:  # scale the first approximation (N&W eq. 6.20)
+                inverse_hessian *= sy / float(y @ y)
+            v = np.eye(theta.size) - np.outer(s, y) / sy
+            inverse_hessian = v @ inverse_hessian @ v.T + np.outer(s, s) / sy
+        theta, lam, f, ys, grad = trial, lam_trial, f_trial, ys_trial, grad_trial
         iterations += 1
         trace.append(f)
 
+    if ys.min() > 0.0:
+        termination = "lambda_cap"
+    elif stable_mean(ys) <= 0.0:
+        termination = "trivial_bound"
     return OptimizationOutcome(
-        theta_star=tuple(float(t) for t in x[1:]),
-        lambda_star=lam_of(float(x[0])),
+        theta_star=tuple(float(t) for t in theta),
+        lambda_star=float(lam),
         objective_trace=tuple(_exp(v) for v in trace),
         iterations=iterations,
         termination=termination,

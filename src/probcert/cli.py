@@ -223,14 +223,10 @@ def _cmd_optimize(args) -> int:
     cfg = _load_run_config(args.config)
 
     model_name = _require(cfg, "model", str)
-    model_params = cfg.get("model_params", {})
-    if not isinstance(model_params, dict):
-        raise ConfigError("model_params", "must be a JSON object")
+    model_params = _require(cfg, "model_params", dict) if "model_params" in cfg else {}
     model = make_model(model_name, **model_params)
 
-    seed = cfg.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed", f"expected integer, got {type(seed).__name__}")
+    seed = _require(cfg, "seed", int) if "seed" in cfg else DEFAULT_SEED
 
     has_n = "n_scenarios" in cfg
     has_spec = "spec" in cfg

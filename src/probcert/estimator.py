@@ -99,10 +99,6 @@ class SampleSource:
         self.draws_made += k
         return values
 
-    def next(self) -> float:
-        """Emit one value."""
-        return float(self.draw(1)[0])
-
 
 class BernoulliSource(SampleSource):
     """Bernoulli(p) draws as 0.0/1.0 floats."""
@@ -189,23 +185,28 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     return sums
 
 
-def stable_mean(values: Sequence[float]) -> float:
-    """Compensated mean: exact summation of copies of ``values``, then one rounding."""
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    if n == 0:
-        raise DomainError("cannot take the mean of an empty sequence")
+def _exact_sums(rows: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of a 2-D array, in one kernel pass over copies."""
+    flat = rows.reshape(-1)
     taken = 0
 
     def copy_next(k: int) -> np.ndarray:
         nonlocal taken
         taken += k
-        return arr[taken - k : taken].copy()
+        return flat[taken - k : taken].copy()
 
-    sums = _row_sums(copy_next, 1, n)
+    sums = _row_sums(copy_next, rows.shape[0], rows.shape[1])
     if sums is None:  # inf, nan and overflow behave as in fsum
-        return math.fsum(arr.tolist()) / n
-    return sums[0] / n
+        return [math.fsum(row) for row in rows.tolist()]
+    return sums
+
+
+def stable_mean(values: Sequence[float]) -> float:
+    """Compensated mean: exact summation of copies of ``values``, then one rounding."""
+    arr = np.asarray(values, dtype=float).reshape(1, -1)
+    if arr.size == 0:
+        raise DomainError("cannot take the mean of an empty sequence")
+    return _exact_sums(arr)[0] / arr.size
 
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:

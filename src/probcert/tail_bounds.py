@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError, InvalidSpecError
@@ -151,10 +152,10 @@ def hoeffding_exponent_dmu(eps: float, mu: float) -> float:
 
 
 def _require_count(n: int, name: str = "n") -> int:
-    """Raise DomainError unless n is a positive int (a bool is not a count)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    """n as an int, if it is a positive integer (numpy's too, but not a bool)."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise DomainError(f"{name} must be a positive integer, got {n!r}")
-    return n
+    return int(n)
 
 
 def upper_tail_bound(n: int, eps: float, mu: float) -> float:

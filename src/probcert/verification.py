@@ -305,7 +305,7 @@ def coverage_experiment(
     failure rate is within three binomial standard errors above delta.  Use
     trials >= 1000 for meaningful slack.
     """
-    _require_count(trials, "trials")
+    trials = _require_count(trials, "trials")
     mus = [float(mu) for mu in mu_grid]
     if not all(0.0 < mu < 1.0 for mu in mus):
         raise DomainError("mu grid must lie inside (0, 1)")

@@ -298,10 +298,14 @@ class TestMinimize:
 
     @pytest.mark.parametrize(
         "seed",
-        [833800806, 962022703, 323639837, 38557709, 410894514, 1049530411, 95832482],
+        [
+            833800806, 962022703, 323639837, 38557709, 410894514, 1049530411, 95832482,
+            38557765, 541447221, 715461414, 67588861, 411450298, 716025286, 992708823,
+        ],
     )
     def test_converges_where_descent_on_g_stalled(self, seed):
-        # descent on g itself stalled on the lambda -> 0 plateau at these seeds
+        # joint descent over (lambda, theta) stalled at these seeds: on the
+        # lambda -> 0 plateau, or ill-conditioned inside the basin
         settings = OptimizationSettings(theta0=(0.8,), max_iters=1000)
         out = optimize_probability(
             make_model("quadratic_well", sigma=0.5), settings, seed=seed, n_scenarios=5000
@@ -318,14 +322,46 @@ class TestMinimize:
         ],
     )
     def test_extreme_start_completes(self, seed, n, theta0, nu0, step):
-        # from these starts descent on g overflowed or reached Y = -inf
+        # from these starts, with first steps of length `step`, descent on g
+        # overflowed or reached Y = -inf; every line search now starts at 1
         model = make_model("quadratic_well")
         obj = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed=seed))
-        settings = OptimizationSettings(
-            theta0=(theta0,), nu0=nu0, initial_step=step, max_iters=30
-        )
+        settings = OptimizationSettings(theta0=(theta0,), nu0=nu0, max_iters=30)
         trace = minimize(obj, settings).objective_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("theta0", [-5.0, 3.0])
+    def test_start_on_trivial_bound_region_converges(self, theta0):
+        # mean Y <= 0 at these starts: g = 1 as lambda -> 0, a trivial bound
+        # that joint descent reported as converged
+        model = make_model("quadratic_well")
+        obj = ChernoffObjective(model, ScenarioSet.from_model(model, 5000, seed=11))
+        out = minimize(obj, OptimizationSettings(theta0=(theta0,), max_iters=1000))
+        assert out.termination == "gradient_tol"
+        assert abs(out.theta_star[0]) <= 0.15
+        trace = out.objective_trace
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+    def test_all_fail_ends_trivial_bound(self):
+        # Y = -1 - delta^2 < 0 for every scenario, whatever theta
+        model = make_model("affine", a=[0.0], b=[0.0], c=-1.0)
+        scen = ScenarioSet.from_model(model, 100, seed=4)
+        out = minimize(ChernoffObjective(model, scen), OptimizationSettings(theta0=(0.3,)))
+        assert out.termination == "trivial_bound"
+        assert out.theta_star == (0.3,)
+        assert out.objective_trace[-1] >= 1.0
+
+    def test_unbounded_problem_stays_finite(self):
+        # Y grows without bound along a, and no step bound is imposed: theta
+        # runs far out, but every iterate and objective value stays finite
+        model = make_model("affine", a=[0.8, -0.5], b=[1.0, 0.3], c=-0.1)
+        scen = ScenarioSet.from_model(model, 400, seed=9)
+        out = minimize(ChernoffObjective(model, scen), OptimizationSettings(theta0=(0.0, 0.0)))
+        assert all(math.isfinite(t) for t in out.theta_star)
+        trace = out.objective_trace
+        assert all(math.isfinite(v) for v in trace)
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert out.termination == "lambda_cap"
 
     def test_theta_frozen_when_objective_ignores_it(self):
         model = make_model("affine", a=[0.0], b=[-1.0], c=0.5)
@@ -341,9 +377,19 @@ class TestMinimize:
         out = minimize(obj, settings)
         assert out.termination == "max_iters"
         assert out.theta_star == (0.2,)
-        assert out.lambda_star == 1.0
+        # lambda*(0.2) for Y = {1.2, -0.8}: 1.2 exp(-1.2 lambda) = 0.8 exp(0.8 lambda)
+        assert out.lambda_star == pytest.approx(0.5 * math.log(1.5), rel=1e-12)
         assert out.iterations == 0
         assert len(out.objective_trace) == 1
+
+    def test_newton_falls_back_when_weights_sit_on_one_scenario(self):
+        # Y = {-1, 100}: at the warm start lambda = 50 the weight of Y = 100
+        # underflows to 0, so Var_w(Y) is exactly 0 and Newton cannot step
+        obj = ChernoffObjective(make_model("uniform_gap"), ScenarioSet.from_array([[1.0], [-100.0]]))
+        settings = OptimizationSettings(theta0=(0.0,), nu0=math.log(50.0), max_iters=0)
+        out = minimize(obj, settings)
+        # E_w[Y] = 0 where exp(lambda) = 100 exp(-100 lambda): lambda* = ln(100) / 101
+        assert out.lambda_star == pytest.approx(math.log(100.0) / 101.0, rel=1e-9)
 
     def test_lambda_cap_respected_when_all_y_positive(self):
         # theta fixed far from failures: every Y > 0, lambda runs to the cap
@@ -352,7 +398,8 @@ class TestMinimize:
         settings = OptimizationSettings(theta0=(0.0,), max_iters=3000, lambda_cap=10.0)
         out = minimize(ChernoffObjective(model, scen), settings)
         assert out.lambda_star == 10.0
-        assert out.iterations <= 10
+        assert out.iterations == 0
+        assert out.termination == "lambda_cap"
         trace = out.objective_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         # all Y >= 0 keeps the objective in (0, 1]
@@ -376,7 +423,9 @@ class TestMinimize:
         with pytest.raises(DomainError):
             OptimizationSettings(theta0=(), max_iters=10)
         with pytest.raises(DomainError):
-            OptimizationSettings(theta0=(0.0,), backtrack_shrink=1.0)
+            OptimizationSettings(theta0=(0.0,), grad_tol=0.0)
+        with pytest.raises(TypeError):  # the line search's constants are not settings
+            OptimizationSettings(theta0=(0.0,), backtrack_shrink=0.5)
         with pytest.raises(DomainError):
             OptimizationSettings(theta0=(0.0,), max_iters=-1)
         with pytest.raises(DomainError):

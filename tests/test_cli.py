@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its exit-code policy."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,26 @@ class TestOptimize:
         assert out == ""
         assert f"{field} must be a number" in err
 
+    def test_boolean_model_param_rejected(self, capsys, tmp_path):
+        # float(True) is 1.0: without the check this ran with sigma = 1.0
+        path = write_config(tmp_path, model_params={"sigma": True})
+        code, out, err = run_cli(capsys, "optimize", "--config", str(path), "--json")
+        assert code == 1
+        assert out == ""
+        assert "sigma must be a number" in err
+
+    def test_readme_config_runs(self, capsys, tmp_path):
+        # the run configuration documented in README.md, exactly as written there
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Optimize run configuration")[1].split("```json\n")[1].split("```")[0]
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        code, out, _ = run_cli(capsys, "optimize", "--config", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["run"]["settings"] == json.loads(block)["settings"]
+        assert payload["outcome"]["termination"] == "gradient_tol"
+
     def test_spec_sizing_recorded(self, capsys, tmp_path):
         cfg_path = write_config(tmp_path)
         cfg = json.loads(cfg_path.read_text())
@@ -303,8 +324,7 @@ class TestRecordFormat:
                 "mu_hat", "n", "eps_a", "eps_r", "delta_achieved", "kind", "no_guarantee", "note",
             ],
             "OptimizationSettings": [
-                "theta0", "nu0", "max_iters", "grad_tol", "backtrack_shrink",
-                "armijo_c", "initial_step", "lambda_cap",
+                "theta0", "nu0", "max_iters", "grad_tol", "lambda_cap",
             ],
             "OptimizationOutcome": [
                 "theta_star", "lambda_star", "objective_trace", "iterations",

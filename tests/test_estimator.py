@@ -146,13 +146,13 @@ class TestSampleSources:
     def test_next_and_draw_share_the_stream(self):
         a = BernoulliSource(0.4, seed=5)
         b = BernoulliSource(0.4, seed=5)
-        first = [a.next() for _ in range(16)]
+        first = [a.draw(1)[0] for _ in range(16)]
         np.testing.assert_array_equal(first, b.draw(16))
 
     def test_draws_made_counter(self):
         src = BernoulliSource(0.5, seed=0)
         src.draw(7)
-        src.next()
+        src.draw(1)
         assert src.draws_made == 8
 
     def test_bernoulli_values_binary(self):

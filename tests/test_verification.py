@@ -10,12 +10,14 @@ from probcert import (
     DomainError,
     GridSpec,
     ScanReport,
+    ScenarioSet,
     binomial_tail_exact,
     coverage_experiment,
     domination_experiment,
     lemma56_check,
     lemma_scan,
     lower_tail_bound,
+    make_model,
     upper_tail_bound,
     validate_spec,
 )
@@ -107,18 +109,28 @@ class TestLemmaScans:
         assert set(d) == {"lemma_id", "grid_description", "violations", "passed"}
 
     @pytest.mark.parametrize(
-        "call",
+        "call, accepted",
         [
-            lambda: upper_tail_bound(True, 0.1, 0.5),
-            lambda: binomial_tail_exact(True, 0.5, 0),
-            lambda: lemma56_check(SPEC, [0.1], True),
-            lambda: coverage_experiment(SPEC, [0.5], True, 3),
-            lambda: domination_experiment("quadratic_well", SPEC, True, 3),
+            (lambda: upper_tail_bound(True, 0.1, 0.5), False),
+            (lambda: binomial_tail_exact(True, 0.5, 0), False),
+            (lambda: lemma56_check(SPEC, [0.1], True), False),
+            (lambda: coverage_experiment(SPEC, [0.5], True, 3), False),
+            (lambda: domination_experiment("quadratic_well", SPEC, True, 3), False),
+            (lambda: ScenarioSet.from_model(make_model("uniform_gap"), True, 1), False),
+            (lambda: ScenarioSet.from_model(make_model("uniform_gap"), 2.5, 1), False),
+            # numpy integers are counts
+            (lambda: coverage_experiment(SPEC, [0.5], np.int64(10), 3), True),
+            (lambda: ScenarioSet.from_model(make_model("uniform_gap"), np.int64(3), 1), True),
         ],
         ids=["upper_tail_bound", "binomial_tail_exact", "lemma56_check",
-             "coverage_experiment", "domination_experiment"],
+             "coverage_experiment", "domination_experiment",
+             "scenario_set_bool", "scenario_set_float",
+             "coverage_experiment_numpy_int", "scenario_set_numpy_int"],
     )
-    def test_counts_reject_booleans(self, call):
+    def test_counts_reject_booleans(self, call, accepted):
+        if accepted:
+            call()
+            return
         with pytest.raises(DomainError, match="must be a positive integer"):
             call()
 
