@@ -53,7 +53,6 @@ from .chernoff_opt import (
     make_model,
     minimize,
     optimize_probability,
-    scenario_sample_size,
 )
 from .verification import (
     GridSpec,
@@ -99,7 +98,6 @@ __all__ = [
     "make_model",
     "empirical_moment",
     "empirical_moment_gradient",
-    "scenario_sample_size",
     "minimize",
     "certify_probability",
     "optimize_probability",

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .estimator import Certificate, SampleSource, _exact_sums, estimate_with_plan, stable_mean
+from .estimator import _CERTIFICATION, _SCENARIOS, _stream
 from .tail_bounds import ErrorSpec, _require_count, minimum_sample_size
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "make_model",
     "empirical_moment",
     "empirical_moment_gradient",
-    "scenario_sample_size",
     "minimize",
     "certify_probability",
     "optimize_probability",
@@ -64,6 +64,8 @@ _LAMBDA_RTOL = 1e-12  # the lambda solve ends at a step this small relative to l
 _LAMBDA_STEPS = 200
 # largest x with math.exp(x) finite
 _LOG_MAX = math.log(np.finfo(float).max)
+# smallest nu0 whose exp is not 0: the log of the smallest subnormal double
+_NU0_MIN = math.log(np.finfo(float).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _make_affine(a: Sequence[float] = (1.0,), b: Sequence[float] = (-1.0,), c: f
 def _make_quadratic_well(sigma: float = 0.5) -> PerformanceModel:
     """Y = 1 - (theta_1 - delta_1)^2, with delta ~ Normal(0, sigma^2)."""
     if not sigma > 0:
-        raise ConfigError("model_params.sigma", f"must be positive, got {sigma!r}")
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     s = float(sigma)
 
     def evaluate(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -165,7 +167,7 @@ def make_model(name: str, **params) -> PerformanceModel:
             raise ConfigError("model_params", f"{key} must be a number, got {value!r}")
     try:
         return factory(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("model_params", str(exc)) from None
 
 
@@ -194,9 +196,10 @@ class ScenarioSet:
 
     @classmethod
     def from_model(cls, model: PerformanceModel, n: int, seed: int) -> "ScenarioSet":
-        """Draw n scenarios from the model's Delta distribution; same seed, same rows."""
+        """n rows of the model's Delta, from the scenario child of ``seed``."""
         n = _require_count(n, "scenario count")
-        return cls(scenarios=ScenarioSource.from_model(model, seed).draw(n), seed=int(seed))
+        rows = _draw_rows(_scenario_sampler(model), model.dim_delta, _stream(seed, _SCENARIOS), n)
+        return cls(scenarios=rows, seed=int(seed))
 
     @classmethod
     def from_array(cls, rows: np.ndarray, seed: int = 0) -> "ScenarioSet":
@@ -217,8 +220,23 @@ class ScenarioSet:
         return cls(scenarios=rows, seed=int(seed))
 
 
+def _scenario_sampler(model: PerformanceModel):
+    if model.sample_scenarios is None:
+        raise DomainError(f"model {model.name!r} has no scenario sampler")
+    return model.sample_scenarios
+
+
+def _draw_rows(sampler, dim_delta: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    rows = np.asarray(sampler(rng, k), dtype=float)
+    if rows.shape != (k, dim_delta):
+        raise DomainError(f"scenario sampler returned shape {rows.shape}, expected {(k, dim_delta)}")
+    return rows
+
+
 class ScenarioSource:
-    """Seeded stream of fresh scenario rows, for certification draws."""
+    """Fresh scenario rows for certification, from the certification child of
+    ``seed``: never rows that ``ScenarioSet.from_model`` freezes for any seed.
+    """
 
     def __init__(
         self,
@@ -226,24 +244,18 @@ class ScenarioSource:
         dim_delta: int,
         seed: int,
     ):
+        self._rng = _stream(seed, _CERTIFICATION)
         self.seed = int(seed)
         self.dim_delta = int(dim_delta)
         self.draws_made = 0
         self._sampler = sampler
-        self._rng = np.random.default_rng(seed)
 
     @classmethod
     def from_model(cls, model: PerformanceModel, seed: int) -> "ScenarioSource":
-        if model.sample_scenarios is None:
-            raise DomainError(f"model {model.name!r} has no scenario sampler")
-        return cls(model.sample_scenarios, model.dim_delta, seed)
+        return cls(_scenario_sampler(model), model.dim_delta, seed)
 
     def draw(self, k: int) -> np.ndarray:
-        rows = np.asarray(self._sampler(self._rng, k), dtype=float)
-        if rows.shape != (k, self.dim_delta):
-            raise DomainError(
-                f"scenario sampler returned shape {rows.shape}, expected {(k, self.dim_delta)}"
-            )
+        rows = _draw_rows(self._sampler, self.dim_delta, self._rng, k)
         self.draws_made += k
         return rows
 
@@ -361,17 +373,6 @@ def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tupl
     return float(g * d_lambda), g * _theta_gradient(obj, lam, theta, weights)
 
 
-def scenario_sample_size(spec: ErrorSpec) -> int:
-    """Scenario count from the mixed-criterion plan for ``spec``.
-
-    This is a sizing heuristic, not a guarantee about the surrogate: the plan
-    assumes [0, 1]-bounded summands, and exp(-lambda Y) exceeds 1 wherever
-    Y < 0.  The guarantee on the optimized theta comes from certifying it on
-    fresh draws (``certify_probability``).
-    """
-    return minimum_sample_size(spec).n
-
-
 @dataclass(frozen=True)
 class OptimizationSettings:
     """Descent configuration.  theta0 is the starting point; exp(nu0) is the
@@ -399,8 +400,8 @@ class OptimizationSettings:
             raise DomainError("theta0 must be nonempty")
         if not all(math.isfinite(t) for t in self.theta0):
             raise DomainError(f"theta0 must be finite, got {self.theta0}")
-        if not math.isfinite(self.nu0):
-            raise DomainError(f"nu0 must be finite, got {self.nu0!r}")
+        if not _NU0_MIN <= self.nu0 < math.inf:  # false for nan too
+            raise DomainError(f"nu0 must be finite and >= {_NU0_MIN:.6g} (exp(nu0) > 0), got {self.nu0!r}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 0):
             raise DomainError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not self.grad_tol > 0.0:
@@ -565,16 +566,18 @@ def optimize_probability(
     """End-to-end pipeline: freeze scenarios, minimize, certify on fresh draws.
 
     Exactly one of n_scenarios / scenario_spec selects the scenario count.
-    Certification (when requested) draws from seed + 1 so its stream is
-    distinct from the optimization scenarios.
+    ``minimum_sample_size(scenario_spec).n`` is a sizing heuristic only: the
+    plan assumes [0, 1] summands, and exp(-lambda Y) > 1 wherever Y < 0.  The
+    guarantee on theta comes from certification on the certification child of
+    ``seed``, a stream distinct from every seed's scenario child.
     """
     if (n_scenarios is None) == (scenario_spec is None):
         raise DomainError("exactly one of n_scenarios and scenario_spec is required")
-    n = n_scenarios if n_scenarios is not None else scenario_sample_size(scenario_spec)
+    n = n_scenarios if n_scenarios is not None else minimum_sample_size(scenario_spec).n
     scenario_set = ScenarioSet.from_model(model, n, seed)
     outcome = minimize(ChernoffObjective(model, scenario_set), settings)
     if certify_spec is not None:
-        source = ScenarioSource.from_model(model, seed + 1)
+        source = ScenarioSource.from_model(model, seed)
         certificate = certify_probability(model, outcome.theta_star, certify_spec, source)
         outcome = replace(outcome, certificate=certificate)
     return outcome

@@ -17,12 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chernoff_opt import (
-    OptimizationSettings,
-    make_model,
-    optimize_probability,
-    scenario_sample_size,
-)
+from .chernoff_opt import OptimizationSettings, make_model, optimize_probability
 from .errors import ConfigError, DomainError, ProbcertError, SampleValueError
 from .estimator import _check_unit_interval, estimate_from_batch
 from .tail_bounds import achieved_confidence, minimum_sample_size, validate_spec
@@ -228,16 +223,10 @@ def _cmd_optimize(args) -> int:
 
     seed = _require(cfg, "seed", int) if "seed" in cfg else DEFAULT_SEED
 
-    has_n = "n_scenarios" in cfg
-    has_spec = "spec" in cfg
-    if has_n == has_spec:
+    if ("n_scenarios" in cfg) == ("spec" in cfg):
         raise ConfigError("n_scenarios", "exactly one of n_scenarios and spec is required")
-    if has_n:
-        n_scenarios = _require(cfg, "n_scenarios", int)
-        scenario_spec = None
-    else:
-        scenario_spec = _parse_spec_block(_require(cfg, "spec", dict), "spec")
-        n_scenarios = None
+    n_scenarios = _require(cfg, "n_scenarios", int) if "n_scenarios" in cfg else None
+    scenario_spec = None if "spec" not in cfg else _parse_spec_block(_require(cfg, "spec", dict), "spec")
 
     settings_cfg = _require(cfg, "settings", dict)
     theta0 = _require(settings_cfg, "theta0", list, where="settings.")
@@ -269,7 +258,7 @@ def _cmd_optimize(args) -> int:
             "model": model_name,
             "model_params": model_params,
             "seed": seed,
-            "n_scenarios": n_scenarios if has_n else scenario_sample_size(scenario_spec),
+            "n_scenarios": n_scenarios if scenario_spec is None else minimum_sample_size(scenario_spec).n,
             "scenario_spec": None if scenario_spec is None else scenario_spec.to_dict(),
             "certify_spec": None if certify_spec is None else certify_spec.to_dict(),
             "settings": settings.to_dict(),
@@ -360,9 +349,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ProbcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,9 @@ Two workflows:
 
 Sample sources are single-owner, seeded streams; values outside [0, 1] abort
 the estimate rather than being clamped, since the guarantee's boundedness
-hypothesis is a precondition, not a preference.
+hypothesis is a precondition, not a preference.  Every random stream of the
+package is one named child of its seed per role (``_stream``), never a seed
+offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
 would, but without a Python-level loop: error-free extraction (Rump, Ogita &
@@ -28,6 +30,7 @@ chunk size never changes a certificate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +55,18 @@ _BOUNDARY_NOTE = (
     "estimate lies on the boundary of [0, 1]; the guarantee assumes a true "
     "mean strictly inside (0, 1)"
 )
+
+
+_SCENARIOS, _CERTIFICATION, _BERNOULLI, _COVERAGE, _POINTS = range(5)  # reordering changes every stream
+
+
+def _stream(seed: int, role: int, index: int = 0) -> np.random.Generator:
+    """Child (role, index) of a nonnegative integer seed (numpy's too, not a
+    bool), as ``SeedSequence(seed).spawn`` makes it but without spawn state.
+    """
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(role, index)))
 
 
 def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
@@ -101,14 +116,14 @@ class SampleSource:
 
 
 class BernoulliSource(SampleSource):
-    """Bernoulli(p) draws as 0.0/1.0 floats."""
+    """Bernoulli(p) draws as 0.0/1.0 floats, from the Bernoulli child of ``seed``."""
 
     def __init__(self, p: float, seed: int = 0):
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"p must lie in [0, 1], got {p!r}")
+        self._rng = _stream(seed, _BERNOULLI)
         super().__init__(seed)
         self.p = float(p)
-        self._rng = np.random.default_rng(seed)
 
     def _generate(self, k: int) -> np.ndarray:
         return (self._rng.random(k) < self.p).astype(float)

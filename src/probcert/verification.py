@@ -24,16 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .chernoff_opt import (
-    ChernoffObjective,
-    ScenarioSet,
-    ScenarioSource,
-    empirical_moment,
-    make_model,
-    scenario_sample_size,
-)
+from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, empirical_moment, make_model
 from .errors import DomainError
-from .estimator import BernoulliSource, _row_sums
+from .estimator import _COVERAGE, _POINTS, BernoulliSource, _row_sums, _stream
 from .tail_bounds import (
     ErrorSpec,
     _require_count,
@@ -299,9 +292,10 @@ def coverage_experiment(
 
     For each mu, runs `trials` independent planned estimates and counts
     failures of the mixed criterion (both disjuncts evaluated separately).
-    The trials of one mu are drawn in blocks from one stream, consumed in the
-    same order as `trials` sequential ``estimate_with_plan`` calls, so each
-    trial's estimate is bit-identical to theirs.  Passes when every empirical
+    The trials of mu number i are drawn in blocks from coverage child i of
+    ``seed``, consumed in the same order as `trials` sequential
+    ``estimate_with_plan`` calls on a source of that stream, so each trial's
+    estimate is bit-identical to theirs.  Passes when every empirical
     failure rate is within three binomial standard errors above delta.  Use
     trials >= 1000 for meaningful slack.
     """
@@ -313,7 +307,8 @@ def coverage_experiment(
     n = minimum_sample_size(spec).n
     violations: list = []
     for index, mu in enumerate(mus):
-        source = BernoulliSource(mu, seed=seed + index)
+        source = BernoulliSource(mu, seed)
+        source._rng = _stream(seed, _COVERAGE, index)  # mean i's own child of the seed
         errors = np.abs(np.array(_row_sums(source.draw, trials, n)) / n - mu)
         failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
         rate = failures / trials
@@ -337,13 +332,15 @@ def domination_experiment(
     Per point: every summand exp(-lambda Y) must dominate the failure
     indicator exactly (no tolerance), and the surrogate must stay above a
     fresh-sample failure-rate estimate minus three binomial standard errors.
+    The frozen scenarios, the fresh draws and the random points come from the
+    scenario, certification and points children of ``seed``.
     """
     _require_count(points, "points")
     model = make_model(model_id)
-    n = scenario_sample_size(spec)
+    n = minimum_sample_size(spec).n
     objective = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed))
-    fresh = ScenarioSource.from_model(model, seed + 1)
-    rng = np.random.default_rng(seed + 2)
+    fresh = ScenarioSource.from_model(model, seed)
+    rng = _stream(seed, _POINTS)
 
     violations: list = []
     for _ in range(points):

@@ -19,10 +19,10 @@ from probcert import (
     certify_probability,
     empirical_moment,
     empirical_moment_gradient,
+    estimator,
     make_model,
     minimize,
     optimize_probability,
-    scenario_sample_size,
     validate_spec,
 )
 
@@ -30,6 +30,13 @@ from probcert import (
 # exp(-lambda theta) (exp(lambda) - 1) / lambda, to 30 digits
 MOMENT_UNIFORM_ORACLE = 1.04219061098749472324485125282
 SPEC = validate_spec(0.05, 0.2, 0.05)
+
+
+def rows_of_default_rng(model, n, seed):
+    """The model's scenarios drawn from ``default_rng(seed)``: the data sets the
+    regression cases below were found on, kept whatever stream a seed names.
+    """
+    return ScenarioSet.from_array(model.sample_scenarios(np.random.default_rng(seed), n), seed=seed)
 
 
 def plus_minus_one_objective():
@@ -103,10 +110,15 @@ class TestScenarioSet:
         with pytest.raises(DomainError, match="shape"):
             ScenarioSet.from_model(flat, 5, seed=1)
 
-    def test_from_model_matches_scenario_source(self):
+    def test_from_model_and_scenario_source_draw_distinct_children(self):
+        # frozen scenarios and certification draws of one seed are different
+        # children of it, both drawn through the model's sampler
         model = make_model("quadratic_well")
         rows = ScenarioSet.from_model(model, 50, seed=9).scenarios
-        np.testing.assert_array_equal(rows, ScenarioSource.from_model(model, 9).draw(50))
+        fresh = ScenarioSource.from_model(model, 9).draw(50)
+        for got, role in ((rows, estimator._SCENARIOS), (fresh, estimator._CERTIFICATION)):
+            np.testing.assert_array_equal(got, model.sample_scenarios(estimator._stream(9, role), 50))
+        assert not np.any(rows == fresh)
 
 
 class TestModelRegistry:
@@ -273,10 +285,6 @@ class TestMomentGradient:
 
 
 class TestScenarioSampleSize:
-    def test_delegates_to_plan(self):
-        assert scenario_sample_size(SPEC) == 577
-        assert scenario_sample_size(validate_spec(0.02, 0.2, 0.05)) == 1755
-
     def test_invalid_spec(self):
         from probcert import InvalidSpecError
 
@@ -304,12 +312,11 @@ class TestMinimize:
         ],
     )
     def test_converges_where_descent_on_g_stalled(self, seed):
-        # joint descent over (lambda, theta) stalled at these seeds: on the
-        # lambda -> 0 plateau, or ill-conditioned inside the basin
+        # joint descent over (lambda, theta) stalled on these scenario sets: on
+        # the lambda -> 0 plateau, or ill-conditioned inside the basin
+        model = make_model("quadratic_well", sigma=0.5)
         settings = OptimizationSettings(theta0=(0.8,), max_iters=1000)
-        out = optimize_probability(
-            make_model("quadratic_well", sigma=0.5), settings, seed=seed, n_scenarios=5000
-        )
+        out = minimize(ChernoffObjective(model, rows_of_default_rng(model, 5000, seed)), settings)
         assert out.termination == "gradient_tol"
         assert abs(out.theta_star[0]) <= 0.15
 
@@ -325,7 +332,7 @@ class TestMinimize:
         # from these starts, with first steps of length `step`, descent on g
         # overflowed or reached Y = -inf; every line search now starts at 1
         model = make_model("quadratic_well")
-        obj = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed=seed))
+        obj = ChernoffObjective(model, rows_of_default_rng(model, n, seed))
         settings = OptimizationSettings(theta0=(theta0,), nu0=nu0, max_iters=30)
         trace = minimize(obj, settings).objective_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
@@ -441,6 +448,24 @@ class TestMinimize:
     def test_settings_reject_boolean_theta0(self):
         with pytest.raises(DomainError, match="theta0"):
             OptimizationSettings(theta0=(0.0, False))
+
+    def test_nu0_whose_exp_underflows_rejected(self):
+        # exp(-800) is 0.0: the lambda solve started at 0 and ended there
+        with pytest.raises(DomainError, match=r"nu0 must be finite and >= -744\.44"):
+            OptimizationSettings(theta0=(-5.0,), nu0=-800.0)
+        model = make_model("quadratic_well")
+        lowest = math.log(np.finfo(float).smallest_subnormal)
+        settings = OptimizationSettings(theta0=(-5.0,), nu0=lowest)
+        out = minimize(ChernoffObjective(model, rows_of_default_rng(model, 500, 11)), settings)
+        assert 0.0 < out.lambda_star <= settings.lambda_cap
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        model = make_model("quadratic_well")
+        with pytest.raises(DomainError, match="seed"):
+            optimize_probability(model, OptimizationSettings(theta0=(0.5,)), seed=seed, n_scenarios=10)
+        with pytest.raises(DomainError, match="seed"):
+            ScenarioSource.from_model(model, seed)
 
     def test_dimension_mismatch(self):
         obj = plus_minus_one_objective()

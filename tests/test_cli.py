@@ -213,6 +213,22 @@ class TestOptimize:
         assert out == ""
         assert "sigma must be a number" in err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"seed": -1}, "seed"),
+            ({"model": "affine", "model_params": {"a": "x"}}, "model_params"),
+            ({"settings": {"theta0": [0.5], "nu0": -800.0}}, "nu0"),
+        ],
+        ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows"],
+    )
+    def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
+        path = write_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "optimize", "--config", str(path), "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+
     def test_readme_config_runs(self, capsys, tmp_path):
         # the run configuration documented in README.md, exactly as written there
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -269,6 +285,12 @@ class TestVerify:
     def test_domination_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "domination", "--points", "10", "--seed", "3")
         assert code == 0
+
+    def test_negative_seed_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "coverage", "--seed", "-3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "seed" in err
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")

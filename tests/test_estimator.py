@@ -16,6 +16,7 @@ from probcert import (
     InvalidSpecError,
     SampleSource,
     SampleValueError,
+    ScenarioSet,
     ScenarioSource,
     SourceExhaustedError,
     certify_probability,
@@ -349,7 +350,61 @@ class TestBatchedTrials:
 
         monkeypatch.setattr(verification, "BernoulliSource", Recorded)
         verification.coverage_experiment(SPEC_1755, [0.2, 0.6], trials=30, seed=5)
-        assert [(s.seed, s.draws_made) for s in sources] == [(5, 30 * 1755), (6, 30 * 1755)]
+        assert [(s.seed, s.draws_made) for s in sources] == [(5, 30 * 1755)] * 2
+        # mean i draws from coverage child i of the seed
+        children = [s._rng.bit_generator.seed_seq for s in sources]
+        assert [(c.entropy, c.spawn_key) for c in children] == [
+            (5, (estimator._COVERAGE, 0)),
+            (5, (estimator._COVERAGE, 1)),
+        ]
+
+
+ROLES = (
+    estimator._SCENARIOS,
+    estimator._CERTIFICATION,
+    estimator._BERNOULLI,
+    estimator._COVERAGE,
+    estimator._POINTS,
+)
+
+
+class TestStreams:
+    """Every random stream is a named child of its seed, shared with no other."""
+
+    def test_no_two_seeds_or_roles_share_a_stream(self):
+        # seeds 0..63, every role, and the seven coverage means of the CLI grid
+        keys = [
+            (seed, role, index)
+            for seed in range(64)
+            for role in ROLES
+            for index in (range(7) if role == estimator._COVERAGE else (0,))
+        ]
+        raw = [estimator._stream(*key).bit_generator.random_raw(8) for key in keys]
+        assert len({int(x) for head in raw for x in head}) == 8 * len(keys)
+
+    def test_scenarios_of_one_seed_are_not_certification_draws_of_another(self):
+        # under seed + 1 offsets, seed s certified on the scenarios of seed s + 1
+        model = make_model("quadratic_well")
+        for seed in range(64):
+            frozen = ScenarioSet.from_model(model, 5, seed + 1).scenarios
+            fresh = ScenarioSource.from_model(model, seed).draw(5)
+            assert not np.any(frozen == fresh)
+
+    def test_bernoulli_source_draws_from_its_role(self):
+        child = BernoulliSource(0.3, seed=4)._rng.bit_generator.seed_seq
+        assert (child.entropy, child.spawn_key) == (4, (estimator._BERNOULLI, 0))
+
+    @pytest.mark.parametrize("seed", [-1, True, False, 2.5, "3", None, np.int64(-2)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            estimator._stream(seed, estimator._BERNOULLI)
+        with pytest.raises(DomainError, match="seed"):
+            BernoulliSource(0.3, seed=seed)
+
+    def test_numpy_and_large_integer_seeds_accepted(self):
+        a = estimator._stream(np.int64(7), estimator._POINTS).random(3)
+        np.testing.assert_array_equal(a, estimator._stream(7, estimator._POINTS).random(3))
+        estimator._stream(2**100, estimator._POINTS)
 
 
 class TestEstimateFromBatch:

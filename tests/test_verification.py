@@ -12,14 +12,17 @@ from probcert import (
     ScanReport,
     ScenarioSet,
     binomial_tail_exact,
+    chernoff_opt,
     coverage_experiment,
     domination_experiment,
+    estimator,
     lemma56_check,
     lemma_scan,
     lower_tail_bound,
     make_model,
     upper_tail_bound,
     validate_spec,
+    verification,
 )
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
@@ -235,6 +238,30 @@ class TestDominationExperiment:
 
         with pytest.raises(ConfigError):
             domination_experiment("mystery", SPEC, points=5, seed=1)
+
+    def test_draws_from_three_children_of_the_seed(self, monkeypatch):
+        # frozen scenarios, fresh draws and random points: one role each
+        keys = []
+
+        def recording(seed, role, index=0):
+            keys.append((seed, role, index))
+            return estimator._stream(seed, role, index)
+
+        monkeypatch.setattr(chernoff_opt, "_stream", recording)
+        monkeypatch.setattr(verification, "_stream", recording)
+        domination_experiment("quadratic_well", SPEC, points=2, seed=47)
+        assert sorted(keys) == [
+            (47, estimator._SCENARIOS, 0),
+            (47, estimator._CERTIFICATION, 0),
+            (47, estimator._POINTS, 0),
+        ]
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            domination_experiment("quadratic_well", SPEC, points=2, seed=seed)
+        with pytest.raises(DomainError, match="seed"):
+            coverage_experiment(SPEC, [0.5], trials=10, seed=seed)
 
     def test_deterministic(self):
         a = domination_experiment("quadratic_well", SPEC, points=10, seed=47)
