@@ -9,6 +9,13 @@ which controls the exponential decay rate of deviation probabilities for
 means of [0, 1]-bounded i.i.d. samples:  Pr{mean >= mu + eps} <= exp(n g(eps, mu))
 and Pr{mean <= mu - eps} <= exp(n g(-eps, mu)).
 
+g and its mu-derivative are written once (``_g``, ``_dg``), with the log1p
+they use as an argument.  Plans call them with ``math.log1p`` behind the
+validated scalar functions, because acceptance pins the exact n and numpy's
+log1p differs from it in the last bit at some points.  The lemma scans in
+``verification`` call them with ``np.log1p`` on whole grids, whose strict
+checks carry a 1e-12 margin.
+
 On top of it sits the mixed absolute/relative error criterion: an estimate
 mu_hat is acceptable when |mu_hat - mu| < eps_a OR |mu_hat - mu| < eps_r * mu.
 ``minimum_sample_size`` returns the smallest n for which the acceptance event
@@ -115,24 +122,37 @@ class SamplePlan:
         return asdict(self)
 
 
+def _g(eps, mu, log1p):
+    """g(eps, mu) with the given log1p, on floats or on numpy arrays alike.
+
+    The log-of-ratio terms are evaluated as -log1p(eps/mu) and
+    -log1p(-eps/(1-mu)); the naive ratios lose all precision for small |eps|.
+    """
+    return -(mu + eps) * log1p(eps / mu) - (1.0 - mu - eps) * log1p(-eps / (1.0 - mu))
+
+
+def _dg(eps, mu, log1p):
+    """d g(eps, mu) / d mu with the given log1p, on floats or numpy arrays."""
+    return -log1p(eps / mu) + log1p(-eps / (1.0 - mu)) + eps / mu + eps / (1.0 - mu)
+
+
+def _check_exponent_domain(eps: float, mu: float) -> None:
+    if not 0.0 < mu < 1.0:
+        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
+    if not 0.0 < mu + eps < 1.0:
+        raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
+
+
 def hoeffding_exponent(eps: float, mu: float) -> float:
     """Evaluate g(eps, mu) for signed eps.
 
     Requires mu in (0, 1) and mu + eps in (0, 1).  Returns 0 at eps = 0
     (continuous extension) and a strictly negative value otherwise.
-
-    The log-of-ratio terms are evaluated as -log1p(eps/mu) and
-    -log1p(-eps/(1-mu)); the naive ratios lose all precision for small |eps|.
     """
-    if not 0.0 < mu < 1.0:
-        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
-    if not 0.0 < mu + eps < 1.0:
-        raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
+    _check_exponent_domain(eps, mu)
     if eps == 0.0:
         return 0.0
-    return -(mu + eps) * math.log1p(eps / mu) - (1.0 - mu - eps) * math.log1p(
-        -eps / (1.0 - mu)
-    )
+    return _g(eps, mu, math.log1p)
 
 
 def hoeffding_exponent_dmu(eps: float, mu: float) -> float:
@@ -143,12 +163,8 @@ def hoeffding_exponent_dmu(eps: float, mu: float) -> float:
     Substituting eps -> -eps reproduces the matching formula for g(-eps, mu),
     so a single signed-eps implementation covers both branches.
     """
-    if not 0.0 < mu < 1.0:
-        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
-    if not 0.0 < mu + eps < 1.0:
-        raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
-    log_term = -math.log1p(eps / mu) + math.log1p(-eps / (1.0 - mu))
-    return log_term + eps / mu + eps / (1.0 - mu)
+    _check_exponent_domain(eps, mu)
+    return _dg(eps, mu, math.log1p)
 
 
 def _require_count(n: int, name: str = "n") -> int:

@@ -13,8 +13,12 @@ Four kinds of evidence, all reported as ScanReports:
 
 Grids stay at least 1e-3 away from interval endpoints: the claims are stated
 on open intervals and the exponent's logarithms blow up at the boundary.
-Strict inequalities are asserted with a 1e-12 margin, which the scanned
-quantities clear by many orders of magnitude away from the endpoints.
+The scans check whole grids at once: one table (``_CLAIMS``) gives each
+lemma's claim values as arrays from the one exponent formula of
+``tail_bounds``, with numpy's log1p.  Strict inequalities are asserted with
+a 1e-12 margin, which the scanned quantities clear by many orders of
+magnitude away from the endpoints, and which covers the last-bit gap
+between numpy's log1p and the math module's.
 """
 
 from __future__ import annotations
@@ -27,13 +31,7 @@ import numpy as np
 from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, empirical_moment, make_model
 from .errors import DomainError
 from .estimator import _COVERAGE, _POINTS, BernoulliSource, _row_sums, _stream
-from .tail_bounds import (
-    ErrorSpec,
-    _require_count,
-    hoeffding_exponent,
-    hoeffding_exponent_dmu,
-    minimum_sample_size,
-)
+from .tail_bounds import ErrorSpec, _dg, _g, _require_count, hoeffding_exponent, minimum_sample_size
 
 __all__ = [
     "GridSpec",
@@ -58,10 +56,10 @@ class GridSpec:
     margin: float = 1e-3
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise DomainError(f"grid step must be positive, got {self.step!r}")
-        if not self.margin >= 1e-3:
-            raise DomainError(f"grid margin must be >= 1e-3, got {self.margin!r}")
+        if not 0.0 < self.step < math.inf:
+            raise DomainError(f"grid step must be positive and finite, got {self.step!r}")
+        if not 1e-3 <= self.margin < math.inf:
+            raise DomainError(f"grid margin must be >= 1e-3 and finite, got {self.margin!r}")
 
 
 @dataclass(frozen=True)
@@ -131,116 +129,88 @@ def _binomial_upper_tail(n: int, mu: float, k: int) -> float:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if hi <= lo:
-        return np.empty(0)
-    return np.arange(lo, hi + step * 1e-9, step)
+    mus = np.arange(lo, hi + step * 1e-9, step) if hi > lo else np.empty(0)
+    if mus.size < 2:
+        raise DomainError(f"scan grid [{lo}, {hi}] with step {step} has fewer than two points")
+    return mus
 
 
-def _check_strict(claims, violations):
-    """claims: iterable of (point, value, sign) with sign +1 for 'value > 0'."""
-    for point, value, sign in claims:
-        if not sign * value > _STRICT_MARGIN:
-            violations.append((point, {"value": value, "expected_sign": sign}))
+def _inside(eps, mus: np.ndarray) -> np.ndarray:
+    """mus, once every mu and mu + eps lie strictly inside (0, 1)."""
+    ends = mus + eps
+    if not np.all((0.0 < mus) & (mus < 1.0) & (0.0 < ends) & (ends < 1.0)):
+        raise DomainError("scan grid must keep mu and mu + eps inside (0, 1)")
+    return mus
 
 
-def _scan_l2(grid: GridSpec) -> ScanReport:
-    eps, step, m = grid.eps, grid.step, grid.margin
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"L2 requires eps in (0, 1/2), got {eps!r}")
-    violations: list = []
-    intervals = [
+def _l2_claims(eps: float, step: float, m: float):
+    """Signs of dg/dmu, and of successive differences of g, on four intervals."""
+    for eps_signed, lo, hi, direction in (
         # (eps sign, lo, hi, monotone direction: +1 increasing, -1 decreasing)
         (eps, m, 0.5 - eps - m, +1),
         (eps, 0.5 + m, 1.0 - eps - m, -1),
         (-eps, eps + m, 0.5 - m, +1),
         (-eps, 0.5 + eps + m, 1.0 - m, -1),
-    ]
-    for eps_signed, lo, hi, direction in intervals:
-        mus = _grid(lo, hi, step)
-        _check_strict(
-            (
-                (("dmu", eps_signed, float(mu)), hoeffding_exponent_dmu(eps_signed, mu), direction)
-                for mu in mus
-            ),
-            violations,
-        )
-        values = [hoeffding_exponent(eps_signed, mu) for mu in mus]
-        _check_strict(
-            (
-                (("diff", eps_signed, float(mus[i + 1])), values[i + 1] - values[i], direction)
-                for i in range(len(values) - 1)
-            ),
-            violations,
-        )
-    return ScanReport(
-        lemma_id="L2",
-        grid_description=f"eps={eps}, step={step}, margin={m}: monotone on four mu-intervals",
-        violations=violations,
-    )
+    ):
+        mus = _inside(eps_signed, _grid(lo, hi, step))
+        yield ("dmu", eps_signed), mus, _dg(eps_signed, mus, np.log1p), direction
+        values = _g(eps_signed, mus, np.log1p)
+        yield ("diff", eps_signed), mus[1:], np.diff(values), direction
 
 
-def _scan_l3(grid: GridSpec) -> ScanReport:
-    eps, step, m = grid.eps, grid.step, grid.margin
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"L3 requires eps in (0, 1/2), got {eps!r}")
-    violations: list = []
-    # upper-tail exponent dominates below 1/2, is dominated above; equality
-    # holds exactly at mu = 1/2 (symmetry), so both grids exclude it.
+def _l3_claims(eps: float, step: float, m: float):
+    """g(eps, mu) - g(-eps, mu): positive below 1/2, negative above."""
+    # equality holds exactly at mu = 1/2 (symmetry), so both grids exclude it
     for lo, hi, sign in ((eps + m, 0.5 - m, +1), (0.5 + m, 1.0 - eps - m, -1)):
-        _check_strict(
-            (
-                (
-                    (float(mu),),
-                    hoeffding_exponent(eps, mu) - hoeffding_exponent(-eps, mu),
-                    sign,
-                )
-                for mu in _grid(lo, hi, step)
-            ),
-            violations,
-        )
-    return ScanReport(
-        lemma_id="L3",
-        grid_description=(
-            f"eps={eps}, step={step}, margin={m}: g(eps,.) vs g(-eps,.) on both sides of 1/2"
-        ),
-        violations=violations,
-    )
+        mus = _inside(-eps, _inside(eps, _grid(lo, hi, step)))
+        yield (), mus, _g(eps, mus, np.log1p) - _g(-eps, mus, np.log1p), sign
 
 
-def _scan_l4(grid: GridSpec) -> ScanReport:
-    eps, step, m = grid.eps, grid.step, grid.margin
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"L4 requires eps in (0, 1), got {eps!r}")
-    violations: list = []
-    curves = [
+def _l4_claims(eps: float, step: float, m: float):
+    """Successive decreases of g(eps*mu, mu) and g(-eps*mu, mu)."""
+    for label, eps_sign, lo, hi in (
         ("g(eps*mu, mu)", +1.0, m, 1.0 / (1.0 + eps) - m),
         ("g(-eps*mu, mu)", -1.0, m, 1.0 - m),
-    ]
-    for label, eps_sign, lo, hi in curves:
+    ):
         mus = _grid(lo, hi, step)
-        values = [hoeffding_exponent(eps_sign * eps * mu, mu) for mu in mus]
-        _check_strict(
-            (
-                ((label, float(mus[i + 1])), values[i] - values[i + 1], +1)
-                for i in range(len(values) - 1)
-            ),
-            violations,
-        )
-    return ScanReport(
-        lemma_id="L4",
-        grid_description=(
-            f"eps={eps}, step={step}, margin={m}: proportional-offset curves decrease in mu"
-        ),
-        violations=violations,
-    )
+        offsets = eps_sign * eps * mus
+        values = _g(offsets, _inside(offsets, mus), np.log1p)
+        yield (label,), mus[1:], -np.diff(values), +1
+
+
+# lemma id -> (eps upper bound, as worded, what the scan shows, claims on a grid)
+_CLAIMS = {
+    "L2": (0.5, "1/2", "monotone on four mu-intervals", _l2_claims),
+    "L3": (0.5, "1/2", "g(eps,.) vs g(-eps,.) on both sides of 1/2", _l3_claims),
+    "L4": (1.0, "1", "proportional-offset curves decrease in mu", _l4_claims),
+}
+
+
+def _strict(prefix: tuple, mus: np.ndarray, values: np.ndarray, sign: int) -> list:
+    """Violations of sign * value > margin; the point of values[i] is (*prefix, mus[i])."""
+    failing = np.flatnonzero(~(sign * values > _STRICT_MARGIN))
+    return [
+        ((*prefix, float(mus[i])), {"value": float(values[i]), "expected_sign": sign})
+        for i in failing
+    ]
 
 
 def lemma_scan(lemma_id: str, grid: GridSpec) -> ScanReport:
     """Grid-scan one of the exponent's structural claims (L2, L3, L4)."""
-    scanners = {"L2": _scan_l2, "L3": _scan_l3, "L4": _scan_l4}
-    if lemma_id not in scanners:
+    if lemma_id not in _CLAIMS:
         raise DomainError(f"lemma_scan supports L2/L3/L4, got {lemma_id!r}")
-    return scanners[lemma_id](grid)
+    eps_max, eps_max_text, shows, claims = _CLAIMS[lemma_id]
+    eps, step, m = grid.eps, grid.step, grid.margin
+    if not 0.0 < eps < eps_max:
+        raise DomainError(f"{lemma_id} requires eps in (0, {eps_max_text}), got {eps!r}")
+    violations: list = []
+    for prefix, mus, values, sign in claims(eps, step, m):
+        violations += _strict(prefix, mus, values, sign)
+    return ScanReport(
+        lemma_id=lemma_id,
+        grid_description=f"eps={eps}, step={step}, margin={m}: {shows}",
+        violations=violations,
+    )
 
 
 def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
@@ -301,14 +271,17 @@ def coverage_experiment(
     """
     trials = _require_count(trials, "trials")
     mus = [float(mu) for mu in mu_grid]
+    if not mus:
+        raise DomainError("mu grid is empty")
     if not all(0.0 < mu < 1.0 for mu in mus):
         raise DomainError("mu grid must lie inside (0, 1)")
+    streams = [_stream(seed, _COVERAGE, index) for index in range(len(mus))]  # checks the seed
     threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
     n = minimum_sample_size(spec).n
     violations: list = []
-    for index, mu in enumerate(mus):
+    for mu, stream in zip(mus, streams):
         source = BernoulliSource(mu, seed)
-        source._rng = _stream(seed, _COVERAGE, index)  # mean i's own child of the seed
+        source._rng = stream  # mean i's own child of the seed
         errors = np.abs(np.array(_row_sums(source.draw, trials, n)) / n - mu)
         failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
         rate = failures / trials

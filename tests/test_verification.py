@@ -13,6 +13,7 @@ from probcert import (
     ScenarioSet,
     binomial_tail_exact,
     chernoff_opt,
+    cli,
     coverage_experiment,
     domination_experiment,
     estimator,
@@ -20,6 +21,7 @@ from probcert import (
     lemma_scan,
     lower_tail_bound,
     make_model,
+    tail_bounds,
     upper_tail_bound,
     validate_spec,
     verification,
@@ -103,6 +105,97 @@ class TestLemmaScans:
             GridSpec(eps=0.1, margin=1e-4)
         with pytest.raises(DomainError):
             lemma_scan("L2", GridSpec(eps=0.6))  # L2 needs eps < 1/2
+
+    @pytest.mark.parametrize("kwargs", [{"step": math.inf}, {"margin": math.inf}])
+    def test_non_finite_grid_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(eps=0.1, **kwargs)
+
+    @pytest.mark.parametrize(
+        "lemma_id, grid",
+        [
+            ("L4", GridSpec(eps=0.1, margin=0.7)),  # 1/(1+eps) - margin < margin
+            ("L2", GridSpec(eps=0.3, margin=0.2)),  # first interval is empty
+            ("L3", GridSpec(eps=0.1, step=0.5)),  # one point per side of 1/2
+        ],
+    )
+    def test_vacuous_grid_rejected(self, lemma_id, grid):
+        with pytest.raises(DomainError, match="fewer than two points"):
+            lemma_scan(lemma_id, grid)
+
+    def test_grid_must_keep_exponent_domain(self):
+        with pytest.raises(DomainError, match="inside"):
+            verification._inside(0.1, np.array([0.5, 0.95]))
+        with pytest.raises(DomainError, match="inside"):
+            verification._inside(-0.1, np.array([0.05, 0.5]))
+
+    def test_broken_exponent_fails_every_claim(self, monkeypatch):
+        # the scans read g and dg/dmu through these two names; negating them
+        # reverses every monotonicity and domination claim
+        monkeypatch.setattr(verification, "_g", lambda e, m, f: -tail_bounds._g(e, m, f))
+        monkeypatch.setattr(verification, "_dg", lambda e, m, f: -tail_bounds._dg(e, m, f))
+        eps = 0.1
+        formats = {
+            "L2": lambda p: p[0] in ("dmu", "diff") and p[1] in (eps, -eps) and len(p) == 3,
+            "L3": lambda p: len(p) == 1,
+            "L4": lambda p: p[0] in ("g(eps*mu, mu)", "g(-eps*mu, mu)") and len(p) == 2,
+        }
+        for lemma_id, shaped in formats.items():
+            report = lemma_scan(lemma_id, GridSpec(eps=eps))
+            assert not report.passed
+            assert "FAIL" in report.to_text()
+            for point, values in report.violations:
+                assert shaped(point), point
+                assert type(point[-1]) is float and 0.0 < point[-1] < 1.0
+                assert set(values) == {"value", "expected_sign"}
+                assert values["expected_sign"] in (+1, -1)
+        l2 = lemma_scan("L2", GridSpec(eps=eps))
+        assert {(p[0], p[1]) for p, _ in l2.violations} == {
+            (kind, e) for kind in ("dmu", "diff") for e in (eps, -eps)
+        }
+        l4 = lemma_scan("L4", GridSpec(eps=eps))
+        assert {p[0] for p, _ in l4.violations} == {"g(eps*mu, mu)", "g(-eps*mu, mu)"}
+
+    def test_array_formulas_match_scalar_on_cli_grids(self, monkeypatch, capsys):
+        seen = {"g": [], "dg": []}
+
+        def recording(name, formula):
+            def wrapper(eps, mus, log1p):
+                values = formula(eps, mus, log1p)
+                seen[name].append((np.broadcast_to(eps, mus.shape), mus, values))
+                return values
+            return wrapper
+
+        monkeypatch.setattr(verification, "_g", recording("g", verification._g))
+        monkeypatch.setattr(verification, "_dg", recording("dg", verification._dg))
+        assert cli.main(["verify", "--suite", "lemmas"]) == 0
+        capsys.readouterr()
+        for name, scalar, tolerance in (
+            ("g", tail_bounds.hoeffding_exponent, {"rtol": 1e-13, "atol": 0.0}),
+            ("dg", tail_bounds.hoeffding_exponent_dmu, {"rtol": 0.0, "atol": 1e-14}),
+        ):
+            assert seen[name]
+            for eps, mus, values in seen[name]:
+                expected = [scalar(float(e), float(mu)) for e, mu in zip(eps, mus)]
+                np.testing.assert_allclose(values, expected, **tolerance)
+        assert sum(mus.size for _, mus, _ in seen["g"] + seen["dg"]) > 20_000
+
+    def test_scans_make_no_scalar_exponent_calls(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        for name in ("hoeffding_exponent", "hoeffding_exponent_dmu"):
+            original = getattr(tail_bounds, name)
+            monkeypatch.setattr(tail_bounds, name, counting(original))
+            monkeypatch.setattr(verification, name, counting(original), raising=False)
+        for lemma_id in ("L2", "L3", "L4"):
+            assert lemma_scan(lemma_id, GridSpec(eps=0.1)).passed
+        assert calls == []
 
     def test_report_shape(self):
         report = lemma_scan("L2", GridSpec(eps=0.1))
@@ -211,6 +304,18 @@ class TestCoverageExperiment:
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
             coverage_experiment(SPEC, [0.5], trials=0, seed=1)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            coverage_experiment(SPEC, [], trials=10, seed=1)
+
+    def test_seed_checked_before_any_work(self, monkeypatch):
+        def no_plan(spec):
+            raise AssertionError("planned before the seed was checked")
+
+        monkeypatch.setattr(verification, "minimum_sample_size", no_plan)
+        with pytest.raises(DomainError, match="seed"):
+            coverage_experiment(SPEC, [0.5], trials=10, seed=-1)
 
     def test_deterministic(self):
         a = coverage_experiment(SPEC, [0.25, 0.5], trials=200, seed=37)
