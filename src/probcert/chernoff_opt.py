@@ -24,8 +24,8 @@ by row.  Scenario sets are immutable after construction and safe to share;
 sums are exact and rounded once (the estimator's vectorised error-free
 summation, bit-identical to ``math.fsum``), so results do not depend on
 summation order or evaluation scheduling.  Certification draws fresh
-scenarios in the estimator's fixed-size chunks, so its memory does not grow
-with the planned sample size.
+scenarios in the estimator's fixed-size chunks and counts their failure
+indicators, so its memory does not grow with the planned sample size.
 """
 
 from __future__ import annotations
@@ -116,10 +116,7 @@ def _make_quadratic_well(sigma: float = 0.5) -> PerformanceModel:
     s = float(sigma)
 
     def evaluate(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # float_power calls C pow per element, like a scalar ** 2; an array
-        # ** 2 is x * x, which differs from pow in the last bit on ~0.1% of
-        # inputs and would shift optimised theta by an ulp
-        return 1.0 - np.float_power(theta[0] - rows[:, 0], 2.0)
+        return 1.0 - np.square(theta[0] - rows[:, 0])
 
     def gradient(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return -2.0 * (theta[0] - rows[:, :1])
@@ -277,18 +274,22 @@ class ChernoffObjective:
     def performance_values(self, theta: np.ndarray) -> np.ndarray:
         """Y(theta, Delta_i) for every scenario, in scenario order."""
         theta = _check_theta(theta, self.model.dim_theta)
-        rows = self.scenarios.scenarios
-        values = np.asarray(self.model.evaluate(theta, rows), dtype=float)
-        if values.shape != (rows.shape[0],):
-            raise DomainError(
-                f"model {self.model.name!r} returned shape {values.shape} "
-                f"for {rows.shape[0]} scenarios"
-            )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = int(bad[0])
-            raise DomainError(f"Y is not finite at scenario {i}: {values[i]!r}")
-        return values
+        return _evaluate(self.model, theta, self.scenarios.scenarios)
+
+
+def _evaluate(model: PerformanceModel, theta: np.ndarray, rows: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Y(theta, row) for each scenario row, checked to be one finite value
+    per row.  ``offset`` is added to the reported scenario index.
+    """
+    values = np.asarray(model.evaluate(theta, rows), dtype=float)
+    if values.shape != (rows.shape[0],):
+        raise DomainError(
+            f"model {model.name!r} returned shape {values.shape} for {rows.shape[0]} scenarios"
+        )
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise DomainError(f"Y is not finite at scenario {offset + i}: {float(values[i])!r}")
+    return values
 
 
 def _check_theta(theta, dim_theta: int) -> np.ndarray:
@@ -528,7 +529,10 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
 
 
 class _IndicatorSource(SampleSource):
-    """Adapts a scenario stream into the failure indicators 1{Y <= 0}."""
+    """Adapts a scenario stream into the failure indicators 1{Y <= 0}, as
+    booleans that the estimator counts.  A Y that is not finite is an error,
+    never a survival.
+    """
 
     def __init__(self, model: PerformanceModel, theta: np.ndarray, scenarios: ScenarioSource):
         super().__init__(scenarios.seed)
@@ -538,7 +542,7 @@ class _IndicatorSource(SampleSource):
 
     def _generate(self, k: int) -> np.ndarray:
         rows = self._scenarios.draw(k)
-        return (self._model.evaluate(self._theta, rows) <= 0.0).astype(float)
+        return _evaluate(self._model, self._theta, rows, self.draws_made) <= 0.0
 
 
 def certify_probability(

@@ -15,16 +15,19 @@ package is one named child of its seed per role (``_stream``), never a seed
 offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
-would, but without a Python-level loop: error-free extraction (Rump, Ogita &
-Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
-31(1), 2008) splits each row of a block into a few partial sums whose numpy
-sums are exact, and ``fsum`` only adds those.  The extraction reduces the
-drawn block in place against one reused scratch buffer, so no pass allocates
-a chunk-sized temporary.  Draws are taken at most ``_DRAW_CHUNK`` = 16,384
-values (128 KiB) at a time: one planned estimate is one row, and a coverage
-experiment draws many trials' rows per block.  Memory therefore stays
-constant in the planned n, and because the accumulated sums are exact the
-chunk size never changes a certificate.
+would, but without a Python-level loop.  A 0/1 source (Bernoulli draws,
+failure indicators) may return its block as booleans: each row of such a
+block is counted in one integer reduction, and a count is exact.  Any other
+block is converted to float and goes through error-free extraction (Rump,
+Ogita & Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
+Comput. 31(1), 2008), which splits each row into a few partial sums whose
+numpy sums are exact and reduces the block in place against one reused
+scratch buffer, so no pass allocates a chunk-sized temporary.  ``fsum`` only
+adds the counts or partial sums.  Draws are taken at most ``_DRAW_CHUNK`` =
+16,384 values (128 KiB as float64) at a time: one planned estimate is one
+row, and a coverage experiment draws many trials' rows per block.  Memory
+therefore stays constant in the planned n, and because the accumulated sums
+are exact the chunk size never changes a certificate.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
 class SampleSource:
     """Deterministic stream of values in [0, 1].
 
-    Subclasses implement ``_generate(k)``.  The same seed always reproduces
+    Subclasses implement ``_generate(k)``, which returns k floats, or k
+    booleans when every value is 0 or 1.  The same seed always reproduces
     the same sequence; ``draws_made`` counts values emitted so far.  Each
     source instance is single-owner: do not share across threads.
     """
@@ -98,13 +102,17 @@ class SampleSource:
     def draw(self, k: int) -> np.ndarray:
         """Emit the next k values, validated into [0, 1].
 
-        The returned array belongs to the caller, which may overwrite it (the
-        estimators reduce drawn blocks in place).  ``_generate`` must therefore
-        return a fresh array, never a view of state the source keeps.
+        A boolean block stays boolean, and the estimators count it; any other
+        block is converted to float64.  The returned array belongs to the
+        caller, which may overwrite it (the estimators reduce float blocks in
+        place).  ``_generate`` must therefore return a fresh array, never a
+        view of state the source keeps.
         """
-        if k < 0:
-            raise DomainError(f"draw count must be nonnegative, got {k!r}")
-        values = np.asarray(self._generate(k), dtype=float)
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
+            raise DomainError(f"draw count must be a nonnegative integer, got {k!r}")
+        values = np.asarray(self._generate(k))
+        if values.dtype != bool:
+            values = values.astype(float, copy=False)
         if values.shape != (k,):
             raise SourceExhaustedError(
                 f"source produced {values.shape[0] if values.ndim else 0} of "
@@ -116,17 +124,20 @@ class SampleSource:
 
 
 class BernoulliSource(SampleSource):
-    """Bernoulli(p) draws as 0.0/1.0 floats, from the Bernoulli child of ``seed``."""
+    """Bernoulli(p) draws as booleans, which the estimators count, from the
+    Bernoulli child of ``seed``.
+    """
 
     def __init__(self, p: float, seed: int = 0):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"p must lie in [0, 1], got {p!r}")
+        # float(True) is 1.0, so a bool would pass for a probability
+        if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            raise DomainError(f"p must be a number in [0, 1], got {p!r}")
         self._rng = _stream(seed, _BERNOULLI)
         super().__init__(seed)
         self.p = float(p)
 
     def _generate(self, k: int) -> np.ndarray:
-        return (self._rng.random(k) < self.p).astype(float)
+        return self._rng.random(k) < self.p
 
 
 @dataclass(frozen=True)
@@ -161,16 +172,19 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     one chunk of a row when n exceeds ``_DRAW_CHUNK``, so the stream is
     consumed in order and no block exceeds ``_DRAW_CHUNK`` values.
 
-    Each pass rounds every remainder r of a block to q = (r + sigma) - sigma,
-    a multiple of ulp(sigma) / 2 with |q| <= 2^e, where max|r| < 2^e over the
-    block and sigma = 2^(e + k) with 2^k > m + 1 for rows of m values.  Every
-    partial sum of a row's q's is then below 2^(e + k) on that grid, so its
-    numpy sum is exact in any order, and r - q is exact too.  Each pass
-    removes 53 - k bits, until every remainder is zero, and writes q into one
-    scratch buffer and r - q over the block, so no pass allocates.  ``fsum``
-    then rounds each row's few partial sums once.  A value that is not finite
-    or exceeds 2^900 in magnitude, where sigma could overflow, stops the
-    kernel with None; values in [0, 1] never do.
+    A boolean block is counted row by row.  A count is an integer below
+    2^53, so ``fsum`` of a row's counts equals ``fsum`` of its 0.0/1.0
+    values.  A float block is extracted: each pass rounds every remainder r
+    of the block to q = (r + sigma) - sigma, a multiple of ulp(sigma) / 2
+    with |q| <= 2^e, where max|r| < 2^e over the block and sigma = 2^(e + k)
+    with 2^k > m + 1 for rows of m values.  Every partial sum of a row's q's
+    is then below 2^(e + k) on that grid, so its numpy sum is exact in any
+    order, and r - q is exact too.  Each pass removes 53 - k bits, until
+    every remainder is zero, and writes q into one scratch buffer and r - q
+    over the block, so no pass allocates.  ``fsum`` then rounds each row's
+    few partial sums (or counts) once.  A value that is not finite or
+    exceeds 2^900 in magnitude, where sigma could overflow, stops the kernel
+    with None; values in [0, 1] never do.
     """
     per_block = min(rows, max(1, _DRAW_CHUNK // n))
     width = min(n, _DRAW_CHUNK)
@@ -178,11 +192,16 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     sums: list[float] = []
     for first in range(0, rows, per_block):
         b = min(per_block, rows - first)
-        # Python floats, not arrays: a row split over many chunks keeps a part per chunk
+        # Python numbers, not arrays: a row split over many chunks keeps a part per chunk
         parts: list[list[float]] = [[] for _ in range(b)]
         for start in range(0, n, width):
             m = min(width, n - start)
             r = take(b * m).reshape(b, m)
+            if r.dtype == bool:
+                # a block row holds at most _DRAW_CHUNK values: int32 counts them
+                for row, count in zip(parts, r.sum(axis=1, dtype=np.int32).tolist()):
+                    row.append(count)
+                continue
             q = scratch[: b * m].reshape(b, m)
             k = (m + 1).bit_length()
             top = float(np.abs(r, out=q).max())

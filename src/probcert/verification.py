@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _STRICT_MARGIN = 1e-12
+# a scan grid holds at most this many points (8 MB a float64 array); every
+# grid the CLI and the acceptance tests scan has about 1,000
+_MAX_GRID_POINTS = 1_000_000
 _LEMMA_IDS = ("L2", "L3", "L4", "L5", "L6", "coverage", "domination")
 
 
@@ -129,6 +132,11 @@ def _binomial_upper_tail(n: int, mu: float, k: int) -> float:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    # counted before np.arange, which would try to allocate the whole grid
+    if hi > lo and (hi - lo) / step >= _MAX_GRID_POINTS:
+        raise DomainError(
+            f"scan grid [{lo}, {hi}] with step {step} has more than {_MAX_GRID_POINTS:,} points"
+        )
     mus = np.arange(lo, hi + step * 1e-9, step) if hi > lo else np.empty(0)
     if mus.size < 2:
         raise DomainError(f"scan grid [{lo}, {hi}] with step {step} has fewer than two points")

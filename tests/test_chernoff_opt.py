@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ class TestModelRegistry:
         obj = ChernoffObjective(batched_y, ScenarioSet.from_array([[0.1], [0.2]]))
         with pytest.raises(DomainError, match="gradient shape"):
             empirical_moment_gradient(obj, 1.0, [0.5])
+
+    def test_quadratic_well_square_is_correctly_rounded(self):
+        # Y = 1 - x^2 with x^2 rounded once; C pow misses that square on ~0.1% of inputs
+        model = make_model("quadratic_well")
+        rows = model.sample_scenarios(np.random.default_rng(3), 20_000)
+        x = 0.3 - rows[:, 0]
+        squares = np.array([float(Fraction(v) ** 2) for v in x.tolist()])
+        np.testing.assert_array_equal(model.evaluate(np.array([0.3]), rows), 1.0 - squares)
 
     def test_model_gradients_match_evaluate(self):
         # analytic dY/dtheta vs central differences of Y, away from kinks,
@@ -508,6 +517,27 @@ class TestCertifyProbability:
         abs_ok = abs(cert.mu_hat - p_true) < SPEC.eps_a
         rel_ok = abs(cert.mu_hat - p_true) < SPEC.eps_r * p_true
         assert abs_ok or rel_ok
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_y_rejected(self, monkeypatch, bad):
+        # Y = theta - delta, not finite for delta > 0.9; a NaN once counted as a survival
+        base = make_model("uniform_gap")
+        model = dataclasses.replace(
+            base, evaluate=lambda theta, rows: np.where(rows[:, 0] > 0.9, bad, base.evaluate(theta, rows))
+        )
+        first = int(np.flatnonzero(ScenarioSource.from_model(model, 3).draw(577)[:, 0] > 0.9)[0])
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", 7)  # the index counts across chunks
+        with pytest.raises(DomainError, match=f"Y is not finite at scenario {first}: {bad!r}"):
+            certify_probability(model, [0.5], SPEC, ScenarioSource.from_model(model, 3))
+        obj = ChernoffObjective(model, ScenarioSet.from_array([[0.1], [0.95]]))
+        with pytest.raises(DomainError, match="Y is not finite at scenario 1"):
+            obj.performance_values([0.5])
+
+    def test_wrong_output_shape_rejected(self):
+        base = make_model("uniform_gap")
+        model = dataclasses.replace(base, evaluate=lambda theta, rows: theta[0] - rows)
+        with pytest.raises(DomainError, match=r"returned shape \(577, 1\) for 577 scenarios"):
+            certify_probability(model, [0.5], SPEC, ScenarioSource.from_model(model, 3))
 
     def test_source_advances(self):
         model = make_model("quadratic_well")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from probcert import (
     BernoulliSource,
+    chernoff_opt,
     DomainError,
     InvalidSpecError,
     SampleSource,
@@ -190,6 +191,19 @@ class TestSampleSources:
     def test_bad_p(self):
         with pytest.raises(DomainError):
             BernoulliSource(1.5)
+        # float(True) is 1.0 and "0.3" < 1.0 is a TypeError: neither is a probability
+        for p in (True, False, np.bool_(True), "0.3", None, math.nan):
+            with pytest.raises(DomainError, match="p must be a number"):
+                BernoulliSource(p)
+
+    def test_bad_draw_count(self):
+        source = BernoulliSource(0.3, seed=2)
+        for k in (-1, True, False, 2.5, "3", None):
+            with pytest.raises(DomainError, match="draw count"):
+                source.draw(k)
+        assert source.draws_made == 0
+        assert source.draw(0).shape == (0,)
+        assert source.draw(np.int64(3)).shape == (3,)
 
 
 class TestEstimateWithPlan:
@@ -357,6 +371,88 @@ class TestBatchedTrials:
             (5, (estimator._COVERAGE, 0)),
             (5, (estimator._COVERAGE, 1)),
         ]
+
+
+class FloatBernoulliSource(BernoulliSource):
+    """The same draws as 0.0/1.0 floats, which the extraction kernel sums."""
+
+    def _generate(self, k: int) -> np.ndarray:
+        return super()._generate(k).astype(float)
+
+
+class FloatIndicatorSource(chernoff_opt._IndicatorSource):
+    """The same failure indicators as 0.0/1.0 floats."""
+
+    def _generate(self, k: int) -> np.ndarray:
+        return super()._generate(k).astype(float)
+
+
+SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: three default chunks
+
+
+def specs_for(chunk):
+    """SPEC and SPEC_1755, and SPEC_LARGE where it takes at most ~100 requests."""
+    return (SPEC, SPEC_1755) + ((SPEC_LARGE,) if chunk >= 577 else ())
+
+
+class TestCountedDraws:
+    """Boolean blocks are counted, with the certificates of the same 0/1
+    values summed as floats, whatever the chunk size."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_bernoulli_matches_float_twin(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        for p in (0.0, 0.3, 1.0):
+            for spec in specs_for(chunk):
+                counted, twin = BernoulliSource(p, seed=4), FloatBernoulliSource(p, seed=4)
+                assert estimate_with_plan(counted, spec) == estimate_with_plan(twin, spec)
+                assert counted.draws_made == twin.draws_made == minimum_sample_size(spec).n
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_row_sums_of_many_rows_match_float_twin(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        counted, twin = BernoulliSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
+        sums = estimator._row_sums(counted.draw, 40, 577)
+        assert sums == estimator._row_sums(twin.draw, 40, 577)
+        assert all(isinstance(total, float) for total in sums)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_certify_probability_matches_float_twin(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        model = make_model("quadratic_well")
+        theta = np.array([0.3])
+        for spec in specs_for(chunk):
+            counted = certify_probability(model, theta, spec, ScenarioSource.from_model(model, 44))
+            twin = FloatIndicatorSource(model, theta, ScenarioSource.from_model(model, 44))
+            assert counted == estimate_with_plan(twin, spec)
+
+    def test_short_boolean_block_exhausts(self):
+        class Short(SampleSource):
+            def _generate(self, k):
+                return np.ones(k - 1, dtype=bool)
+
+        with pytest.raises(SourceExhaustedError):
+            Short().draw(5)
+        with pytest.raises(SourceExhaustedError):
+            estimate_with_plan(Short(), SPEC)
+
+    def test_integer_block_is_summed_as_float(self):
+        class Integers(SampleSource):
+            def __init__(self, values):
+                super().__init__()
+                self._values = np.asarray(values)
+
+            def _generate(self, k):
+                out, self._values = self._values[:k].copy(), self._values[k:]
+                return out
+
+        values = np.random.default_rng(3).integers(0, 2, 1755)
+        assert Integers(values).draw(10).dtype == np.float64
+        cert = estimate_with_plan(Integers(values), SPEC_1755)
+        assert cert.mu_hat == math.fsum(values.tolist()) / 1755
+        with pytest.raises(SampleValueError) as exc_info:
+            Integers([0, 2, 1]).draw(3)
+        assert exc_info.value.index == 1
 
 
 ROLES = (

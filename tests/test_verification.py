@@ -123,6 +123,11 @@ class TestLemmaScans:
         with pytest.raises(DomainError, match="fewer than two points"):
             lemma_scan(lemma_id, grid)
 
+    def test_grid_point_count_capped(self):
+        # counted before numpy is asked for the 3e14-point array
+        with pytest.raises(DomainError, match="more than 1,000,000 points"):
+            lemma_scan("L3", GridSpec(eps=0.1, step=1e-15))
+
     def test_grid_must_keep_exponent_domain(self):
         with pytest.raises(DomainError, match="inside"):
             verification._inside(0.1, np.array([0.5, 0.95]))
