@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .estimator import Certificate, SampleSource, _exact_sums, estimate_with_plan, stable_mean
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
-from .tail_bounds import ErrorSpec, _require_count, minimum_sample_size
+from .tail_bounds import ErrorSpec, _require_int, _require_real, minimum_sample_size
 
 __all__ = [
     "ScenarioSet",
@@ -176,6 +176,7 @@ class ScenarioSet:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0))
         arr = np.atleast_2d(np.asarray(self.scenarios, dtype=float))
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError(f"scenario array must be (n, d) with n >= 1, got shape {arr.shape}")
@@ -194,13 +195,13 @@ class ScenarioSet:
     @classmethod
     def from_model(cls, model: PerformanceModel, n: int, seed: int) -> "ScenarioSet":
         """n rows of the model's Delta, from the scenario child of ``seed``."""
-        n = _require_count(n, "scenario count")
+        n = _require_int(n, "scenario count", 1)
         rows = _draw_rows(_scenario_sampler(model), model.dim_delta, _stream(seed, _SCENARIOS), n)
-        return cls(scenarios=rows, seed=int(seed))
+        return cls(scenarios=rows, seed=seed)
 
     @classmethod
     def from_array(cls, rows: np.ndarray, seed: int = 0) -> "ScenarioSet":
-        return cls(scenarios=rows, seed=int(seed))
+        return cls(scenarios=rows, seed=seed)
 
     @classmethod
     def from_csv(cls, path, seed: int = 0) -> "ScenarioSet":
@@ -214,7 +215,7 @@ class ScenarioSet:
             raise DomainError(f"malformed scenario CSV {path!r}: {exc}") from None
         if rows.size == 0:
             raise DomainError(f"scenario CSV {path!r} contains no rows")
-        return cls(scenarios=rows, seed=int(seed))
+        return cls(scenarios=rows, seed=seed)
 
 
 def _scenario_sampler(model: PerformanceModel):
@@ -241,8 +242,8 @@ class ScenarioSource:
         dim_delta: int,
         seed: int,
     ):
-        self._rng = _stream(seed, _CERTIFICATION)
-        self.seed = int(seed)
+        self.seed = _require_int(seed, "seed", 0)
+        self._rng = _stream(self.seed, _CERTIFICATION)
         self.dim_delta = int(dim_delta)
         self.draws_made = 0
         self._sampler = sampler
@@ -252,6 +253,7 @@ class ScenarioSource:
         return cls(_scenario_sampler(model), model.dim_delta, seed)
 
     def draw(self, k: int) -> np.ndarray:
+        k = _require_int(k, "draw count", 0)
         rows = _draw_rows(self._sampler, self.dim_delta, self._rng, k)
         self.draws_made += k
         return rows
@@ -389,22 +391,17 @@ class OptimizationSettings:
     def __post_init__(self):
         if isinstance(self.theta0, (str, bytes)):
             raise DomainError("theta0 must be a sequence of reals, not a string")
-        theta0 = tuple(self.theta0)
-        # float(True) is 1.0 and True >= 0, so a bool would pass every check below
-        numbers = [("theta0", t) for t in theta0]
-        numbers += [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
-        for name, value in numbers:
-            if isinstance(value, bool):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-        object.__setattr__(self, "theta0", tuple(float(t) for t in theta0))
+        object.__setattr__(self, "theta0", tuple(_require_real(t, "theta0") for t in self.theta0))
+        # checked, not converted: the settings are echoed as given
+        for name in ("nu0", "grad_tol", "lambda_cap"):
+            _require_real(getattr(self, name), name)
+        object.__setattr__(self, "max_iters", _require_int(self.max_iters, "max_iters", 0))
         if len(self.theta0) < 1:
             raise DomainError("theta0 must be nonempty")
         if not all(math.isfinite(t) for t in self.theta0):
             raise DomainError(f"theta0 must be finite, got {self.theta0}")
         if not _NU0_MIN <= self.nu0 < math.inf:  # false for nan too
             raise DomainError(f"nu0 must be finite and >= {_NU0_MIN:.6g} (exp(nu0) > 0), got {self.nu0!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 0):
-            raise DomainError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if not self.grad_tol > 0.0:
             raise DomainError(f"grad_tol must be positive, got {self.grad_tol!r}")
         if not self.lambda_cap > 0.0:

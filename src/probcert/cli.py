@@ -179,24 +179,23 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _require(cfg: dict, field: str, kind, where: str = ""):
+def _require(cfg: dict, field: str, kind=object, where: str = ""):
+    """cfg[field], present and of JSON type ``kind``; numbers are the library's to check."""
     label = f"{where}{field}"
     if field not in cfg:
         raise ConfigError(label, "missing required field")
     value = cfg[field]
-    if isinstance(value, bool) and kind in (int, float):
-        raise ConfigError(label, f"expected {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        value = float(value)
     if not isinstance(value, kind):
-        raise ConfigError(label, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
+        raise ConfigError(label, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def _parse_spec_block(block: dict, where: str):
-    for key in ("eps_a", "eps_r", "delta"):
-        _require(block, key, float, where=f"{where}.")
-    return validate_spec(block["eps_a"], block["eps_r"], block["delta"])
+    values = [_require(block, key, where=f"{where}.") for key in ("eps_a", "eps_r", "delta")]
+    try:
+        return validate_spec(*values)
+    except ProbcertError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 def _load_run_config(path: str) -> dict:
@@ -221,11 +220,11 @@ def _cmd_optimize(args) -> int:
     model_params = _require(cfg, "model_params", dict) if "model_params" in cfg else {}
     model = make_model(model_name, **model_params)
 
-    seed = _require(cfg, "seed", int) if "seed" in cfg else DEFAULT_SEED
+    seed = cfg.get("seed", DEFAULT_SEED)
 
     if ("n_scenarios" in cfg) == ("spec" in cfg):
         raise ConfigError("n_scenarios", "exactly one of n_scenarios and spec is required")
-    n_scenarios = _require(cfg, "n_scenarios", int) if "n_scenarios" in cfg else None
+    n_scenarios = cfg.get("n_scenarios")
     scenario_spec = None if "spec" not in cfg else _parse_spec_block(_require(cfg, "spec", dict), "spec")
 
     settings_cfg = _require(cfg, "settings", dict)
@@ -235,7 +234,7 @@ def _cmd_optimize(args) -> int:
         raise ConfigError(f"settings.{sorted(unknown)[0]}", "unknown field")
     try:
         settings = OptimizationSettings(**{**settings_cfg, "theta0": tuple(theta0)})
-    except (DomainError, TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise ConfigError("settings", str(exc)) from None
 
     certify_spec = None

@@ -33,14 +33,13 @@ are exact the chunk size never changes a certificate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SampleValueError, SourceExhaustedError
-from .tail_bounds import ErrorSpec, achieved_confidence, minimum_sample_size
+from .tail_bounds import ErrorSpec, _require_int, _require_real, achieved_confidence, minimum_sample_size
 
 __all__ = [
     "SampleSource",
@@ -67,9 +66,8 @@ def _stream(seed: int, role: int, index: int = 0) -> np.random.Generator:
     """Child (role, index) of a nonnegative integer seed (numpy's too, not a
     bool), as ``SeedSequence(seed).spawn`` makes it but without spawn state.
     """
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(role, index)))
+    seed = _require_int(seed, "seed", 0)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, index)))
 
 
 def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
@@ -93,7 +91,7 @@ class SampleSource:
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.seed = _require_int(seed, "seed", 0)
         self.draws_made = 0
 
     def _generate(self, k: int) -> np.ndarray:
@@ -108,8 +106,7 @@ class SampleSource:
         place).  ``_generate`` must therefore return a fresh array, never a
         view of state the source keeps.
         """
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
-            raise DomainError(f"draw count must be a nonnegative integer, got {k!r}")
+        k = _require_int(k, "draw count", 0)
         values = np.asarray(self._generate(k))
         if values.dtype != bool:
             values = values.astype(float, copy=False)
@@ -129,12 +126,12 @@ class BernoulliSource(SampleSource):
     """
 
     def __init__(self, p: float, seed: int = 0):
-        # float(True) is 1.0, so a bool would pass for a probability
-        if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+        p = _require_real(p, "p")
+        if not 0.0 <= p <= 1.0:
             raise DomainError(f"p must be a number in [0, 1], got {p!r}")
         self._rng = _stream(seed, _BERNOULLI)
         super().__init__(seed)
-        self.p = float(p)
+        self.p = p
 
     def _generate(self, k: int) -> np.ndarray:
         return self._rng.random(k) < self.p

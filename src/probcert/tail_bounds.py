@@ -22,16 +22,15 @@ mu_hat is acceptable when |mu_hat - mu| < eps_a OR |mu_hat - mu| < eps_r * mu.
 has probability > 1 - delta, uniformly over the unknown mean; the worst case
 sits at mu = eps_a / eps_r, where the two tolerances coincide.
 
-All functions here are pure and reentrant.  The only shared state is the
-thread-safe memo of ``minimum_sample_size``, which holds immutable plans.
+All functions here are pure and reentrant.  ``_require_int`` and
+``_require_real`` are the package's one check of an integer and of a number.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import DomainError, InvalidSpecError
 
@@ -46,6 +45,21 @@ __all__ = [
     "achieved_confidence",
     "validate_spec",
 ]
+
+
+def _require_int(value, name: str, low: int) -> int:
+    """value as an int if it is an integer >= low, 0 or 1 (numpy's too, not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def _require_real(value, name: str) -> float:
+    """value as a float if it is a real number, NaN included (numpy's too, not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _pair_violations(eps_a: float, eps_r: float) -> list[str]:
@@ -88,6 +102,8 @@ class ErrorSpec:
     delta: float
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _require_real(getattr(self, f.name), f.name))
         violations = _spec_violations(self.eps_a, self.eps_r, self.delta)
         if violations:
             raise InvalidSpecError(violations)
@@ -167,16 +183,9 @@ def hoeffding_exponent_dmu(eps: float, mu: float) -> float:
     return _dg(eps, mu, math.log1p)
 
 
-def _require_count(n: int, name: str = "n") -> int:
-    """n as an int, if it is a positive integer (numpy's too, but not a bool)."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def upper_tail_bound(n: int, eps: float, mu: float) -> float:
     """Bound on Pr{mean >= mu + eps}: exp(n g(eps, mu)), for 0 < eps < 1 - mu."""
-    _require_count(n)
+    _require_int(n, "n", 1)
     if not (0.0 < eps and 0.0 < mu < 1.0 and eps < 1.0 - mu):
         raise DomainError(
             f"need 0 < eps < 1 - mu < 1, got eps={eps!r}, mu={mu!r}"
@@ -186,7 +195,7 @@ def upper_tail_bound(n: int, eps: float, mu: float) -> float:
 
 def lower_tail_bound(n: int, eps: float, mu: float) -> float:
     """Bound on Pr{mean <= mu - eps}: exp(n g(-eps, mu)), for 0 < eps < mu."""
-    _require_count(n)
+    _require_int(n, "n", 1)
     if not (0.0 < eps < mu < 1.0):
         raise DomainError(f"need 0 < eps < mu < 1, got eps={eps!r}, mu={mu!r}")
     return math.exp(n * hoeffding_exponent(-eps, mu))
@@ -206,18 +215,7 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
     candidate floor(rhs) + 1 is corrected against the exponential form so the
     returned n satisfies the strict inequality exactly even when double
     rounding of the ratio would flip the floor.
-
-    Plans are memoised per spec: the verification suites re-plan the same
-    spec for every coverage trial.
     """
-    return _plan(spec)
-
-
-# A frozen ErrorSpec is hashable and a SamplePlan is immutable, so one cached
-# plan can be handed to every caller.  The memo sits behind the public
-# function, which stays a plain function that perfbench's tracer can count.
-@functools.lru_cache(maxsize=1024)
-def _plan(spec: ErrorSpec) -> SamplePlan:
     eps_a, eps_r, delta = spec.eps_a, spec.eps_r, spec.delta
     exponent = hoeffding_exponent(eps_a, spec.worst_case_mean)
 
@@ -251,7 +249,8 @@ def achieved_confidence(n: int, eps_a: float, eps_r: float) -> float:
     Values >= 1 are reported as 1.0; such a result carries no guarantee
     (callers flag it).  Decreases monotonically to 0 as n grows.
     """
-    _require_count(n)
+    _require_int(n, "n", 1)
+    eps_a, eps_r = _require_real(eps_a, "eps_a"), _require_real(eps_r, "eps_r")
     violations = _pair_violations(eps_a, eps_r)
     if violations:
         raise InvalidSpecError(violations)

@@ -24,14 +24,14 @@ between numpy's log1p and the math module's.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, empirical_moment, make_model
+from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _moments, make_model
 from .errors import DomainError
 from .estimator import _COVERAGE, _POINTS, BernoulliSource, _row_sums, _stream
-from .tail_bounds import ErrorSpec, _dg, _g, _require_count, hoeffding_exponent, minimum_sample_size
+from .tail_bounds import ErrorSpec, _dg, _g, _require_int, _require_real, hoeffding_exponent, minimum_sample_size
 
 __all__ = [
     "GridSpec",
@@ -59,6 +59,8 @@ class GridSpec:
     margin: float = 1e-3
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _require_real(getattr(self, f.name), f.name))
         if not 0.0 < self.step < math.inf:
             raise DomainError(f"grid step must be positive and finite, got {self.step!r}")
         if not 1e-3 <= self.margin < math.inf:
@@ -101,10 +103,11 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
     Terms are formed in log space (lgamma) so large n stays in range; the
     ascending-order sum is accumulated exactly and rounded once.
     """
-    _require_count(n)
+    n = _require_int(n, "n", 1)
     if not 0.0 < mu < 1.0:
         raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
+    k = _require_int(k, "k", 0)
+    if k > n:
         raise DomainError(f"k must be an integer in [0, n], got {k!r}")
     log_mu = math.log(mu)
     log_q = math.log1p(-mu)
@@ -117,7 +120,7 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
             + j * log_mu
             + (n - j) * log_q
         )
-        for j in range(int(k) + 1)
+        for j in range(k + 1)
     )
     return min(math.fsum(terms), 1.0)
 
@@ -129,6 +132,16 @@ def _binomial_upper_tail(n: int, mu: float, k: int) -> float:
     if k <= 0:
         return 1.0
     return binomial_tail_exact(n, 1.0 - mu, n - k)
+
+
+def _mu_grid(mu_grid) -> list[float]:
+    """The means of a check as floats: a nonempty list of numbers inside (0, 1)."""
+    mus = [_require_real(mu, "mu grid entry") for mu in mu_grid]
+    if not mus:
+        raise DomainError("mu grid is empty")
+    if not all(0.0 < mu < 1.0 for mu in mus):
+        raise DomainError("mu grid must lie inside (0, 1)")
+    return mus
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -229,13 +242,9 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
     tail Pr{mean >= (1+eps_r) mu} must stay below exp(n g(eps_a, eps_a/eps_r)).
     The grid must lie entirely in one of the two ranges.
     """
-    _require_count(n)
-    mus = [float(mu) for mu in mu_grid]
-    if not mus:
-        raise DomainError("mu grid is empty")
+    _require_int(n, "n", 1)
+    mus = _mu_grid(mu_grid)
     crossover = spec.worst_case_mean
-    if not all(0.0 < mu < 1.0 for mu in mus):
-        raise DomainError("mu grid must lie inside (0, 1)")
     in_lower = all(mu <= crossover for mu in mus)
     in_upper = all(mu > crossover for mu in mus)
     if not (in_lower or in_upper):
@@ -277,12 +286,8 @@ def coverage_experiment(
     failure rate is within three binomial standard errors above delta.  Use
     trials >= 1000 for meaningful slack.
     """
-    trials = _require_count(trials, "trials")
-    mus = [float(mu) for mu in mu_grid]
-    if not mus:
-        raise DomainError("mu grid is empty")
-    if not all(0.0 < mu < 1.0 for mu in mus):
-        raise DomainError("mu grid must lie inside (0, 1)")
+    trials = _require_int(trials, "trials", 1)
+    mus = _mu_grid(mu_grid)
     streams = [_stream(seed, _COVERAGE, index) for index in range(len(mus))]  # checks the seed
     threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
     n = minimum_sample_size(spec).n
@@ -316,7 +321,7 @@ def domination_experiment(
     The frozen scenarios, the fresh draws and the random points come from the
     scenario, certification and points children of ``seed``.
     """
-    _require_count(points, "points")
+    _require_int(points, "points", 1)
     model = make_model(model_id)
     n = minimum_sample_size(spec).n
     objective = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed))
@@ -339,9 +344,8 @@ def domination_experiment(
             )
             continue
 
-        moment = empirical_moment(objective, lam, theta)
-        fresh_rows = fresh.draw(n)
-        fails = int(np.count_nonzero(model.evaluate(theta, fresh_rows) <= 0.0))
+        moment = _exp(_moments(ys, lam)[0])  # empirical_moment, from the ys above
+        fails = int(np.count_nonzero(_evaluate(model, theta, fresh.draw(n)) <= 0.0))
         p_hat = fails / n
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
         if moment < p_hat - slack:

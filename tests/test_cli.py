@@ -203,7 +203,8 @@ class TestOptimize:
         code, out, err = run_cli(capsys, "optimize", "--config", str(path), "--json")
         assert code == 1
         assert out == ""
-        assert f"{field} must be a number" in err
+        kind = "a nonnegative integer" if field == "max_iters" else "a number"
+        assert f"{field} must be {kind}" in err
 
     def test_boolean_model_param_rejected(self, capsys, tmp_path):
         # float(True) is 1.0: without the check this ran with sigma = 1.0
@@ -219,8 +220,22 @@ class TestOptimize:
             ({"seed": -1}, "seed"),
             ({"model": "affine", "model_params": {"a": "x"}}, "model_params"),
             ({"settings": {"theta0": [0.5], "nu0": -800.0}}, "nu0"),
+            # numbers are passed on as read; the library names the bad one
+            ({"seed": "7"}, "seed"),
+            ({"seed": None}, "seed"),
+            ({"n_scenarios": 2.5}, "scenario count"),
+            ({"settings": {"theta0": ["a"]}}, "theta0"),
+            ({"settings": {"theta0": [0.5], "grad_tol": "1e-6"}}, "settings: grad_tol must be a number"),
+            ({"settings": {"theta0": [0.5], "lambda_cap": None}}, "settings: lambda_cap must be a number"),
+            ({"certify_spec": {"eps_a": "0.05", "eps_r": 0.2, "delta": 0.05}}, "certify_spec: eps_a"),
+            ({"certify_spec": {"eps_a": 0.6, "eps_r": 0.2, "delta": 0.05}}, "certify_spec: eps_a/eps_r"),
+            ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2}}, "certify_spec.delta"),
+            ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": True}}, "certify_spec: delta must be a number"),
         ],
-        ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows"],
+        ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
+             "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
+             "string_grad_tol", "null_lambda_cap", "string_certify_eps_a",
+             "certify_spec_out_of_range", "certify_spec_missing_delta", "boolean_certify_delta"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)

@@ -192,13 +192,13 @@ class TestSampleSources:
         with pytest.raises(DomainError):
             BernoulliSource(1.5)
         # float(True) is 1.0 and "0.3" < 1.0 is a TypeError: neither is a probability
-        for p in (True, False, np.bool_(True), "0.3", None, math.nan):
+        for p in (True, False, np.bool_(True), "0.3", None, math.nan, -1):
             with pytest.raises(DomainError, match="p must be a number"):
                 BernoulliSource(p)
 
     def test_bad_draw_count(self):
         source = BernoulliSource(0.3, seed=2)
-        for k in (-1, True, False, 2.5, "3", None):
+        for k in (-1, True, False, 2.5, "3", None, math.nan):
             with pytest.raises(DomainError, match="draw count"):
                 source.draw(k)
         assert source.draws_made == 0
@@ -490,7 +490,7 @@ class TestStreams:
         child = BernoulliSource(0.3, seed=4)._rng.bit_generator.seed_seq
         assert (child.entropy, child.spawn_key) == (4, (estimator._BERNOULLI, 0))
 
-    @pytest.mark.parametrize("seed", [-1, True, False, 2.5, "3", None, np.int64(-2)])
+    @pytest.mark.parametrize("seed", [-1, True, False, 2.5, "3", None, np.int64(-2), math.nan])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError, match="seed"):
             estimator._stream(seed, estimator._BERNOULLI)

@@ -6,6 +6,7 @@ log1p-based implementation under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,18 +14,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probcert import (
+    ChernoffObjective,
     DomainError,
     ErrorSpec,
+    GridSpec,
     InvalidSpecError,
+    OptimizationSettings,
+    ScenarioSet,
+    ScenarioSource,
     achieved_confidence,
+    binomial_tail_exact,
+    coverage_experiment,
+    domination_experiment,
     hoeffding_exponent,
     hoeffding_exponent_dmu,
+    lemma56_check,
     lower_tail_bound,
+    make_model,
+    minimize,
     minimum_sample_size,
     upper_tail_bound,
     validate_spec,
 )
-from support import random_valid_specs
+from support import ConstantSource, random_valid_specs
 
 # 50-digit oracle values (mpmath, direct evaluation of the two-term formula)
 G_01_05 = -0.0201355135506888734205127789688
@@ -200,10 +212,6 @@ class TestMinimumSampleSize:
         assert math.exp((plan.n - 1) * plan.worst_case_exponent) >= half
         assert plan.worst_case_exponent < 0.0
 
-    def test_equal_specs_share_one_plan(self):
-        first = minimum_sample_size(ErrorSpec(0.03, 0.3, 0.01))
-        assert minimum_sample_size(validate_spec(0.03, 0.3, 0.01)) is first
-
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidSpecError, match="eps_a/eps_r"):
             validate_spec(0.3, 0.5, 0.1)
@@ -250,3 +258,90 @@ class TestAchievedConfidence:
             achieved_confidence(100, 0.3, 0.5)
         with pytest.raises(DomainError):
             achieved_confidence(0, 0.05, 0.2)
+
+
+MODEL = make_model("uniform_gap")
+SPEC = validate_spec(0.05, 0.2, 0.05)
+# a bool is never a number here, nor a string or None; -1 and NaN are out of range
+INTS = (True, 2.5, "3", None, -1, math.nan)
+REALS = (True, "3", None)
+
+# entry point -> (call with the bad value, parameter the error names, bad values);
+# estimator's own tables cover _stream's seed, SampleSource.draw and BernoulliSource's p
+BAD_INPUTS = {
+    # seeds
+    "SampleSource": (lambda v: ConstantSource(0.5, seed=v), "seed", INTS),
+    "ScenarioSource": (lambda v: ScenarioSource.from_model(MODEL, v), "seed", INTS),
+    "ScenarioSet": (lambda v: ScenarioSet(np.zeros((2, 1)), seed=v), "seed", INTS),
+    "ScenarioSet.from_array": (lambda v: ScenarioSet.from_array(np.zeros((2, 1)), seed=v), "seed", INTS),
+    "ScenarioSet.from_model.seed": (lambda v: ScenarioSet.from_model(MODEL, 3, v), "seed", INTS),
+    # counts
+    "ScenarioSource.draw": (lambda v: ScenarioSource.from_model(MODEL, 1).draw(v), "draw count", INTS),
+    "binomial_tail_exact.k": (lambda v: binomial_tail_exact(5, 0.5, v), "k", INTS),
+    "binomial_tail_exact.n": (lambda v: binomial_tail_exact(v, 0.5, 0), "n", INTS + (0,)),
+    "upper_tail_bound.n": (lambda v: upper_tail_bound(v, 0.1, 0.5), "n", INTS + (0,)),
+    "achieved_confidence.n": (lambda v: achieved_confidence(v, 0.05, 0.2), "n", INTS + (0,)),
+    "lemma56_check.n": (lambda v: lemma56_check(SPEC, [0.1], v), "n", INTS + (0,)),
+    "ScenarioSet.from_model.n": (lambda v: ScenarioSet.from_model(MODEL, v, 1), "scenario count", INTS + (0,)),
+    "OptimizationSettings.max_iters": (
+        lambda v: OptimizationSettings(theta0=(0.5,), max_iters=v), "max_iters", INTS),
+    "coverage_experiment.trials": (lambda v: coverage_experiment(SPEC, [0.5], v, 3), "trials", INTS + (0,)),
+    "domination_experiment.points": (
+        lambda v: domination_experiment("quadratic_well", SPEC, v, 3), "points", INTS + (0,)),
+    # numbers
+    "OptimizationSettings.theta0": (lambda v: OptimizationSettings(theta0=(v,)), "theta0", REALS + (math.nan,)),
+    "OptimizationSettings.nu0": (
+        lambda v: OptimizationSettings(theta0=(0.5,), nu0=v), "nu0", REALS + (math.nan,)),
+    "OptimizationSettings.grad_tol": (
+        lambda v: OptimizationSettings(theta0=(0.5,), grad_tol=v), "grad_tol", REALS + (-1, math.nan)),
+    "OptimizationSettings.lambda_cap": (
+        lambda v: OptimizationSettings(theta0=(0.5,), lambda_cap=v), "lambda_cap", REALS + (-1, math.nan)),
+    "ErrorSpec.eps_a": (lambda v: ErrorSpec(v, 0.2, 0.05), "eps_a", REALS + (-1, math.nan)),
+    "ErrorSpec.eps_r": (lambda v: ErrorSpec(0.05, v, 0.05), "eps_r", REALS + (-1, math.nan)),
+    "validate_spec.delta": (lambda v: validate_spec(0.05, 0.2, v), "delta", REALS + (-1, math.nan)),
+    "achieved_confidence.eps_a": (lambda v: achieved_confidence(10, v, 0.2), "eps_a", REALS + (-1, math.nan)),
+    "achieved_confidence.eps_r": (lambda v: achieved_confidence(10, 0.05, v), "eps_r", REALS + (-1, math.nan)),
+    "GridSpec.eps": (lambda v: GridSpec(eps=v), "eps", REALS),
+    "GridSpec.step": (lambda v: GridSpec(eps=0.1, step=v), "step", REALS + (-1, math.nan)),
+    "GridSpec.margin": (lambda v: GridSpec(eps=0.1, margin=v), "margin", REALS + (-1, math.nan)),
+    "lemma56_check.mu_grid": (lambda v: lemma56_check(SPEC, [0.1, v], 10), "mu grid", REALS + (-1, math.nan)),
+    "coverage_experiment.mu_grid": (
+        lambda v: coverage_experiment(SPEC, [0.1, v], 10, 3), "mu grid", REALS + (-1, math.nan)),
+}
+
+
+class TestInputPolicy:
+    """Every count, seed and number the library receives goes through
+    ``_require_int`` or ``_require_real``: a bad one is a DomainError or an
+    InvalidSpecError naming the parameter, never a TypeError or a bare
+    ValueError from deeper down.
+    """
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [(entry, value) for entry, (_, _, values) in BAD_INPUTS.items() for value in values],
+        ids=lambda x: repr(x) if not isinstance(x, str) or x in REALS else x,
+    )
+    def test_bad_input_rejected(self, entry, value):
+        call, name, _ = BAD_INPUTS[entry]
+        with pytest.raises((DomainError, InvalidSpecError), match=re.escape(name)):
+            call(value)
+
+    def test_numpy_integer_max_iters(self):
+        objective = ChernoffObjective(MODEL, ScenarioSet.from_model(MODEL, 200, 4))
+        settings = OptimizationSettings(theta0=(0.3,), max_iters=np.int64(1000))
+        assert settings == OptimizationSettings(theta0=(0.3,), max_iters=1000)
+        assert type(settings.max_iters) is int
+        assert minimize(objective, settings) == minimize(
+            objective, OptimizationSettings(theta0=(0.3,), max_iters=1000)
+        )
+
+    def test_numpy_integer_draw_count(self):
+        rows = ScenarioSource.from_model(MODEL, 6).draw(np.int64(5))
+        np.testing.assert_array_equal(rows, ScenarioSource.from_model(MODEL, 6).draw(5))
+
+    def test_numpy_float_spec_stored_as_float(self):
+        spec = ErrorSpec(np.float64(0.05), np.float64(0.2), np.float64(0.05))
+        assert [type(v) for v in spec.to_dict().values()] == [float, float, float]
+        assert spec == validate_spec(0.05, 0.2, 0.05)
+        assert minimum_sample_size(spec).n == 577

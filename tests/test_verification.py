@@ -1,5 +1,6 @@
 """Tests for the exact binomial oracle, lemma scans, and experiments."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -372,6 +373,34 @@ class TestDominationExperiment:
             domination_experiment("quadratic_well", SPEC, points=2, seed=seed)
         with pytest.raises(DomainError, match="seed"):
             coverage_experiment(SPEC, [0.5], trials=10, seed=seed)
+
+    @staticmethod
+    def counting_model(monkeypatch, calls, fresh_value=None):
+        """quadratic_well recording each evaluate call's row count; on fresh
+        rows (writable, unlike the frozen scenarios) Y is ``fresh_value`` if given.
+        """
+        model = make_model("quadratic_well")
+
+        def evaluate(theta, rows):
+            calls.append(rows.shape[0])
+            ys = model.evaluate(theta, rows)
+            return ys if fresh_value is None or not rows.flags.writeable else np.full_like(ys, fresh_value)
+
+        counting = dataclasses.replace(model, evaluate=evaluate)
+        monkeypatch.setattr(verification, "make_model", lambda name: counting)
+
+    def test_one_model_evaluation_per_point_and_draw(self, monkeypatch):
+        expected = domination_experiment("quadratic_well", SPEC, points=4, seed=47)
+        calls = []
+        self.counting_model(monkeypatch, calls)
+        assert domination_experiment("quadratic_well", SPEC, points=4, seed=47) == expected
+        # the frozen scenarios' Y, whose moment is taken from them, then the fresh draw
+        assert calls == [577] * 8
+
+    def test_non_finite_fresh_y_rejected(self, monkeypatch):
+        self.counting_model(monkeypatch, [], fresh_value=math.nan)
+        with pytest.raises(DomainError, match="Y is not finite at scenario 0"):
+            domination_experiment("quadratic_well", SPEC, points=2, seed=47)
 
     def test_deterministic(self):
         a = domination_experiment("quadratic_well", SPEC, points=10, seed=47)
