@@ -90,6 +90,10 @@ class PerformanceModel:
     gradient_theta: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     sample_scenarios: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
+    def __post_init__(self):
+        for name in ("dim_theta", "dim_delta"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name, 1))
+
 
 def _make_affine(a: Sequence[float] = (1.0,), b: Sequence[float] = (-1.0,), c: float = 0.0) -> PerformanceModel:
     """Y = a . theta + b . delta + c, with standard normal delta components."""
@@ -244,7 +248,7 @@ class ScenarioSource:
     ):
         self.seed = _require_int(seed, "seed", 0)
         self._rng = _stream(self.seed, _CERTIFICATION)
-        self.dim_delta = int(dim_delta)
+        self.dim_delta = _require_int(dim_delta, "dim_delta", 1)
         self.draws_made = 0
         self._sampler = sampler
 
@@ -389,8 +393,8 @@ class OptimizationSettings:
     lambda_cap: float = 50.0
 
     def __post_init__(self):
-        if isinstance(self.theta0, (str, bytes)):
-            raise DomainError("theta0 must be a sequence of reals, not a string")
+        if isinstance(self.theta0, (str, bytes)) or not hasattr(self.theta0, "__iter__"):
+            raise DomainError(f"theta0 must be a sequence of reals, got {self.theta0!r}")
         object.__setattr__(self, "theta0", tuple(_require_real(t, "theta0") for t in self.theta0))
         # checked, not converted: the settings are echoed as given
         for name in ("nu0", "grad_tol", "lambda_cap"):

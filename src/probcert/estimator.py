@@ -16,18 +16,19 @@ offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
 would, but without a Python-level loop.  A 0/1 source (Bernoulli draws,
-failure indicators) may return its block as booleans: each row of such a
-block is counted in one integer reduction, and a count is exact.  Any other
-block is converted to float and goes through error-free extraction (Rump,
-Ogita & Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
-Comput. 31(1), 2008), which splits each row into a few partial sums whose
-numpy sums are exact and reduces the block in place against one reused
-scratch buffer, so no pass allocates a chunk-sized temporary.  ``fsum`` only
-adds the counts or partial sums.  Draws are taken at most ``_DRAW_CHUNK`` =
-16,384 values (128 KiB as float64) at a time: one planned estimate is one
-row, and a coverage experiment draws many trials' rows per block.  Memory
-therefore stays constant in the planned n, and because the accumulated sums
-are exact the chunk size never changes a certificate.
+failure indicators) may return its block as booleans, whose rows are counted
+in one integer reduction per block; a count is exact.  ``BernoulliSource``
+makes eight draws from each 64-bit generator word, one per byte lane, and
+settles a lane that ties with 256 p from a tie child of its stream, so a
+draw is 1 with a probability in [p, p + 2^-61).  Any other block is converted to float and goes
+through error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+summation, part I", SIAM J. Sci. Comput. 31(1), 2008), which splits each row
+into a few partial sums whose numpy sums are exact and reduces the block in
+place against one reused scratch buffer.  Draws are taken at most
+``_DRAW_CHUNK`` = 16,384 values (128 KiB as float64) at a time: one planned
+estimate is one row, and a coverage experiment draws many trials' rows per
+block.  Memory therefore stays constant in the planned n, and because the
+sums are exact the chunk size never changes a certificate.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ _BOUNDARY_NOTE = (
 _SCENARIOS, _CERTIFICATION, _BERNOULLI, _COVERAGE, _POINTS = range(5)  # reordering changes every stream
 
 
-def _stream(seed: int, role: int, index: int = 0) -> np.random.Generator:
+def _stream(seed: int, role: int, index: int = 0, *sub: int) -> np.random.Generator:
     """Child (role, index) of a nonnegative integer seed (numpy's too, not a
-    bool), as ``SeedSequence(seed).spawn`` makes it but without spawn state.
+    bool), or its descendant (role, index, *sub), as ``SeedSequence(seed).spawn``
+    makes them but without spawn state.
     """
     seed = _require_int(seed, "seed", 0)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, index)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, index, *sub)))
 
 
 def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
@@ -121,20 +123,38 @@ class SampleSource:
 
 
 class BernoulliSource(SampleSource):
-    """Bernoulli(p) draws as booleans, which the estimators count, from the
-    Bernoulli child of ``seed``.
+    """Bernoulli(p) draws as booleans, which the estimators count.
+
+    Each 64-bit word of the Bernoulli child of ``seed`` makes eight draws, one
+    per little-endian byte lane.  With cut = floor(256 p) and frac = 256 p - cut,
+    both exact, a lane below cut is a 1, one above it a 0, and one equal to cut
+    a 1 when ``random() < frac`` on the child's tie child, in draw order.  So
+    Pr{1} - p lies in [0, 2^-61).  Lanes left over from a word wait for the
+    next draw, so any split of the draws gives the same values.  The private
+    ``_key`` names another (role, index) child of ``seed``.
     """
 
-    def __init__(self, p: float, seed: int = 0):
+    def __init__(self, p: float, seed: int = 0, *, _key: tuple[int, int] = (_BERNOULLI, 0)):
         p = _require_real(p, "p")
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"p must be a number in [0, 1], got {p!r}")
-        self._rng = _stream(seed, _BERNOULLI)
+        self._rng = _stream(seed, *_key)
+        self._ties = _stream(seed, *_key, 1)
         super().__init__(seed)
         self.p = p
+        self._cut = math.floor(256.0 * p)
+        self._frac = 256.0 * p - self._cut
+        self._spare = np.empty(0, np.uint8)
 
     def _generate(self, k: int) -> np.ndarray:
-        return self._rng.random(k) < self.p
+        words = self._rng.bit_generator.random_raw(-((self._spare.size - k) // 8))
+        lanes = np.concatenate((self._spare, words.astype("<u8", copy=False).view(np.uint8)))
+        lanes, self._spare = lanes[:k], lanes[k:].copy()
+        ones = lanes < self._cut
+        if self._frac:  # otherwise every tie is a 0, as lanes < cut has it
+            ties = np.flatnonzero(lanes == self._cut)
+            ones[ties] = self._ties.random(ties.size) < self._frac
+        return ones
 
 
 @dataclass(frozen=True)
@@ -169,17 +189,17 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     one chunk of a row when n exceeds ``_DRAW_CHUNK``, so the stream is
     consumed in order and no block exceeds ``_DRAW_CHUNK`` values.
 
-    A boolean block is counted row by row.  A count is an integer below
-    2^53, so ``fsum`` of a row's counts equals ``fsum`` of its 0.0/1.0
-    values.  A float block is extracted: each pass rounds every remainder r
-    of the block to q = (r + sigma) - sigma, a multiple of ulp(sigma) / 2
+    A boolean block adds its rows' counts to one int64 array in one reduction
+    (``count_nonzero`` for one row).  A count is an integer below 2^53, so as
+    a float it is ``fsum`` of its 0.0/1.0 values.  A float block is
+    extracted: each pass rounds every remainder r of the block to q = (r + sigma) - sigma, a multiple of ulp(sigma) / 2
     with |q| <= 2^e, where max|r| < 2^e over the block and sigma = 2^(e + k)
     with 2^k > m + 1 for rows of m values.  Every partial sum of a row's q's
     is then below 2^(e + k) on that grid, so its numpy sum is exact in any
     order, and r - q is exact too.  Each pass removes 53 - k bits, until
     every remainder is zero, and writes q into one scratch buffer and r - q
     over the block, so no pass allocates.  ``fsum`` then rounds each row's
-    few partial sums (or counts) once.  A value that is not finite or
+    few partial sums and its count once.  A value that is not finite or
     exceeds 2^900 in magnitude, where sigma could overflow, stops the kernel
     with None; values in [0, 1] never do.
     """
@@ -189,16 +209,18 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     sums: list[float] = []
     for first in range(0, rows, per_block):
         b = min(per_block, rows - first)
+        counts = np.zeros(b, np.int64)
         # Python numbers, not arrays: a row split over many chunks keeps a part per chunk
-        parts: list[list[float]] = [[] for _ in range(b)]
+        parts: Optional[list[list[float]]] = None
         for start in range(0, n, width):
             m = min(width, n - start)
             r = take(b * m).reshape(b, m)
             if r.dtype == bool:
                 # a block row holds at most _DRAW_CHUNK values: int32 counts them
-                for row, count in zip(parts, r.sum(axis=1, dtype=np.int32).tolist()):
-                    row.append(count)
+                counts += np.count_nonzero(r) if b == 1 else r.sum(axis=1, dtype=np.int32)
                 continue
+            if parts is None:
+                parts = [[] for _ in range(b)]
             q = scratch[: b * m].reshape(b, m)
             k = (m + 1).bit_length()
             top = float(np.abs(r, out=q).max())
@@ -212,7 +234,10 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
                     row.append(total)
                 r -= q
                 top = float(np.abs(r, out=q).max())
-        sums += [math.fsum(row) for row in parts]
+        if parts is None:  # a count is below 2^53, so it is its own exact float
+            sums += counts.astype(float).tolist()
+        else:
+            sums += [math.fsum([*row, count]) for row, count in zip(parts, counts.tolist())]
     return sums
 
 

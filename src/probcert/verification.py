@@ -279,22 +279,21 @@ def coverage_experiment(
 
     For each mu, runs `trials` independent planned estimates and counts
     failures of the mixed criterion (both disjuncts evaluated separately).
-    The trials of mu number i are drawn in blocks from coverage child i of
-    ``seed``, consumed in the same order as `trials` sequential
-    ``estimate_with_plan`` calls on a source of that stream, so each trial's
-    estimate is bit-identical to theirs.  Passes when every empirical
-    failure rate is within three binomial standard errors above delta.  Use
-    trials >= 1000 for meaningful slack.
+    The trials of mu number i are drawn in blocks from a Bernoulli source on
+    coverage child i of ``seed`` (its ties on that child's tie child), in the
+    order of `trials` sequential ``estimate_with_plan`` calls on that source,
+    so each trial's estimate is bit-identical to theirs.  Passes when every
+    empirical failure rate is within three binomial standard errors above
+    delta.  Use trials >= 1000 for meaningful slack.
     """
     trials = _require_int(trials, "trials", 1)
     mus = _mu_grid(mu_grid)
-    streams = [_stream(seed, _COVERAGE, index) for index in range(len(mus))]  # checks the seed
+    _require_int(seed, "seed", 0)
     threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
     n = minimum_sample_size(spec).n
     violations: list = []
-    for mu, stream in zip(mus, streams):
-        source = BernoulliSource(mu, seed)
-        source._rng = stream  # mean i's own child of the seed
+    for index, mu in enumerate(mus):
+        source = BernoulliSource(mu, seed, _key=(_COVERAGE, index))
         errors = np.abs(np.array(_row_sums(source.draw, trials, n)) / n - mu)
         failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
         rate = failures / trials

@@ -15,6 +15,7 @@ from probcert import (
     DomainError,
     OptimizationOutcome,
     OptimizationSettings,
+    PerformanceModel,
     ScenarioSet,
     ScenarioSource,
     certify_probability,
@@ -141,6 +142,17 @@ class TestModelRegistry:
         assert model.dim_theta == 2 and model.dim_delta == 3
         rows = model.sample_scenarios(np.random.default_rng(0), 7)
         assert rows.shape == (7, 3)
+
+    @pytest.mark.parametrize("field", ["dim_theta", "dim_delta"])
+    @pytest.mark.parametrize("bad", [True, 1.5, 0, "1"])
+    def test_model_dimensions_must_be_positive_integers(self, field, bad):
+        # a dim_delta of 1.5 was once truncated and certified on 1-column rows
+        dims = {"dim_theta": 1, "dim_delta": 1, field: bad}
+        with pytest.raises(DomainError, match=field):
+            PerformanceModel("m", evaluate=lambda theta, rows: rows[:, 0], **dims)
+        if field == "dim_delta":
+            with pytest.raises(DomainError, match=field):
+                ScenarioSource(make_model("quadratic_well").sample_scenarios, bad, seed=1)
 
     def test_per_row_model_rejected(self):
         # a model written for one row at a time answers a batch in the wrong shape
@@ -446,6 +458,8 @@ class TestMinimize:
             OptimizationSettings(theta0=(0.0,), max_iters=-1)
         with pytest.raises(DomainError):
             OptimizationSettings(theta0=(0.0,), lambda_cap=0.0)
+        with pytest.raises(DomainError, match="theta0"):  # a scalar, not a sequence
+            OptimizationSettings(theta0=0.5)
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(OptimizationSettings)][1:]

@@ -358,19 +358,24 @@ class TestBatchedTrials:
         sources = []
 
         class Recorded(BernoulliSource):
-            def __init__(self, p, seed=0):
-                super().__init__(p, seed)
+            def __init__(self, p, seed=0, **key):
+                super().__init__(p, seed, **key)
                 sources.append(self)
 
         monkeypatch.setattr(verification, "BernoulliSource", Recorded)
-        verification.coverage_experiment(SPEC_1755, [0.2, 0.6], trials=30, seed=5)
-        assert [(s.seed, s.draws_made) for s in sources] == [(5, 30 * 1755)] * 2
-        # mean i draws from coverage child i of the seed
-        children = [s._rng.bit_generator.seed_seq for s in sources]
-        assert [(c.entropy, c.spawn_key) for c in children] == [
-            (5, (estimator._COVERAGE, 0)),
-            (5, (estimator._COVERAGE, 1)),
-        ]
+        verification.coverage_experiment(SPEC_1755, [0.2, 0.6, 0.9], trials=30, seed=5)
+        assert [(s.seed, s.draws_made) for s in sources] == [(5, 30 * 1755)] * 3
+        # mean i takes its lanes from coverage child i of the seed, its ties from that child's child 1
+        streams = [(s._rng, s._ties) for s in sources]
+        assert [
+            [(g.bit_generator.seed_seq.entropy, g.bit_generator.seed_seq.spawn_key) for g in pair]
+            for pair in streams
+        ] == [[(5, (estimator._COVERAGE, i)), (5, (estimator._COVERAGE, i, 1))] for i in range(3)]
+        # no two means, and no mean and the seed's own Bernoulli source, share a stream
+        own = BernoulliSource(0.2, seed=5)
+        seqs = [g.bit_generator.seed_seq for pair in streams + [(own._rng, own._ties)] for g in pair]
+        heads = [np.random.default_rng(seq).bit_generator.random_raw(8) for seq in seqs]
+        assert len({int(x) for head in heads for x in head}) == 8 * len(seqs)
 
 
 class FloatBernoulliSource(BernoulliSource):
@@ -402,7 +407,7 @@ class TestCountedDraws:
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_bernoulli_matches_float_twin(self, monkeypatch, chunk):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
-        for p in (0.0, 0.3, 1.0):
+        for p in (0.0, 2.0**-9, 0.3, 0.5, 1.0):
             for spec in specs_for(chunk):
                 counted, twin = BernoulliSource(p, seed=4), FloatBernoulliSource(p, seed=4)
                 assert estimate_with_plan(counted, spec) == estimate_with_plan(twin, spec)
@@ -425,6 +430,22 @@ class TestCountedDraws:
             counted = certify_probability(model, theta, spec, ScenarioSource.from_model(model, 44))
             twin = FloatIndicatorSource(model, theta, ScenarioSource.from_model(model, 44))
             assert counted == estimate_with_plan(twin, spec)
+
+    @pytest.mark.parametrize("chunk", (7, 577))
+    def test_row_of_boolean_and_float_blocks_sums_exactly(self, monkeypatch, chunk):
+        # a row spans several blocks here, so one row has both a count and partial sums
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        taken = []
+
+        def take(k):  # boolean and float blocks by turns
+            block = rng.random(k) < 0.5 if len(taken) % 2 else rng.random(k)
+            taken.append(block.astype(float))
+            return block
+
+        sums = estimator._row_sums(take, 3, 1755)
+        rows = np.concatenate(taken).reshape(3, 1755)
+        assert sums == [math.fsum(row) for row in rows.tolist()]
 
     def test_short_boolean_block_exhausts(self):
         class Short(SampleSource):
@@ -453,6 +474,60 @@ class TestCountedDraws:
         with pytest.raises(SampleValueError) as exc_info:
             Integers([0, 2, 1]).draw(3)
         assert exc_info.value.index == 1
+
+
+class TestLaneSampler:
+    """BernoulliSource reads eight draws from each 64-bit word: a byte lane
+    below cut = floor(256 p) is a 1, above it a 0, and a lane equal to cut is
+    a 1 when its tie stream's next ``random()`` is below 256 p - cut."""
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-9, 3 / 256, 0.3, 1 - 2.0**-53, 1.0])
+    def test_probability_of_a_one_exceeds_p_by_less_than_2_to_the_minus_61(self, p):
+        source = BernoulliSource(p)
+        cut, frac = source._cut, Fraction(source._frac)
+        assert cut + frac == 256 * Fraction(p)  # both exact
+        # a lane is uniform on 0..255 and random() on the multiples of 2^-53 in [0, 1)
+        law = (cut + Fraction(math.ceil(frac * 2**53), 2**53)) / 256
+        assert 0 <= law - Fraction(p) < Fraction(1, 2**61)
+        if p in (0.0, 1.0):
+            assert law == p
+
+    @pytest.mark.parametrize("p", [3 / 256, 0.3, 0.5])
+    def test_any_split_gives_the_same_draws(self, p):
+        total, sizes = 20_000, (1, 7, 577, 3, 16_384)
+        whole_source = BernoulliSource(p, seed=7)
+        whole = whole_source.draw(total)
+        splits = [sizes + (total - sum(sizes),)]
+        splits += [[min(chunk, total - start) for start in range(0, total, chunk)] for chunk in CHUNKS]
+        for split in splits:
+            source = BernoulliSource(p, seed=7)
+            np.testing.assert_array_equal(np.concatenate([source.draw(k) for k in split]), whole)
+            # the same words and the same ties were consumed
+            for mine, theirs in ((source._rng, whole_source._rng), (source._ties, whole_source._ties)):
+                assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 8, 577, 16_385])
+    @pytest.mark.parametrize("p", [2.0**-9, 3 / 256, 0.3])
+    def test_n_draws_read_the_lanes_of_ceil_n_over_8_words(self, n, p):
+        source = BernoulliSource(p, seed=3)
+        ones = source.draw(n)
+        words = estimator._stream(3, estimator._BERNOULLI)
+        lanes = words.bit_generator.random_raw(-(-n // 8)).astype("<u8").view(np.uint8)[:n]
+        assert source._rng.bit_generator.state == words.bit_generator.state
+        cut = math.floor(256 * p)
+        frac = 256 * p - cut
+        np.testing.assert_array_equal(ones[lanes != cut], lanes[lanes != cut] < cut)
+        # ties take the tie stream in draw order; when frac is 0 they are 0s and take nothing
+        ties = estimator._stream(3, estimator._BERNOULLI, 0, 1)
+        tied = ones[lanes == cut]
+        np.testing.assert_array_equal(tied, ties.random(tied.size) < frac if frac else False)
+        assert source._ties.bit_generator.state == ties.bit_generator.state
+
+    @pytest.mark.parametrize("p", [1e-6, 0.3, 0.999])
+    def test_count_of_ones_within_five_sigma(self, p):
+        n = 20_000_000
+        count = estimator._row_sums(BernoulliSource(p, seed=12).draw, 1, n)[0]
+        assert abs(count - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
 ROLES = (
@@ -487,8 +562,10 @@ class TestStreams:
             assert not np.any(frozen == fresh)
 
     def test_bernoulli_source_draws_from_its_role(self):
-        child = BernoulliSource(0.3, seed=4)._rng.bit_generator.seed_seq
-        assert (child.entropy, child.spawn_key) == (4, (estimator._BERNOULLI, 0))
+        source = BernoulliSource(0.3, seed=4)
+        lanes, ties = (g.bit_generator.seed_seq for g in (source._rng, source._ties))
+        assert (lanes.entropy, lanes.spawn_key) == (4, (estimator._BERNOULLI, 0))
+        assert (ties.entropy, ties.spawn_key) == (4, (estimator._BERNOULLI, 0, 1))
 
     @pytest.mark.parametrize("seed", [-1, True, False, 2.5, "3", None, np.int64(-2), math.nan])
     def test_bad_seed_rejected(self, seed):
