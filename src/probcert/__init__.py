@@ -25,7 +25,6 @@ from .tail_bounds import (
     SamplePlan,
     achieved_confidence,
     hoeffding_exponent,
-    hoeffding_exponent_dmu,
     lower_tail_bound,
     minimum_sample_size,
     upper_tail_bound,
@@ -37,10 +36,8 @@ from .estimator import (
     SampleSource,
     estimate_from_batch,
     estimate_with_plan,
-    stable_mean,
 )
 from .chernoff_opt import (
-    MODEL_REGISTRY,
     ChernoffObjective,
     OptimizationOutcome,
     OptimizationSettings,
@@ -76,7 +73,6 @@ __all__ = [
     "ErrorSpec",
     "SamplePlan",
     "hoeffding_exponent",
-    "hoeffding_exponent_dmu",
     "upper_tail_bound",
     "lower_tail_bound",
     "minimum_sample_size",
@@ -87,14 +83,12 @@ __all__ = [
     "Certificate",
     "estimate_with_plan",
     "estimate_from_batch",
-    "stable_mean",
     "ScenarioSet",
     "ScenarioSource",
     "PerformanceModel",
     "ChernoffObjective",
     "OptimizationSettings",
     "OptimizationOutcome",
-    "MODEL_REGISTRY",
     "make_model",
     "empirical_moment",
     "empirical_moment_gradient",

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .estimator import Certificate, SampleSource, _exact_sums, estimate_with_plan, stable_mean
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
-from .tail_bounds import ErrorSpec, _require_int, _require_real, minimum_sample_size
+from .tail_bounds import ErrorSpec, _require_int, _require_real
 
 __all__ = [
     "ScenarioSet",
@@ -49,7 +49,6 @@ __all__ = [
     "ChernoffObjective",
     "OptimizationSettings",
     "OptimizationOutcome",
-    "MODEL_REGISTRY",
     "make_model",
     "empirical_moment",
     "empirical_moment_gradient",
@@ -99,6 +98,8 @@ def _make_affine(a: Sequence[float] = (1.0,), b: Sequence[float] = (-1.0,), c: f
     """Y = a . theta + b . delta + c, with standard normal delta components."""
     a_vec = np.asarray(a, dtype=float)
     b_vec = np.asarray(b, dtype=float)
+    if a_vec.ndim != 1 or b_vec.ndim != 1:
+        raise ValueError(f"a and b must be flat lists of numbers, got {a!r} and {b!r}")
     c_val = float(c)
 
     def evaluate(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -115,8 +116,8 @@ def _make_affine(a: Sequence[float] = (1.0,), b: Sequence[float] = (-1.0,), c: f
 
 def _make_quadratic_well(sigma: float = 0.5) -> PerformanceModel:
     """Y = 1 - (theta_1 - delta_1)^2, with delta ~ Normal(0, sigma^2)."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     s = float(sigma)
 
     def evaluate(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -162,11 +163,11 @@ def make_model(name: str, **params) -> PerformanceModel:
             "model",
             f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}",
         ) from None
-    for key, value in params.items():
-        # float(True) is 1.0, so a boolean would pass for a number
-        if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
-            raise ConfigError("model_params", f"{key} must be a number, got {value!r}")
     try:
+        for key, value in params.items():
+            # float(True) is 1.0 and float("3") is 3.0: neither may pass for a number
+            for v in np.asarray(value, dtype=object).ravel():
+                _require_real(v, key)
         return factory(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model_params", str(exc)) from None
@@ -200,8 +201,7 @@ class ScenarioSet:
     def from_model(cls, model: PerformanceModel, n: int, seed: int) -> "ScenarioSet":
         """n rows of the model's Delta, from the scenario child of ``seed``."""
         n = _require_int(n, "scenario count", 1)
-        rows = _draw_rows(_scenario_sampler(model), model.dim_delta, _stream(seed, _SCENARIOS), n)
-        return cls(scenarios=rows, seed=seed)
+        return cls(ScenarioSource(model, seed, _role=_SCENARIOS).draw(n), seed)
 
     @classmethod
     def from_array(cls, rows: np.ndarray, seed: int = 0) -> "ScenarioSet":
@@ -222,43 +222,32 @@ class ScenarioSet:
         return cls(scenarios=rows, seed=seed)
 
 
-def _scenario_sampler(model: PerformanceModel):
-    if model.sample_scenarios is None:
-        raise DomainError(f"model {model.name!r} has no scenario sampler")
-    return model.sample_scenarios
-
-
-def _draw_rows(sampler, dim_delta: int, rng: np.random.Generator, k: int) -> np.ndarray:
-    rows = np.asarray(sampler(rng, k), dtype=float)
-    if rows.shape != (k, dim_delta):
-        raise DomainError(f"scenario sampler returned shape {rows.shape}, expected {(k, dim_delta)}")
-    return rows
-
-
 class ScenarioSource:
-    """Fresh scenario rows for certification, from the certification child of
-    ``seed``: never rows that ``ScenarioSet.from_model`` freezes for any seed.
+    """Fresh rows of a model's Delta from one child of ``seed``, through the
+    model's sampler; ``draws_made`` counts them.  The default is the
+    certification child, never rows that ``ScenarioSet.from_model`` freezes
+    (the scenario child, the private ``_role``) for any seed.  Rows of Delta
+    are not [0, 1] values, so this is not a ``SampleSource``.
     """
 
-    def __init__(
-        self,
-        sampler: Callable[[np.random.Generator, int], np.ndarray],
-        dim_delta: int,
-        seed: int,
-    ):
+    def __init__(self, model: PerformanceModel, seed: int, *, _role: int = _CERTIFICATION):
         self.seed = _require_int(seed, "seed", 0)
-        self._rng = _stream(self.seed, _CERTIFICATION)
-        self.dim_delta = _require_int(dim_delta, "dim_delta", 1)
+        if model.sample_scenarios is None:
+            raise DomainError(f"model {model.name!r} has no scenario sampler")
+        self._rng = _stream(self.seed, _role)
+        self._model = model
         self.draws_made = 0
-        self._sampler = sampler
 
     @classmethod
     def from_model(cls, model: PerformanceModel, seed: int) -> "ScenarioSource":
-        return cls(_scenario_sampler(model), model.dim_delta, seed)
+        return cls(model, seed)
 
     def draw(self, k: int) -> np.ndarray:
         k = _require_int(k, "draw count", 0)
-        rows = _draw_rows(self._sampler, self.dim_delta, self._rng, k)
+        rows = np.asarray(self._model.sample_scenarios(self._rng, k), dtype=float)
+        expected = (k, self._model.dim_delta)
+        if rows.shape != expected:
+            raise DomainError(f"scenario sampler returned shape {rows.shape}, expected {expected}")
         self.draws_made += k
         return rows
 
@@ -564,22 +553,16 @@ def optimize_probability(
     settings: OptimizationSettings,
     *,
     seed: int,
-    n_scenarios: Optional[int] = None,
-    scenario_spec: Optional[ErrorSpec] = None,
+    n_scenarios: int,
     certify_spec: Optional[ErrorSpec] = None,
 ) -> OptimizationOutcome:
-    """End-to-end pipeline: freeze scenarios, minimize, certify on fresh draws.
+    """End-to-end pipeline: freeze ``n_scenarios`` scenarios, minimize,
+    certify on fresh draws.
 
-    Exactly one of n_scenarios / scenario_spec selects the scenario count.
-    ``minimum_sample_size(scenario_spec).n`` is a sizing heuristic only: the
-    plan assumes [0, 1] summands, and exp(-lambda Y) > 1 wherever Y < 0.  The
-    guarantee on theta comes from certification on the certification child of
-    ``seed``, a stream distinct from every seed's scenario child.
+    The guarantee on theta comes from certification on the certification
+    child of ``seed``, a stream distinct from every seed's scenario child.
     """
-    if (n_scenarios is None) == (scenario_spec is None):
-        raise DomainError("exactly one of n_scenarios and scenario_spec is required")
-    n = n_scenarios if n_scenarios is not None else minimum_sample_size(scenario_spec).n
-    scenario_set = ScenarioSet.from_model(model, n, seed)
+    scenario_set = ScenarioSet.from_model(model, n_scenarios, seed)
     outcome = minimize(ChernoffObjective(model, scenario_set), settings)
     if certify_spec is not None:
         source = ScenarioSource.from_model(model, seed)

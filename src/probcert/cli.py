@@ -15,11 +15,9 @@ import sys
 from dataclasses import fields
 from typing import Optional
 
-import numpy as np
-
 from .chernoff_opt import OptimizationSettings, make_model, optimize_probability
 from .errors import ConfigError, DomainError, ProbcertError, SampleValueError
-from .estimator import _check_unit_interval, estimate_from_batch
+from .estimator import estimate_from_batch
 from .tail_bounds import achieved_confidence, minimum_sample_size, validate_spec
 from .verification import (
     GridSpec,
@@ -32,6 +30,7 @@ from .verification import (
 DEFAULT_SEED = 1729
 
 _VERIFY_SUITES = ("lemmas", "lemma56", "coverage", "domination", "all")
+_RUN_FIELDS = ("model", "model_params", "seed", "n_scenarios", "settings", "certify_spec")
 
 
 class _UsageError(ProbcertError, ValueError):
@@ -137,7 +136,8 @@ def _cmd_confidence(args) -> int:
     return 0
 
 
-def _read_sample_file(path: str) -> np.ndarray:
+def _read_sample_file(path: str) -> tuple[list[float], list[int]]:
+    """The decimal values of a sample file, and the line number of each."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -155,17 +155,15 @@ def _read_sample_file(path: str) -> np.ndarray:
         linenos.append(lineno)
     if not values:
         raise DomainError(f"no sample values in {path!r}")
-    arr = np.array(values)
-    try:
-        _check_unit_interval(arr)
-    except SampleValueError as exc:
-        raise DomainError(f"line {linenos[exc.index]}: value {exc.value!r} outside [0, 1]") from None
-    return arr
+    return values, linenos
 
 
 def _cmd_estimate(args) -> int:
-    values = _read_sample_file(args.input)
-    cert = estimate_from_batch(values, args.eps_a, args.eps_r)
+    values, linenos = _read_sample_file(args.input)
+    try:
+        cert = estimate_from_batch(values, args.eps_a, args.eps_r)
+    except SampleValueError as exc:
+        raise DomainError(f"line {linenos[exc.index]}: value {exc.value!r} outside [0, 1]") from None
     payload = cert.to_dict()
     human = (
         f"mu_hat = {cert.mu_hat:.12g} from n = {cert.n} samples; "
@@ -188,6 +186,13 @@ def _require(cfg: dict, field: str, kind=object, where: str = ""):
     if not isinstance(value, kind):
         raise ConfigError(label, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _check_fields(cfg: dict, known, where: str = "") -> None:
+    """Reject the first key of cfg, in sorted order, that ``known`` lacks."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}", "unknown field")
 
 
 def _parse_spec_block(block: dict, where: str):
@@ -215,23 +220,18 @@ def _load_run_config(path: str) -> dict:
 
 def _cmd_optimize(args) -> int:
     cfg = _load_run_config(args.config)
+    _check_fields(cfg, _RUN_FIELDS)
 
     model_name = _require(cfg, "model", str)
     model_params = _require(cfg, "model_params", dict) if "model_params" in cfg else {}
     model = make_model(model_name, **model_params)
 
     seed = cfg.get("seed", DEFAULT_SEED)
-
-    if ("n_scenarios" in cfg) == ("spec" in cfg):
-        raise ConfigError("n_scenarios", "exactly one of n_scenarios and spec is required")
-    n_scenarios = cfg.get("n_scenarios")
-    scenario_spec = None if "spec" not in cfg else _parse_spec_block(_require(cfg, "spec", dict), "spec")
+    n_scenarios = _require(cfg, "n_scenarios")
 
     settings_cfg = _require(cfg, "settings", dict)
     theta0 = _require(settings_cfg, "theta0", list, where="settings.")
-    unknown = set(settings_cfg) - {f.name for f in fields(OptimizationSettings)}
-    if unknown:
-        raise ConfigError(f"settings.{sorted(unknown)[0]}", "unknown field")
+    _check_fields(settings_cfg, [f.name for f in fields(OptimizationSettings)], "settings.")
     try:
         settings = OptimizationSettings(**{**settings_cfg, "theta0": tuple(theta0)})
     except DomainError as exc:
@@ -248,7 +248,6 @@ def _cmd_optimize(args) -> int:
         settings,
         seed=seed,
         n_scenarios=n_scenarios,
-        scenario_spec=scenario_spec,
         certify_spec=certify_spec,
     )
 
@@ -257,8 +256,7 @@ def _cmd_optimize(args) -> int:
             "model": model_name,
             "model_params": model_params,
             "seed": seed,
-            "n_scenarios": n_scenarios if scenario_spec is None else minimum_sample_size(scenario_spec).n,
-            "scenario_spec": None if scenario_spec is None else scenario_spec.to_dict(),
+            "n_scenarios": n_scenarios,
             "certify_spec": None if certify_spec is None else certify_spec.to_dict(),
             "settings": settings.to_dict(),
         },

@@ -48,7 +48,6 @@ __all__ = [
     "Certificate",
     "estimate_with_plan",
     "estimate_from_batch",
-    "stable_mean",
 ]
 
 # Draws are taken at most this many values at a time (128 KiB of float64).
@@ -110,14 +109,14 @@ class SampleSource:
         """
         k = _require_int(k, "draw count", 0)
         values = np.asarray(self._generate(k))
-        if values.dtype != bool:
-            values = values.astype(float, copy=False)
         if values.shape != (k,):
             raise SourceExhaustedError(
                 f"source produced {values.shape[0] if values.ndim else 0} of "
                 f"{k} requested values"
             )
-        _check_unit_interval(values, self.draws_made)
+        if values.dtype != bool:  # a boolean cannot leave [0, 1]
+            values = values.astype(float, copy=False)
+            _check_unit_interval(values, self.draws_made)
         self.draws_made += k
         return values
 

@@ -10,11 +10,11 @@ means of [0, 1]-bounded i.i.d. samples:  Pr{mean >= mu + eps} <= exp(n g(eps, mu
 and Pr{mean <= mu - eps} <= exp(n g(-eps, mu)).
 
 g and its mu-derivative are written once (``_g``, ``_dg``), with the log1p
-they use as an argument.  Plans call them with ``math.log1p`` behind the
+they use as an argument.  Plans call ``_g`` with ``math.log1p`` behind the
 validated scalar functions, because acceptance pins the exact n and numpy's
 log1p differs from it in the last bit at some points.  The lemma scans in
-``verification`` call them with ``np.log1p`` on whole grids, whose strict
-checks carry a 1e-12 margin.
+``verification`` call both with ``np.log1p`` on whole grids, whose strict
+checks carry a 1e-12 margin; ``_dg`` has no other caller.
 
 On top of it sits the mixed absolute/relative error criterion: an estimate
 mu_hat is acceptable when |mu_hat - mu| < eps_a OR |mu_hat - mu| < eps_r * mu.
@@ -38,7 +38,6 @@ __all__ = [
     "ErrorSpec",
     "SamplePlan",
     "hoeffding_exponent",
-    "hoeffding_exponent_dmu",
     "upper_tail_bound",
     "lower_tail_bound",
     "minimum_sample_size",
@@ -152,35 +151,19 @@ def _dg(eps, mu, log1p):
     return -log1p(eps / mu) + log1p(-eps / (1.0 - mu)) + eps / mu + eps / (1.0 - mu)
 
 
-def _check_exponent_domain(eps: float, mu: float) -> None:
-    if not 0.0 < mu < 1.0:
-        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
-    if not 0.0 < mu + eps < 1.0:
-        raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
-
-
 def hoeffding_exponent(eps: float, mu: float) -> float:
     """Evaluate g(eps, mu) for signed eps.
 
     Requires mu in (0, 1) and mu + eps in (0, 1).  Returns 0 at eps = 0
     (continuous extension) and a strictly negative value otherwise.
     """
-    _check_exponent_domain(eps, mu)
+    if not 0.0 < mu < 1.0:
+        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
+    if not 0.0 < mu + eps < 1.0:
+        raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
     if eps == 0.0:
         return 0.0
     return _g(eps, mu, math.log1p)
-
-
-def hoeffding_exponent_dmu(eps: float, mu: float) -> float:
-    """Partial derivative of g with respect to mu, for signed eps.
-
-    d g(eps, mu) / d mu = ln[mu (1-mu-eps) / ((mu+eps)(1-mu))] + eps/mu + eps/(1-mu).
-
-    Substituting eps -> -eps reproduces the matching formula for g(-eps, mu),
-    so a single signed-eps implementation covers both branches.
-    """
-    _check_exponent_domain(eps, mu)
-    return _dg(eps, mu, math.log1p)
 
 
 def upper_tail_bound(n: int, eps: float, mu: float) -> float:

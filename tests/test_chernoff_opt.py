@@ -19,6 +19,7 @@ from probcert import (
     ScenarioSet,
     ScenarioSource,
     certify_probability,
+    chernoff_opt,
     empirical_moment,
     empirical_moment_gradient,
     estimator,
@@ -111,6 +112,18 @@ class TestScenarioSet:
         )
         with pytest.raises(DomainError, match="shape"):
             ScenarioSet.from_model(flat, 5, seed=1)
+        with pytest.raises(DomainError, match=r"returned shape \(5,\), expected \(5, 1\)"):
+            ScenarioSource.from_model(flat, 1).draw(5)
+
+    def test_model_without_sampler_rejected(self):
+        # frozen and certification rows come from one stream type with one check
+        bare = dataclasses.replace(make_model("uniform_gap"), sample_scenarios=None)
+        messages = set()
+        for make in (lambda: ScenarioSet.from_model(bare, 5, seed=1), lambda: ScenarioSource.from_model(bare, 1)):
+            with pytest.raises(DomainError, match="no scenario sampler") as info:
+                make()
+            messages.add(str(info.value))
+        assert messages == {"model 'uniform_gap' has no scenario sampler"}
 
     def test_from_model_and_scenario_source_draw_distinct_children(self):
         # frozen scenarios and certification draws of one seed are different
@@ -126,7 +139,7 @@ class TestScenarioSet:
 class TestModelRegistry:
     def test_registry_names(self):
         assert {"affine", "quadratic_well", "uniform_gap"} <= set(
-            __import__("probcert").MODEL_REGISTRY
+            chernoff_opt.MODEL_REGISTRY
         )
 
     def test_unknown_model(self):
@@ -150,9 +163,6 @@ class TestModelRegistry:
         dims = {"dim_theta": 1, "dim_delta": 1, field: bad}
         with pytest.raises(DomainError, match=field):
             PerformanceModel("m", evaluate=lambda theta, rows: rows[:, 0], **dims)
-        if field == "dim_delta":
-            with pytest.raises(DomainError, match=field):
-                ScenarioSource(make_model("quadratic_well").sample_scenarios, bad, seed=1)
 
     def test_per_row_model_rejected(self):
         # a model written for one row at a time answers a batch in the wrong shape
@@ -432,6 +442,15 @@ class TestMinimize:
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         # all Y >= 0 keeps the objective in (0, 1]
         assert 0.0 < trace[-1] <= 1.0
+
+    def test_scenario_count_is_given(self):
+        # no plan sizes the scenario set: it assumes [0, 1] summands, and
+        # exp(-lambda Y) exceeds 1 wherever Y < 0
+        model, settings = make_model("quadratic_well"), OptimizationSettings(theta0=(0.5,))
+        with pytest.raises(TypeError, match="n_scenarios"):
+            optimize_probability(model, settings, seed=1)
+        with pytest.raises(TypeError, match="scenario_spec"):
+            optimize_probability(model, settings, seed=1, n_scenarios=10, scenario_spec=SPEC)
 
     def test_reproducibility(self):
         settings = OptimizationSettings(theta0=(0.5,), max_iters=300)

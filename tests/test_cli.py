@@ -153,6 +153,9 @@ class TestOptimize:
         assert abs(outcome.theta_star[0]) <= 0.15
         assert outcome.certificate is not None
         assert payload["run"]["n_scenarios"] == 1000
+        assert list(payload["run"]) == [
+            "model", "model_params", "seed", "n_scenarios", "certify_spec", "settings",
+        ]
 
     def test_zero_iterations_echoes_start(self, capsys, tmp_path):
         path = write_config(
@@ -231,11 +234,18 @@ class TestOptimize:
             ({"certify_spec": {"eps_a": 0.6, "eps_r": 0.2, "delta": 0.05}}, "certify_spec: eps_a/eps_r"),
             ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2}}, "certify_spec.delta"),
             ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": True}}, "certify_spec: delta must be a number"),
+            ({"model": "affine", "model_params": {"c": "3"}}, "model_params: c must be a number, got '3'"),
+            ({"model": "affine", "model_params": {"a": [[1.0], [2.0]]}}, "model_params: a and b must be flat lists"),
+            ({"model_params": {"sigma": 1e400}}, "model_params: sigma must be positive and finite, got inf"),
+            # every top-level key is known: no plan sizes the scenarios, and no typo runs on a default
+            ({"spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": 0.05}}, "spec: unknown field"),
+            ({"sede": 7}, "sede: unknown field"),
         ],
         ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
              "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
              "string_grad_tol", "null_lambda_cap", "string_certify_eps_a",
-             "certify_spec_out_of_range", "certify_spec_missing_delta", "boolean_certify_delta"],
+             "certify_spec_out_of_range", "certify_spec_missing_delta", "boolean_certify_delta",
+             "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)
@@ -256,17 +266,20 @@ class TestOptimize:
         assert payload["run"]["settings"] == json.loads(block)["settings"]
         assert payload["outcome"]["termination"] == "gradient_tol"
 
-    def test_spec_sizing_recorded(self, capsys, tmp_path):
+    def test_spec_sizing_rejected(self, capsys, tmp_path):
+        # the mixed-criterion plan assumes [0, 1] summands, and exp(-lambda Y)
+        # exceeds 1 wherever Y < 0: a "spec" block no longer sizes the scenarios
         cfg_path = write_config(tmp_path)
         cfg = json.loads(cfg_path.read_text())
         del cfg["n_scenarios"]
         cfg["spec"] = {"eps_a": 0.05, "eps_r": 0.2, "delta": 0.05}
-        cfg["settings"]["max_iters"] = 50
         cfg_path.write_text(json.dumps(cfg))
-        code, out, _ = run_cli(capsys, "optimize", "--config", str(cfg_path), "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["run"]["n_scenarios"] == 577
+        code, out, err = run_cli(capsys, "optimize", "--config", str(cfg_path), "--json")
+        assert (code, out, err) == (1, "", "error: spec: unknown field\n")
+        del cfg["spec"]
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "optimize", "--config", str(cfg_path), "--json")
+        assert (code, out, err) == (1, "", "error: n_scenarios: missing required field\n")
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         path = write_config(tmp_path)

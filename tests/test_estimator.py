@@ -27,10 +27,10 @@ from probcert import (
     hoeffding_exponent,
     make_model,
     minimum_sample_size,
-    stable_mean,
     validate_spec,
     verification,
 )
+from probcert.estimator import stable_mean
 from support import ConstantSource, SequenceSource
 
 # 50-digit oracle for the mean of 500000 copies each of float(1e-8) and 1.0
@@ -233,6 +233,18 @@ class TestEstimateWithPlan:
     def test_out_of_range_aborts(self):
         with pytest.raises(SampleValueError):
             estimate_with_plan(ConstantSource(-0.1), SPEC)
+
+    def test_boolean_blocks_skip_the_range_check(self, monkeypatch):
+        # a boolean cannot leave [0, 1]: only float blocks are range-checked
+        expected = estimate_with_plan(BernoulliSource(0.3, seed=4), SPEC)
+
+        def refuse(values, offset=0):
+            raise AssertionError(f"range check on a {values.dtype} block")
+
+        monkeypatch.setattr(estimator, "_check_unit_interval", refuse)
+        assert estimate_with_plan(BernoulliSource(0.3, seed=4), SPEC) == expected
+        with pytest.raises(AssertionError, match="float64 block"):
+            estimate_with_plan(ConstantSource(0.3), SPEC)
 
     def test_boundary_mean_notes_open_interval(self):
         cert = estimate_with_plan(ConstantSource(0.0), SPEC)
