@@ -10,97 +10,25 @@ The package answers two questions about a [0, 1]-bounded random quantity:
 
 See ``probcert.verification`` for the executable evidence behind the bounds
 and ``probcert.cli`` for the command-line surface.
+
+The public names are those in each module's ``__all__``; a name is made
+public by adding it there, and nowhere else.
 """
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    InvalidSpecError,
-    ProbcertError,
-    SampleValueError,
-    SourceExhaustedError,
-)
-from .tail_bounds import (
-    ErrorSpec,
-    SamplePlan,
-    achieved_confidence,
-    hoeffding_exponent,
-    lower_tail_bound,
-    minimum_sample_size,
-    upper_tail_bound,
-    validate_spec,
-)
-from .estimator import (
-    BernoulliSource,
-    Certificate,
-    SampleSource,
-    estimate_from_batch,
-    estimate_with_plan,
-)
-from .chernoff_opt import (
-    ChernoffObjective,
-    OptimizationOutcome,
-    OptimizationSettings,
-    PerformanceModel,
-    ScenarioSet,
-    ScenarioSource,
-    certify_probability,
-    empirical_moment,
-    empirical_moment_gradient,
-    make_model,
-    minimize,
-    optimize_probability,
-)
-from .verification import (
-    GridSpec,
-    ScanReport,
-    binomial_tail_exact,
-    coverage_experiment,
-    domination_experiment,
-    lemma56_check,
-    lemma_scan,
-)
+from . import errors, tail_bounds, estimator, chernoff_opt, verification
+from .errors import *
+from .tail_bounds import *
+from .estimator import *
+from .chernoff_opt import *
+from .verification import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProbcertError",
-    "DomainError",
-    "InvalidSpecError",
-    "SampleValueError",
-    "SourceExhaustedError",
-    "ConfigError",
-    "ErrorSpec",
-    "SamplePlan",
-    "hoeffding_exponent",
-    "upper_tail_bound",
-    "lower_tail_bound",
-    "minimum_sample_size",
-    "achieved_confidence",
-    "validate_spec",
-    "SampleSource",
-    "BernoulliSource",
-    "Certificate",
-    "estimate_with_plan",
-    "estimate_from_batch",
-    "ScenarioSet",
-    "ScenarioSource",
-    "PerformanceModel",
-    "ChernoffObjective",
-    "OptimizationSettings",
-    "OptimizationOutcome",
-    "make_model",
-    "empirical_moment",
-    "empirical_moment_gradient",
-    "minimize",
-    "certify_probability",
-    "optimize_probability",
-    "GridSpec",
-    "ScanReport",
-    "binomial_tail_exact",
-    "lemma_scan",
-    "lemma56_check",
-    "coverage_experiment",
-    "domination_experiment",
+    *errors.__all__,
+    *tail_bounds.__all__,
+    *estimator.__all__,
+    *chernoff_opt.__all__,
+    *verification.__all__,
     "__version__",
 ]

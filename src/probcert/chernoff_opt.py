@@ -57,6 +57,7 @@ __all__ = [
     "optimize_probability",
 ]
 
+_Y_BOUND = 2.0**450  # Y * Y stays inside the exact kernel's 2^900 range
 _STEP_FLOOR = 1e-20  # the line search halves a unit first step down to this
 _ARMIJO_C = 1e-4
 _LAMBDA_RTOL = 1e-12  # the lambda solve ends at a step this small relative to lambda
@@ -273,17 +274,18 @@ class ChernoffObjective:
 
 
 def _evaluate(model: PerformanceModel, theta: np.ndarray, rows: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Y(theta, row) for each scenario row, checked to be one finite value
-    per row.  ``offset`` is added to the reported scenario index.
+    """Y(theta, row) for each scenario row, checked to be one value per row
+    with |Y| <= 2^450.  ``offset`` is added to the reported scenario index.
     """
     values = np.asarray(model.evaluate(theta, rows), dtype=float)
     if values.shape != (rows.shape[0],):
         raise DomainError(
             f"model {model.name!r} returned shape {values.shape} for {rows.shape[0]} scenarios"
         )
-    if not np.isfinite(values).all():
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise DomainError(f"Y is not finite at scenario {offset + i}: {float(values[i])!r}")
+    if not (values.max() <= _Y_BOUND and values.min() >= -_Y_BOUND):  # also false for nan
+        i = int(np.flatnonzero(~(np.abs(values) <= _Y_BOUND))[0])
+        problem = "|Y| exceeds 2**450" if math.isfinite(values[i]) else "Y is not finite"
+        raise DomainError(f"{problem} at scenario {offset + i}: {float(values[i])!r}")
     return values
 
 
@@ -520,8 +522,8 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
 
 class _IndicatorSource(SampleSource):
     """Adapts a scenario stream into the failure indicators 1{Y <= 0}, as
-    booleans that the estimator counts.  A Y that is not finite is an error,
-    never a survival.
+    booleans that the estimator counts.  A Y that ``_evaluate`` rejects (not
+    finite, or past 2^450) is an error, never a survival.
     """
 
     def __init__(self, model: PerformanceModel, theta: np.ndarray, scenarios: ScenarioSource):

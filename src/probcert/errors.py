@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ProbcertError",
+    "DomainError",
+    "InvalidSpecError",
+    "SampleValueError",
+    "SourceExhaustedError",
+    "ConfigError",
+]
+
 
 class ProbcertError(Exception):
     """Base class for all errors raised by this package."""

@@ -77,13 +77,6 @@ def _pair_violations(eps_a: float, eps_r: float) -> list[str]:
     return violations
 
 
-def _spec_violations(eps_a: float, eps_r: float, delta: float) -> list[str]:
-    violations = _pair_violations(eps_a, eps_r)
-    if not 0.0 < delta < 1.0:
-        violations.append(f"delta must lie in (0, 1), got {delta!r}")
-    return violations
-
-
 @dataclass(frozen=True)
 class ErrorSpec:
     """Parameters of the mixed error criterion.
@@ -103,7 +96,9 @@ class ErrorSpec:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _require_real(getattr(self, f.name), f.name))
-        violations = _spec_violations(self.eps_a, self.eps_r, self.delta)
+        violations = _pair_violations(self.eps_a, self.eps_r)
+        if not 0.0 < self.delta < 1.0:
+            violations.append(f"delta must lie in (0, 1), got {self.delta!r}")
         if violations:
             raise InvalidSpecError(violations)
 
@@ -161,8 +156,6 @@ def hoeffding_exponent(eps: float, mu: float) -> float:
         raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
     if not 0.0 < mu + eps < 1.0:
         raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
-    if eps == 0.0:
-        return 0.0
     return _g(eps, mu, math.log1p)
 
 
@@ -194,26 +187,23 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
                                 ln(1 - eps_a eps_r / (eps_r - eps_a)) ]
 
     whose denominator equals -eps_r * g(eps_a, eps_a/eps_r); the threshold is
-    therefore equivalent to 2 exp(n g(eps_a, eps_a/eps_r)) < delta.  The
-    candidate floor(rhs) + 1 is corrected against the exponential form so the
-    returned n satisfies the strict inequality exactly even when double
-    rounding of the ratio would flip the floor.
+    therefore equivalent to 2 exp(n g(eps_a, eps_a/eps_r)) < delta, and n is
+    computed from g directly: floor(ln(2/delta) / -g) + 1, corrected against
+    the exponential form so the returned n satisfies the strict inequality
+    exactly even when double rounding of the ratio would flip the floor.  An
+    exponent that rounds to 0 or a ratio of 2**53 or more, where m * g no
+    longer tells neighbouring counts m apart, is a DomainError.
     """
-    eps_a, eps_r, delta = spec.eps_a, spec.eps_r, spec.delta
-    exponent = hoeffding_exponent(eps_a, spec.worst_case_mean)
-
-    numerator = eps_r * math.log(2.0 / delta)
-    denominator = (eps_a + eps_a * eps_r) * math.log1p(eps_r) + (
-        eps_r - eps_a - eps_a * eps_r
-    ) * math.log1p(-eps_a * eps_r / (eps_r - eps_a))
-    if not denominator > 0.0:
+    exponent = hoeffding_exponent(spec.eps_a, spec.worst_case_mean)
+    rhs = math.log(2.0 / spec.delta) / -exponent if exponent < 0.0 else math.inf
+    if not rhs < 2.0**53:
         raise DomainError(
-            f"sample-size denominator must be positive, got {denominator!r}"
+            f"sample size must be below 2**53, got ln(2/delta) / -g = {rhs!r} "
+            f"for the worst-case exponent g = {exponent!r}"
         )
-    rhs = numerator / denominator
 
     n = int(math.floor(rhs)) + 1
-    half = delta / 2.0
+    half = spec.delta / 2.0
 
     def satisfies(m: int) -> bool:
         return math.exp(m * exponent) < half

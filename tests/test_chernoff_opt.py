@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -565,6 +566,26 @@ class TestCertifyProbability:
         obj = ChernoffObjective(model, ScenarioSet.from_array([[0.1], [0.95]]))
         with pytest.raises(DomainError, match="Y is not finite at scenario 1"):
             obj.performance_values([0.5])
+
+    def test_y_past_2_450_rejected(self):
+        # Y * Y would leave the exact kernel's 2^900 range, and the mean Y
+        # that picks the first lambda would overflow in fsum
+        model = make_model("quadratic_well")
+        obj = ChernoffObjective(model, ScenarioSet.from_model(model, 50, seed=3))
+        with pytest.raises(DomainError, match=r"\|Y\| exceeds 2\*\*450 at scenario 0: -1e\+308"):
+            minimize(obj, OptimizationSettings(theta0=(1e154,)))
+        with pytest.raises(DomainError, match=r"\|Y\| exceeds 2\*\*450 at scenario 0: -1e\+308"):
+            certify_probability(model, [1e154], SPEC, ScenarioSource.from_model(model, 3))
+
+    def test_y_bound_is_inclusive(self):
+        rows = ScenarioSet.from_array([[0.0], [0.0]])
+        for c in (2.0**450, -(2.0**450)):
+            obj = ChernoffObjective(make_model("affine", a=[0.0], b=[0.0], c=c), rows)
+            assert obj.performance_values([0.0]).tolist() == [c, c]
+        past = math.nextafter(2.0**450, math.inf)
+        obj = ChernoffObjective(make_model("affine", a=[0.0], b=[0.0], c=past), rows)
+        with pytest.raises(DomainError, match=re.escape(f"|Y| exceeds 2**450 at scenario 0: {past!r}")):
+            obj.performance_values([0.0])
 
     def test_wrong_output_shape_rejected(self):
         base = make_model("uniform_gap")

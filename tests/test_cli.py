@@ -240,12 +240,16 @@ class TestOptimize:
             # every top-level key is known: no plan sizes the scenarios, and no typo runs on a default
             ({"spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": 0.05}}, "spec: unknown field"),
             ({"sede": 7}, "sede: unknown field"),
+            # Y * Y must stay inside the exact sums' range, not end in an OverflowError
+            ({"settings": {"theta0": [1e154]}}, "|Y| exceeds 2**450 at scenario 0"),
+            ({"model": "affine", "model_params": {"c": 1.5e308}}, "|Y| exceeds 2**450 at scenario 0"),
         ],
         ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
              "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
              "string_grad_tol", "null_lambda_cap", "string_certify_eps_a",
              "certify_spec_out_of_range", "certify_spec_missing_delta", "boolean_certify_delta",
-             "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed"],
+             "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed",
+             "huge_theta0", "huge_affine_c"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)

@@ -60,6 +60,13 @@ class TestHoeffdingExponent:
         assert hoeffding_exponent(0.0, 0.3) == 0.0
         assert abs(hoeffding_exponent(1e-5, 0.3)) < 1e-8
 
+    @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-9, 0.3, 0.5, 0.7, 1.0 - 2.0**-53])
+    def test_zero_offset_is_positive_zero(self, mu):
+        # g is evaluated at eps = 0 too, with no special case: both zeros give +0.0
+        for eps in (0.0, -0.0):
+            value = hoeffding_exponent(eps, mu)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_negative_offset_symmetry_at_half(self):
         assert hoeffding_exponent(-0.2, 0.5) == pytest.approx(G_02_05, abs=1e-6)
         assert hoeffding_exponent(0.2, 0.5) == pytest.approx(
@@ -216,6 +223,25 @@ class TestMinimumSampleSize:
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidSpecError, match="eps_a/eps_r"):
             validate_spec(0.3, 0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "eps_a, eps_r, exponent",
+        [(5e-324, 0.5, r"0\.0"), (1e-12, 1e-10, "-5"), (1e-300, 1e-10, "-5")],
+        ids=["exponent_rounds_to_zero", "past_2_53", "ratio_overflows"],
+    )
+    def test_plan_of_2_53_or_more_rejected(self, eps_a, eps_r, exponent):
+        # past 2**53 a unit step in n need not move n * g, so the correction
+        # against the exponential form could run for ~1e6 steps or never end
+        with pytest.raises(DomainError, match=rf"below 2\*\*53.* exponent g = {exponent}"):
+            minimum_sample_size(validate_spec(eps_a, eps_r, 0.1))
+
+    def test_largest_plans_below_2_53(self):
+        # n just below 2**53 is still returned, and is still the smallest
+        spec = validate_spec(2e-8, 1e-7, 2e-4)
+        plan = minimum_sample_size(spec)
+        assert 2**52 < plan.n < 2**53
+        assert math.exp(plan.n * plan.worst_case_exponent) < spec.delta / 2.0
+        assert math.exp((plan.n - 1) * plan.worst_case_exponent) >= spec.delta / 2.0
 
     def test_tightness_random_specs(self):
         for spec in random_valid_specs(100, seed=91):
