@@ -57,7 +57,7 @@ __all__ = [
     "optimize_probability",
 ]
 
-_Y_BOUND = 2.0**450  # Y * Y stays inside the exact kernel's 2^900 range
+_Y_BOUND = 2.0**450  # for Y and its gradient: Y * Y stays inside the exact kernel's 2^900 range
 _STEP_FLOOR = 1e-20  # the line search halves a unit first step down to this
 _ARMIJO_C = 1e-4
 _LAMBDA_RTOL = 1e-12  # the lambda solve ends at a step this small relative to lambda
@@ -77,7 +77,9 @@ class PerformanceModel:
     once.  ``evaluate(theta, rows)`` returns Y for each row, shape (n,);
     ``gradient_theta(theta, rows)`` returns dY/dtheta for each row, shape
     (n, dim_theta).  Row i of the output must depend on row i of the input
-    only.  ``evaluate`` must be piecewise continuous in theta for fixed delta.
+    only.  Both outputs must have their shape and every value finite with
+    |v| <= 2^450; otherwise a DomainError names the first bad scenario.
+    ``evaluate`` must be piecewise continuous in theta for fixed delta.
     ``sample_scenarios(rng, k)`` draws k scenario rows from the distribution
     of Delta; registry models ship one, custom models may omit it and supply
     scenario arrays directly.
@@ -273,20 +275,24 @@ class ChernoffObjective:
         return _evaluate(self.model, theta, self.scenarios.scenarios)
 
 
-def _evaluate(model: PerformanceModel, theta: np.ndarray, rows: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Y(theta, row) for each scenario row, checked to be one value per row
-    with |Y| <= 2^450.  ``offset`` is added to the reported scenario index.
+def _model_output(model: PerformanceModel, values, shape: tuple, what: str, offset: int = 0) -> np.ndarray:
+    """A model's output as floats, checked to have ``shape`` and every value
+    finite with |v| <= 2^450.  ``what`` names the output ("Y" or "gradient"),
+    and ``offset`` is added to the reported scenario index (the first axis).
     """
-    values = np.asarray(model.evaluate(theta, rows), dtype=float)
-    if values.shape != (rows.shape[0],):
-        raise DomainError(
-            f"model {model.name!r} returned shape {values.shape} for {rows.shape[0]} scenarios"
-        )
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise DomainError(f"model {model.name!r} returned {what} shape {values.shape}, expected {shape}")
     if not (values.max() <= _Y_BOUND and values.min() >= -_Y_BOUND):  # also false for nan
-        i = int(np.flatnonzero(~(np.abs(values) <= _Y_BOUND))[0])
-        problem = "|Y| exceeds 2**450" if math.isfinite(values[i]) else "Y is not finite"
-        raise DomainError(f"{problem} at scenario {offset + i}: {float(values[i])!r}")
+        bad = tuple(np.argwhere(~(np.abs(values) <= _Y_BOUND))[0])
+        problem = f"|{what}| exceeds 2**450" if math.isfinite(values[bad]) else f"{what} is not finite"
+        raise DomainError(f"{problem} at scenario {offset + int(bad[0])}: {float(values[bad])!r}")
     return values
+
+
+def _evaluate(model: PerformanceModel, theta: np.ndarray, rows: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Y(theta, row) for each scenario row, one value per row with |Y| <= 2^450."""
+    return _model_output(model, model.evaluate(theta, rows), (rows.shape[0],), "Y", offset)
 
 
 def _check_theta(theta, dim_theta: int) -> np.ndarray:
@@ -331,12 +337,8 @@ def _theta_gradient(
     """
     model = obj.model
     if model.gradient_theta is not None:
-        grads = np.asarray(model.gradient_theta(theta, obj.scenarios.scenarios), dtype=float)
-        if grads.shape != (weights.size, model.dim_theta):
-            raise DomainError(
-                f"model {model.name!r} returned gradient shape {grads.shape}, "
-                f"expected {(weights.size, model.dim_theta)}"
-            )
+        grads = model.gradient_theta(theta, obj.scenarios.scenarios)
+        grads = _model_output(model, grads, (weights.size, model.dim_theta), "gradient")
         sums = _exact_sums(np.vstack((weights, grads.T * weights)))
         return -lam * np.array(sums[1:]) / sums[0]
     d_theta = np.empty(model.dim_theta)
@@ -397,10 +399,9 @@ class OptimizationSettings:
             raise DomainError(f"theta0 must be finite, got {self.theta0}")
         if not _NU0_MIN <= self.nu0 < math.inf:  # false for nan too
             raise DomainError(f"nu0 must be finite and >= {_NU0_MIN:.6g} (exp(nu0) > 0), got {self.nu0!r}")
-        if not self.grad_tol > 0.0:
-            raise DomainError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if not self.lambda_cap > 0.0:
-            raise DomainError(f"lambda_cap must be positive, got {self.lambda_cap!r}")
+        for name in ("grad_tol", "lambda_cap"):
+            if not 0.0 < getattr(self, name) < math.inf:  # false for nan too
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from typing import Optional
 
 from .chernoff_opt import OptimizationSettings, make_model, optimize_probability
 from .errors import ConfigError, DomainError, ProbcertError, SampleValueError
 from .estimator import estimate_from_batch
-from .tail_bounds import achieved_confidence, minimum_sample_size, validate_spec
+from .tail_bounds import ErrorSpec, achieved_confidence, minimum_sample_size, validate_spec
 from .verification import (
     GridSpec,
     coverage_experiment,
@@ -177,14 +177,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _require(cfg: dict, field: str, kind=object, where: str = ""):
+def _require(cfg: dict, field: str, kind=object):
     """cfg[field], present and of JSON type ``kind``; numbers are the library's to check."""
-    label = f"{where}{field}"
     if field not in cfg:
-        raise ConfigError(label, "missing required field")
+        raise ConfigError(field, "missing required field")
     value = cfg[field]
     if not isinstance(value, kind):
-        raise ConfigError(label, f"expected {kind.__name__}, got {type(value).__name__}")
+        raise ConfigError(field, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -195,12 +194,20 @@ def _check_fields(cfg: dict, known, where: str = "") -> None:
         raise ConfigError(f"{where}{unknown[0]}", "unknown field")
 
 
-def _parse_spec_block(block: dict, where: str):
-    values = [_require(block, key, where=f"{where}.") for key in ("eps_a", "eps_r", "delta")]
+def _build(cls, cfg: dict, key: str):
+    """cls(**cfg[key]) from a JSON object of cls's fields: a missing field
+    without a default is reported before an unknown one, and the library's
+    error as ``key: message``.
+    """
+    block = _require(cfg, key, dict)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in block:
+            raise ConfigError(f"{key}.{f.name}", "missing required field")
+    _check_fields(block, [f.name for f in fields(cls)], f"{key}.")
     try:
-        return validate_spec(*values)
+        return cls(**block)
     except ProbcertError as exc:
-        raise ConfigError(where, str(exc)) from None
+        raise ConfigError(key, str(exc)) from None
 
 
 def _load_run_config(path: str) -> dict:
@@ -229,19 +236,8 @@ def _cmd_optimize(args) -> int:
     seed = cfg.get("seed", DEFAULT_SEED)
     n_scenarios = _require(cfg, "n_scenarios")
 
-    settings_cfg = _require(cfg, "settings", dict)
-    theta0 = _require(settings_cfg, "theta0", list, where="settings.")
-    _check_fields(settings_cfg, [f.name for f in fields(OptimizationSettings)], "settings.")
-    try:
-        settings = OptimizationSettings(**{**settings_cfg, "theta0": tuple(theta0)})
-    except DomainError as exc:
-        raise ConfigError("settings", str(exc)) from None
-
-    certify_spec = None
-    if "certify_spec" in cfg:
-        certify_spec = _parse_spec_block(
-            _require(cfg, "certify_spec", dict), "certify_spec"
-        )
+    settings = _build(OptimizationSettings, cfg, "settings")
+    certify_spec = _build(ErrorSpec, cfg, "certify_spec") if "certify_spec" in cfg else None
 
     outcome = optimize_probability(
         model,

@@ -125,15 +125,6 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def _binomial_upper_tail(n: int, mu: float, k: int) -> float:
-    """Pr{S >= k}; reuses the lower-tail sum through the S -> n - S symmetry."""
-    if k > n:
-        return 0.0
-    if k <= 0:
-        return 1.0
-    return binomial_tail_exact(n, 1.0 - mu, n - k)
-
-
 def _mu_grid(mu_grid) -> list[float]:
     """The means of a check as floats: a nonempty list of numbers inside (0, 1)."""
     mus = [_require_real(mu, "mu grid entry") for mu in mu_grid]
@@ -252,22 +243,20 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
             f"mu grid must lie entirely in (0, {crossover}] or ({crossover}, 1)"
         )
 
+    bound = math.exp(n * hoeffding_exponent(-spec.eps_a if in_lower else spec.eps_a, crossover))
     violations: list = []
+    for mu in mus:
+        if in_lower:  # Pr{S <= n (mu - eps_a)}
+            k = math.floor(n * (mu - spec.eps_a))
+            tail = binomial_tail_exact(n, mu, k) if k >= 0 else 0.0
+        else:  # Pr{S >= n (1 + eps_r) mu} = Pr{n - S <= n - k}, with n - S ~ Binomial(n, 1 - mu)
+            k = math.ceil(n * (1.0 + spec.eps_r) * mu)
+            tail = binomial_tail_exact(n, 1.0 - mu, n - k) if k <= n else 0.0
+        if tail > bound:
+            violations.append(((mu,), {"exact_tail": tail, "bound": bound}))
     if in_lower:
-        bound = math.exp(n * hoeffding_exponent(-spec.eps_a, crossover))
-        for mu in mus:
-            cutoff = mu - spec.eps_a
-            tail = 0.0 if cutoff < 0.0 else binomial_tail_exact(n, mu, int(math.floor(n * cutoff)))
-            if tail > bound:
-                violations.append(((mu,), {"exact_tail": tail, "bound": bound}))
         lemma_id, desc = "L5", f"lower tails at {len(mus)} mu-points in (0, {crossover}], n={n}"
     else:
-        bound = math.exp(n * hoeffding_exponent(spec.eps_a, crossover))
-        for mu in mus:
-            k = int(math.ceil(n * (1.0 + spec.eps_r) * mu))
-            tail = _binomial_upper_tail(n, mu, k)
-            if tail > bound:
-                violations.append(((mu,), {"exact_tail": tail, "bound": bound}))
         lemma_id, desc = "L6", f"upper tails at {len(mus)} mu-points in ({crossover}, 1), n={n}"
     return ScanReport(lemma_id=lemma_id, grid_description=desc, violations=violations)
 

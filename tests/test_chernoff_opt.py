@@ -181,6 +181,27 @@ class TestModelRegistry:
         with pytest.raises(DomainError, match="gradient shape"):
             empirical_moment_gradient(obj, 1.0, [0.5])
 
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [(math.nan, "gradient is not finite"), (math.inf, "gradient is not finite"),
+         (-math.inf, "gradient is not finite"), (2.0**451, "|gradient| exceeds 2**450")],
+        ids=["nan", "inf", "-inf", "past_2_450"],
+    )
+    def test_gradient_past_y_range_rejected(self, bad, problem):
+        # a NaN gradient once moved theta to NaN, and was reported as a Y that is not finite
+        def gradient(theta, rows):
+            grads = np.ones((rows.shape[0], 1))
+            grads[1, 0] = bad
+            return grads
+
+        model = dataclasses.replace(make_model("uniform_gap"), gradient_theta=gradient)
+        obj = ChernoffObjective(model, ScenarioSet.from_array([[0.1], [0.2], [0.3]]))
+        message = re.escape(f"{problem} at scenario 1: {bad!r}")
+        with pytest.raises(DomainError, match=message):
+            empirical_moment_gradient(obj, 1.0, [0.5])
+        with pytest.raises(DomainError, match=message):
+            minimize(obj, OptimizationSettings(theta0=(0.5,)))
+
     def test_quadratic_well_square_is_correctly_rounded(self):
         # Y = 1 - x^2 with x^2 rounded once; C pow misses that square on ~0.1% of inputs
         model = make_model("quadratic_well")
@@ -590,7 +611,7 @@ class TestCertifyProbability:
     def test_wrong_output_shape_rejected(self):
         base = make_model("uniform_gap")
         model = dataclasses.replace(base, evaluate=lambda theta, rows: theta[0] - rows)
-        with pytest.raises(DomainError, match=r"returned shape \(577, 1\) for 577 scenarios"):
+        with pytest.raises(DomainError, match=re.escape("model 'uniform_gap' returned Y shape (577, 1), expected (577,)")):
             certify_probability(model, [0.5], SPEC, ScenarioSource.from_model(model, 3))
 
     def test_source_advances(self):

@@ -243,13 +243,29 @@ class TestOptimize:
             # Y * Y must stay inside the exact sums' range, not end in an OverflowError
             ({"settings": {"theta0": [1e154]}}, "|Y| exceeds 2**450 at scenario 0"),
             ({"model": "affine", "model_params": {"c": 1.5e308}}, "|Y| exceeds 2**450 at scenario 0"),
+            # so must every dY/dtheta, not end in an OverflowError either
+            ({"model": "affine", "model_params": {"a": [1e308]}, "settings": {"theta0": [0.0]}},
+             "|gradient| exceeds 2**450 at scenario 0"),
+            # every block rejects a key it does not know
+            ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": 0.05, "dleta": 0.01}},
+             "certify_spec.dleta: unknown field"),
+            # a missing field is named before an unknown one
+            ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2, "dleta": 0.05}},
+             "certify_spec.delta: missing required field"),
+            ({"settings": {"theta0": "0.5"}}, "settings: theta0 must be a sequence of reals, got '0.5'"),
+            ({"settings": {"theta0": [0.5], "lambda_cap": 1e999}},
+             "settings: lambda_cap must be positive and finite, got inf"),
+            ({"settings": {"theta0": [0.5], "grad_tol": 1e999}},
+             "settings: grad_tol must be positive and finite, got inf"),
         ],
         ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
              "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
              "string_grad_tol", "null_lambda_cap", "string_certify_eps_a",
              "certify_spec_out_of_range", "certify_spec_missing_delta", "boolean_certify_delta",
              "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed",
-             "huge_theta0", "huge_affine_c"],
+             "huge_theta0", "huge_affine_c", "huge_affine_gradient", "unknown_certify_spec_field",
+             "misspelt_certify_delta", "theta0_not_a_list",
+             "infinite_lambda_cap", "infinite_grad_tol"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)
