@@ -321,7 +321,10 @@ def _moments(ys: np.ndarray, lam: float) -> tuple[float, float, float, np.ndarra
         exponents = -lam * ys
     top = float(exponents.max())  # infinite when lambda * Y is beyond the double range
     weights = (exponents == top).astype(float) if math.isinf(top) else np.exp(exponents - top)
-    s0, s1, s2 = _exact_sums(np.vstack((weights, ys * weights, ys * ys * weights)))
+    rows = np.empty((3, ys.size))  # owned, so reduced in place; |Y| <= 2^450 keeps Y * Y * w in its range
+    rows[0], rows[1] = 1.0, ys
+    np.multiply(ys, ys, out=rows[2])
+    s0, s1, s2 = _exact_sums(np.multiply(rows, weights, out=rows))
     mean = s1 / s0
     return top + math.log(s0 / ys.size), -mean, s2 / s0 - mean * mean, weights
 
@@ -339,7 +342,9 @@ def _theta_gradient(
     if model.gradient_theta is not None:
         grads = model.gradient_theta(theta, obj.scenarios.scenarios)
         grads = _model_output(model, grads, (weights.size, model.dim_theta), "gradient")
-        sums = _exact_sums(np.vstack((weights, grads.T * weights)))
+        rows = np.empty((1 + model.dim_theta, weights.size))  # owned, so reduced in place
+        rows[0], rows[1:] = 1.0, grads.T
+        sums = _exact_sums(np.multiply(rows, weights, out=rows))
         return -lam * np.array(sums[1:]) / sums[0]
     d_theta = np.empty(model.dim_theta)
     for j, bump in enumerate(np.diag(1e-6 * (1.0 + np.abs(theta)))):

@@ -24,11 +24,13 @@ draw is 1 with a probability in [p, p + 2^-61).  Any other block is converted to
 through error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
 summation, part I", SIAM J. Sci. Comput. 31(1), 2008), which splits each row
 into a few partial sums whose numpy sums are exact and reduces the block in
-place against one reused scratch buffer.  Draws are taken at most
-``_DRAW_CHUNK`` = 16,384 values (128 KiB as float64) at a time: one planned
-estimate is one row, and a coverage experiment draws many trials' rows per
-block.  Memory therefore stays constant in the planned n, and because the
-sums are exact the chunk size never changes a certificate.
+place against one reused scratch buffer.  A source is drawn at most its
+``_block`` of values at a time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64),
+or four times that for ``BernoulliSource``, whose 65,536-draw block is 8,192
+words (64 KiB) and as many booleans.  One planned estimate is one row, and a
+coverage experiment draws many trials' rows per block.  Memory therefore
+stays constant in the planned n, and because the sums are exact the block
+size never changes a certificate.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
     "estimate_from_batch",
 ]
 
-# Draws are taken at most this many values at a time (128 KiB of float64).
+# A source's block, the most values it is drawn at a time (128 KiB of float64); see ``_block``.
 _DRAW_CHUNK = 16_384
 
 _BOUNDARY_NOTE = (
@@ -95,6 +97,8 @@ class SampleSource:
         self.seed = _require_int(seed, "seed", 0)
         self.draws_made = 0
 
+    _block = property(lambda self: _DRAW_CHUNK)  # the most values a reduction asks for at once
+
     def _generate(self, k: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -110,10 +114,9 @@ class SampleSource:
         k = _require_int(k, "draw count", 0)
         values = np.asarray(self._generate(k))
         if values.shape != (k,):
-            raise SourceExhaustedError(
-                f"source produced {values.shape[0] if values.ndim else 0} of "
-                f"{k} requested values"
-            )
+            if values.ndim == 1 and values.size < k:
+                raise SourceExhaustedError(f"source produced {values.size} of {k} requested values")
+            raise DomainError(f"source returned shape {values.shape}, expected {(k,)}")
         if values.dtype != bool:  # a boolean cannot leave [0, 1]
             values = values.astype(float, copy=False)
             _check_unit_interval(values, self.draws_made)
@@ -145,9 +148,14 @@ class BernoulliSource(SampleSource):
         self._frac = 256.0 * p - self._cut
         self._spare = np.empty(0, np.uint8)
 
+    # 8,192 words (64 KiB) and as many booleans: per-block costs are paid once per 65,536 draws
+    _block = property(lambda self: 4 * _DRAW_CHUNK)
+
     def _generate(self, k: int) -> np.ndarray:
         words = self._rng.bit_generator.random_raw(-((self._spare.size - k) // 8))
-        lanes = np.concatenate((self._spare, words.astype("<u8", copy=False).view(np.uint8)))
+        lanes = words.astype("<u8", copy=False).view(np.uint8)
+        if self._spare.size:
+            lanes = np.concatenate((self._spare, lanes))
         lanes, self._spare = lanes[:k], lanes[k:].copy()
         ones = lanes < self._cut
         if self._frac:  # otherwise every tie is a 0, as lanes < cut has it
@@ -179,14 +187,15 @@ class Certificate:
         return asdict(self)
 
 
-def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[list[float]]:
+def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) -> Optional[list[float]]:
     """The exact, correctly rounded sum of each of ``rows`` consecutive rows
     of ``n`` values; each is bit-identical to ``math.fsum`` of its row.
 
     ``take(k)`` returns the next k values of the stream as an array the
-    kernel may overwrite.  Blocks hold ``_DRAW_CHUNK // n`` whole rows, or
-    one chunk of a row when n exceeds ``_DRAW_CHUNK``, so the stream is
-    consumed in order and no block exceeds ``_DRAW_CHUNK`` values.
+    kernel may overwrite.  Blocks hold ``block // n`` whole rows, or one
+    ``block``-sized part of a row when n exceeds ``block``, so the stream is
+    consumed in order and no request exceeds ``block`` values; a source's
+    reduction passes its ``_block``.
 
     A boolean block adds its rows' counts to one int64 array in one reduction
     (``count_nonzero`` for one row).  A count is an integer below 2^53, so as
@@ -197,14 +206,15 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     is then below 2^(e + k) on that grid, so its numpy sum is exact in any
     order, and r - q is exact too.  Each pass removes 53 - k bits, until
     every remainder is zero, and writes q into one scratch buffer and r - q
-    over the block, so no pass allocates.  ``fsum`` then rounds each row's
+    over the block, so no pass allocates (nor a boolean block: the scratch
+    is made for the first float block).  ``fsum`` then rounds each row's
     few partial sums and its count once.  A value that is not finite or
     exceeds 2^900 in magnitude, where sigma could overflow, stops the kernel
     with None; values in [0, 1] never do.
     """
-    per_block = min(rows, max(1, _DRAW_CHUNK // n))
-    width = min(n, _DRAW_CHUNK)
-    scratch = np.empty(per_block * width)
+    per_block = min(rows, max(1, block // n))
+    width = min(n, block)
+    scratch: Optional[np.ndarray] = None
     sums: list[float] = []
     for first in range(0, rows, per_block):
         b = min(per_block, rows - first)
@@ -215,11 +225,13 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
             m = min(width, n - start)
             r = take(b * m).reshape(b, m)
             if r.dtype == bool:
-                # a block row holds at most _DRAW_CHUNK values: int32 counts them
+                # a block row holds at most `block` values: int32 counts them
                 counts += np.count_nonzero(r) if b == 1 else r.sum(axis=1, dtype=np.int32)
                 continue
             if parts is None:
                 parts = [[] for _ in range(b)]
+            if scratch is None:
+                scratch = np.empty(per_block * width)
             q = scratch[: b * m].reshape(b, m)
             k = (m + 1).bit_length()
             top = float(np.abs(r, out=q).max())
@@ -240,28 +252,28 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int) -> Optional[
     return sums
 
 
-def _exact_sums(rows: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of a 2-D array, in one kernel pass over copies."""
+def _exact_sums(rows: np.ndarray) -> Optional[list[float]]:
+    """``math.fsum`` of each row of a 2-D float array that the caller hands
+    over, reduced in place in one kernel pass; None, with ``rows`` partly
+    reduced, where a value is not finite or exceeds 2^900 in magnitude."""
     flat = rows.reshape(-1)
     taken = 0
 
-    def copy_next(k: int) -> np.ndarray:
+    def next_block(k: int) -> np.ndarray:
         nonlocal taken
         taken += k
-        return flat[taken - k : taken].copy()
+        return flat[taken - k : taken]
 
-    sums = _row_sums(copy_next, rows.shape[0], rows.shape[1])
-    if sums is None:  # inf, nan and overflow behave as in fsum
-        return [math.fsum(row) for row in rows.tolist()]
-    return sums
+    return _row_sums(next_block, rows.shape[0], rows.shape[1], _DRAW_CHUNK)
 
 
 def stable_mean(values: Sequence[float]) -> float:
-    """Compensated mean: exact summation of copies of ``values``, then one rounding."""
-    arr = np.asarray(values, dtype=float).reshape(1, -1)
+    """Compensated mean: exact summation of a copy of ``values``, then one rounding."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DomainError("cannot take the mean of an empty sequence")
-    return _exact_sums(arr)[0] / arr.size
+    sums = _exact_sums(arr.reshape(1, -1).copy())  # a copy: the input may be the caller's
+    return (math.fsum(arr.tolist()) if sums is None else sums[0]) / arr.size  # inf, nan and overflow as in fsum
 
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:
@@ -282,13 +294,13 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     """Draw exactly the planned number of samples and certify the mean.
 
     The returned certificate has delta_achieved < spec.delta by construction
-    of the plan.  Samples are consumed in a single sequential pass, in chunks
-    of at most ``_DRAW_CHUNK`` draws that are summed exactly, so memory does
-    not grow with n and the certificate is reproducible from the source seed
-    whatever the chunk size.
+    of the plan.  Samples are consumed in a single sequential pass, in blocks
+    of at most the source's ``_block`` of draws that are summed exactly, so
+    memory does not grow with n and the certificate is reproducible from the
+    source seed whatever the block size.
     """
     plan = minimum_sample_size(spec)
-    mu_hat = _row_sums(source.draw, 1, plan.n)[0] / plan.n
+    mu_hat = _row_sums(source.draw, 1, plan.n, source._block)[0] / plan.n
     return _certificate(mu_hat, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 

@@ -283,7 +283,7 @@ def coverage_experiment(
     violations: list = []
     for index, mu in enumerate(mus):
         source = BernoulliSource(mu, seed, _key=(_COVERAGE, index))
-        errors = np.abs(np.array(_row_sums(source.draw, trials, n)) / n - mu)
+        errors = np.abs(np.array(_row_sums(source.draw, trials, n, source._block)) / n - mu)
         failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
         rate = failures / trials
         if rate > threshold:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -205,6 +206,30 @@ class TestSampleSources:
         assert source.draw(0).shape == (0,)
         assert source.draw(np.int64(3)).shape == (3,)
 
+    @pytest.mark.parametrize(
+        "make_block, shape",
+        [(lambda k: np.full((k, 1), 0.5), "(577, 1)"), (lambda k: np.full(k + 3, 0.5), "(580,)"),
+         (lambda k: np.float64(0.5), "()")],
+        ids=["column", "long", "scalar"],
+    )
+    def test_wrong_shaped_block_is_a_domain_error(self, make_block, shape):
+        class Misshapen(SampleSource):
+            def _generate(self, k):
+                return make_block(k)
+
+        source = Misshapen()
+        with pytest.raises(DomainError, match=rf"source returned shape {re.escape(shape)}, expected \(577,\)"):
+            source.draw(577)
+        assert source.draws_made == 0
+
+    def test_short_block_is_exhaustion(self):
+        class Short(SampleSource):
+            def _generate(self, k):
+                return np.full(k - 3, 0.5)
+
+        with pytest.raises(SourceExhaustedError, match="source produced 574 of 577 requested values"):
+            Short().draw(577)
+
 
 class TestEstimateWithPlan:
     def test_constant_source(self):
@@ -327,11 +352,43 @@ class TestChunkedDraws:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_no_request_exceeds_the_chunk(self, monkeypatch, chunk):
+        # the chunk sets a Bernoulli source's block, four chunks; every request but the last fills one
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         source = RecordingSource(0.3, seed=4)
         estimate_with_plan(source, SPEC_1755)
-        assert max(source.requests) <= chunk
+        block = source._block
+        assert block == 4 * chunk
+        assert max(source.requests) <= block
+        full, rest = divmod(1755, block)
+        assert source.requests == [block] * full + ([rest] if rest else [])
         assert sum(source.requests) == 1755
+
+    def test_float_and_indicator_sources_keep_the_chunk(self):
+        requests = []
+
+        class Recorded(SequenceSource):
+            def _generate(self, k):
+                requests.append(k)
+                return super()._generate(k)
+
+        class RecordedRows(ScenarioSource):
+            def draw(self, k):
+                requests.append(k)
+                return super().draw(k)
+
+        n = minimum_sample_size(SPEC_LARGE).n
+        estimate_with_plan(Recorded(np.full(n, 0.5)), SPEC_LARGE)
+        model = make_model("quadratic_well")
+        certify_probability(model, [0.3], SPEC_LARGE, RecordedRows.from_model(model, 44))
+        assert requests == [16_384, 16_384, n - 32_768] * 2
+
+    def test_plan_of_7_229_021_draws_makes_111_requests(self):
+        spec = validate_spec(2e-4, 0.02, 1e-6)
+        source = RecordingSource(0.01, seed=4)
+        cert = estimate_with_plan(source, spec)
+        assert cert.n == source.draws_made == 7_229_021
+        assert len(source.requests) == -(-7_229_021 // 65_536) == 111
+        assert source.requests[:-1] == [65_536] * 110
 
 
 class TestBatchedTrials:
@@ -344,7 +401,7 @@ class TestBatchedTrials:
         n, trials = minimum_sample_size(spec).n, 12
         batched = BernoulliSource(0.3, seed=8)
         sequential = BernoulliSource(0.3, seed=8)
-        means = [total / n for total in estimator._row_sums(batched.draw, trials, n)]
+        means = [total / n for total in estimator._row_sums(batched.draw, trials, n, batched._block)]
         expected = [estimate_with_plan(sequential, spec).mu_hat for _ in range(trials)]
         assert means == expected
         assert batched.draws_made == sequential.draws_made == trials * n
@@ -363,7 +420,7 @@ class TestBatchedTrials:
             taken += k
             return stream[taken - k : taken].copy()
 
-        assert estimator._row_sums(take, 9, 700) == [math.fsum(row) for row in rows]
+        assert estimator._row_sums(take, 9, 700, chunk) == [math.fsum(row) for row in rows]
         assert taken == stream.size
 
     def test_coverage_draws_trials_times_n_from_each_source(self, monkeypatch):
@@ -429,8 +486,8 @@ class TestCountedDraws:
     def test_row_sums_of_many_rows_match_float_twin(self, monkeypatch, chunk):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         counted, twin = BernoulliSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
-        sums = estimator._row_sums(counted.draw, 40, 577)
-        assert sums == estimator._row_sums(twin.draw, 40, 577)
+        sums = estimator._row_sums(counted.draw, 40, 577, counted._block)
+        assert sums == estimator._row_sums(twin.draw, 40, 577, twin._block)
         assert all(isinstance(total, float) for total in sums)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -455,7 +512,7 @@ class TestCountedDraws:
             taken.append(block.astype(float))
             return block
 
-        sums = estimator._row_sums(take, 3, 1755)
+        sums = estimator._row_sums(take, 3, 1755, chunk)
         rows = np.concatenate(taken).reshape(3, 1755)
         assert sums == [math.fsum(row) for row in rows.tolist()]
 
@@ -506,12 +563,18 @@ class TestLaneSampler:
 
     @pytest.mark.parametrize("p", [3 / 256, 0.3, 0.5])
     def test_any_split_gives_the_same_draws(self, p):
+        def pieces(size, total):
+            return [min(size, total - start) for start in range(0, total, size)]
+
         total, sizes = 20_000, (1, 7, 577, 3, 16_384)
-        whole_source = BernoulliSource(p, seed=7)
-        whole = whole_source.draw(total)
         splits = [sizes + (total - sum(sizes),)]
-        splits += [[min(chunk, total - start) for start in range(0, total, chunk)] for chunk in CHUNKS]
+        splits += [pieces(chunk, total) for chunk in CHUNKS]
+        # around a 65,536-draw block, and 3 draws first, so that every block after starts on 5 spare lanes
+        wide = 2 * 65_536 + 11
+        splits += [pieces(size, wide) for size in (65_535, 65_536, 65_537)] + [[3] + pieces(65_536, wide - 3)]
         for split in splits:
+            whole_source = BernoulliSource(p, seed=7)
+            whole = whole_source.draw(sum(split))
             source = BernoulliSource(p, seed=7)
             np.testing.assert_array_equal(np.concatenate([source.draw(k) for k in split]), whole)
             # the same words and the same ties were consumed
@@ -538,7 +601,8 @@ class TestLaneSampler:
     @pytest.mark.parametrize("p", [1e-6, 0.3, 0.999])
     def test_count_of_ones_within_five_sigma(self, p):
         n = 20_000_000
-        count = estimator._row_sums(BernoulliSource(p, seed=12).draw, 1, n)[0]
+        source = BernoulliSource(p, seed=12)
+        count = estimator._row_sums(source.draw, 1, n, source._block)[0]
         assert abs(count - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
