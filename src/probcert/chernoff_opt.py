@@ -312,15 +312,32 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
 
 
+def _weights(ys: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """(top, w): top = max_i(-lambda Y_i) and the shifted weights
+    w_i = exp(-lambda Y_i - top), a fresh array.  The largest weight is
+    exactly 1, so log of their mean is finite.
+    """
+    # -lambda Y, or its distance below top, may pass the double range: that weight is 1 or 0
+    with np.errstate(over="ignore"):
+        exponents = -lam * ys
+        top = float(exponents.max())  # infinite when lambda * Y is beyond the double range
+        return top, (exponents == top).astype(float) if math.isinf(top) else np.exp(exponents - top)
+
+
+def _log_moment(ys: np.ndarray, lam: float) -> float:
+    """h = log g at lambda from the Y values, ``_moments(ys, lam)[0]`` bit for
+    bit: the weights' exact sum is the same with or without the other rows.
+    """
+    top, weights = _weights(ys, lam)
+    (s0,) = _exact_sums(weights.reshape(1, -1))
+    return top + math.log(s0 / ys.size)
+
+
 def _moments(ys: np.ndarray, lam: float) -> tuple[float, float, float, np.ndarray]:
     """(h, h', h'', w): h = log g at lambda from the Y values, h' = -E_w[Y] and
     h'' = Var_w(Y) under the shifted weights w, from exact sums in one pass.
-    The largest weight is exactly 1, so log of their mean is finite.
     """
-    with np.errstate(over="ignore"):
-        exponents = -lam * ys
-    top = float(exponents.max())  # infinite when lambda * Y is beyond the double range
-    weights = (exponents == top).astype(float) if math.isinf(top) else np.exp(exponents - top)
+    top, weights = _weights(ys, lam)
     rows = np.empty((3, ys.size))  # owned, so reduced in place; |Y| <= 2^450 keeps Y * Y * w in its range
     rows[0], rows[1] = 1.0, ys
     np.multiply(ys, ys, out=rows[2])
@@ -348,7 +365,7 @@ def _theta_gradient(
         return -lam * np.array(sums[1:]) / sums[0]
     d_theta = np.empty(model.dim_theta)
     for j, bump in enumerate(np.diag(1e-6 * (1.0 + np.abs(theta)))):
-        up, down = (_moments(obj.performance_values(t), lam)[0] for t in (theta + bump, theta - bump))
+        up, down = (_log_moment(obj.performance_values(t), lam) for t in (theta + bump, theta - bump))
         d_theta[j] = (up - down) / (2.0 * bump[j])
     return d_theta
 
@@ -359,7 +376,7 @@ def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
     Beyond the double range the result is inf.
     """
     _check_lambda(lam)
-    return _exp(_moments(obj.performance_values(theta), lam)[0])
+    return _exp(_log_moment(obj.performance_values(theta), lam))
 
 
 def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tuple[float, np.ndarray]:

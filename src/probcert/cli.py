@@ -10,6 +10,7 @@ results unless the caller opts out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built at the first call, not at import, and reused: parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="probcert", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -197,8 +197,11 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) 
     consumed in order and no request exceeds ``block`` values; a source's
     reduction passes its ``_block``.
 
-    A boolean block adds its rows' counts to one int64 array in one reduction
-    (``count_nonzero`` for one row).  A count is an integer below 2^53, so as
+    A boolean block adds its rows' counts to one int64 array in one reduction:
+    ``count_nonzero`` for one row, else a sum in uint16 while rows hold fewer
+    than 2^16 values, so no count wraps (rows share a block only when each
+    is at most half of it, 32,768 values of a 65,536-value block), and in
+    int32 otherwise.  A count is an integer below 2^53, so as
     a float it is ``fsum`` of its 0.0/1.0 values.  A float block is
     extracted: each pass rounds every remainder r of the block to q = (r + sigma) - sigma, a multiple of ulp(sigma) / 2
     with |q| <= 2^e, where max|r| < 2^e over the block and sigma = 2^(e + k)
@@ -214,6 +217,8 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) 
     """
     per_block = min(rows, max(1, block // n))
     width = min(n, block)
+    # a count is at most the width; uint16 is the cheaper sum where it cannot wrap
+    count_type = np.uint16 if width < 2**16 else np.int32
     scratch: Optional[np.ndarray] = None
     sums: list[float] = []
     for first in range(0, rows, per_block):
@@ -225,8 +230,7 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) 
             m = min(width, n - start)
             r = take(b * m).reshape(b, m)
             if r.dtype == bool:
-                # a block row holds at most `block` values: int32 counts them
-                counts += np.count_nonzero(r) if b == 1 else r.sum(axis=1, dtype=np.int32)
+                counts += np.count_nonzero(r) if b == 1 else r.sum(axis=1, dtype=count_type)
                 continue
             if parts is None:
                 parts = [[] for _ in range(b)]

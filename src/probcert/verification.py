@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
-from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _moments, make_model
+from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, make_model
 from .errors import DomainError
-from .estimator import _COVERAGE, _POINTS, BernoulliSource, _row_sums, _stream
+from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _row_sums, _stream
 from .tail_bounds import ErrorSpec, _dg, _g, _require_int, _require_real, hoeffding_exponent, minimum_sample_size
 
 __all__ = [
@@ -101,7 +102,9 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
     """Pr{S <= k} for S ~ Binomial(n, mu), summed term by term in ascending j.
 
     Terms are formed in log space (lgamma) so large n stays in range; the
-    ascending-order sum is accumulated exactly and rounded once.
+    ascending-order sum is accumulated exactly and rounded once.  The
+    lgamma values are tabulated once, in two arrays of 16 B per term
+    together (``_binomial_tails``), so memory grows with k, never with n.
     """
     n = _require_int(n, "n", 1)
     if not 0.0 < mu < 1.0:
@@ -109,20 +112,43 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
     k = _require_int(k, "k", 0)
     if k > n:
         raise DomainError(f"k must be an integer in [0, n], got {k!r}")
-    log_mu = math.log(mu)
-    log_q = math.log1p(-mu)
+    return _binomial_tails(n, [(mu, k)])[0]
+
+
+def _binomial_tails(n: int, pairs) -> list[float]:
+    """``binomial_tail_exact(n, mu, k)`` for each (mu, k) pair, bit for bit,
+    and 0.0 where k < 0; n and mu are valid by the caller's checks.
+
+    lgamma(j + 1) and lgamma(n - j + 1) are tabulated once for j up to the
+    largest k, 16 B per term, and shared by every pair.  Each term's exponent
+    lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1) + j log mu + (n - j) log(1 - mu)
+    is built with numpy in that left-to-right order, from the same IEEE
+    operations as the scalar one (j and n - j are exact doubles for n below
+    2^53, as every plan's n is), and goes through ``math.exp`` and one
+    ``math.fsum`` in blocks of ``_DRAW_CHUNK`` terms.
+    """
+    top = max(0, *(k + 1 for _, k in pairs))
+    log_j_fact = np.fromiter(map(math.lgamma, range(1, top + 1)), float, top)
+    log_rest_fact = np.fromiter(map(math.lgamma, range(n + 1, n + 1 - top, -1)), float, top)
     log_n_fact = math.lgamma(n + 1)
-    terms = (
-        math.exp(
-            log_n_fact
-            - math.lgamma(j + 1)
-            - math.lgamma(n - j + 1)
-            + j * log_mu
-            + (n - j) * log_q
+
+    def exponents(log_mu: float, log_q: float, start: int, stop: int) -> np.ndarray:
+        j = np.arange(start, stop, dtype=float)
+        e = log_n_fact - log_j_fact[start:stop]
+        e -= log_rest_fact[start:stop]
+        e += j * log_mu
+        e += (n - j) * log_q
+        return e
+
+    tails = []
+    for mu, k in pairs:
+        log_mu, log_q = math.log(mu), math.log1p(-mu)
+        blocks = (
+            exponents(log_mu, log_q, start, min(start + _DRAW_CHUNK, k + 1)).tolist()
+            for start in range(0, k + 1, _DRAW_CHUNK)
         )
-        for j in range(k + 1)
-    )
-    return min(math.fsum(terms), 1.0)
+        tails.append(min(math.fsum(map(math.exp, chain.from_iterable(blocks))), 1.0))
+    return tails
 
 
 def _mu_grid(mu_grid) -> list[float]:
@@ -244,14 +270,14 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
         )
 
     bound = math.exp(n * hoeffding_exponent(-spec.eps_a if in_lower else spec.eps_a, crossover))
-    violations: list = []
+    pairs = []  # (p, k) of each tail as Pr{Binomial(n, p) <= k}, which is 0 for k < 0
     for mu in mus:
         if in_lower:  # Pr{S <= n (mu - eps_a)}
-            k = math.floor(n * (mu - spec.eps_a))
-            tail = binomial_tail_exact(n, mu, k) if k >= 0 else 0.0
-        else:  # Pr{S >= n (1 + eps_r) mu} = Pr{n - S <= n - k}, with n - S ~ Binomial(n, 1 - mu)
-            k = math.ceil(n * (1.0 + spec.eps_r) * mu)
-            tail = binomial_tail_exact(n, 1.0 - mu, n - k) if k <= n else 0.0
+            pairs.append((mu, math.floor(n * (mu - spec.eps_a))))
+        else:  # Pr{S >= k} = Pr{n - S <= n - k} for k = ceil(n (1 + eps_r) mu), n - S ~ Binomial(n, 1 - mu)
+            pairs.append((1.0 - mu, n - math.ceil(n * (1.0 + spec.eps_r) * mu)))
+    violations: list = []
+    for mu, tail in zip(mus, _binomial_tails(n, pairs)):
         if tail > bound:
             violations.append(((mu,), {"exact_tail": tail, "bound": bound}))
     if in_lower:
@@ -332,7 +358,7 @@ def domination_experiment(
             )
             continue
 
-        moment = _exp(_moments(ys, lam)[0])  # empirical_moment, from the ys above
+        moment = _exp(_log_moment(ys, lam))  # empirical_moment, from the ys above
         fails = int(np.count_nonzero(_evaluate(model, theta, fresh.draw(n)) <= 0.0))
         p_hat = fails / n
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)

@@ -292,6 +292,23 @@ class TestEmpiricalMoment:
             assert np.all(np.exp(-lam * ys) >= (ys <= 0.0))
 
 
+class TestLogMoment:
+    def test_matches_moments_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        infinite_tops = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 2000))
+            ys = rng.standard_normal(n) * 2.0 ** rng.uniform(-20.0, 452.0)
+            ys = np.clip(ys, -(2.0**450), 2.0**450)
+            if rng.random() < 0.2:  # ties at the top
+                ys[rng.integers(0, n, 3)] = ys.min()
+            lam = float(10.0 ** rng.uniform(-6.0, 300.0))
+            expected = chernoff_opt._moments(ys, lam)[0]
+            assert chernoff_opt._log_moment(ys, lam).hex() == expected.hex()
+            infinite_tops += -float(np.min(ys)) * lam == math.inf
+        assert infinite_tops > 20
+
+
 class TestMomentGradient:
     def test_plus_minus_one_d_lambda(self):
         obj = plus_minus_one_objective()

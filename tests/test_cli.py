@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line surface and its exit-code policy."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,7 +364,30 @@ class TestVerify:
         assert "FAIL" in out
 
 
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    import probcert
+
+    env = {**os.environ, "PYTHONPATH": str(Path(probcert.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "probcert.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestUsage:
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys):
+        # the parser is built once per process: values parsed by one call
+        # must not become the defaults of the next
+        code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--trials", "100", "--points", "3")
+        assert code == 0
+        plain = ("verify", "--suite", "all", "--json")
+        assert run_cli(capsys, *plain) == run_fresh(*plain)
+        usage = ("verify", "--trials", "100")  # no --suite
+        code, out, err = run_cli(capsys, *usage)
+        assert (code, out, err) == run_fresh(*usage)
+        assert code == 1 and err.startswith("error: ") and "--suite" in err
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--eps-a", "0.05", "--eps-r", "0.2")
         assert code == 1

@@ -516,6 +516,19 @@ class TestCountedDraws:
         rows = np.concatenate(taken).reshape(3, 1755)
         assert sums == [math.fsum(row) for row in rows.tolist()]
 
+    def test_rows_sharing_a_block_count_to_two_to_the_15(self):
+        # the widest rows two of which share a 65,536-draw block; their counts are uint16
+        source = BernoulliSource(1.0, seed=2)
+        assert source._block == 65_536
+        assert estimator._row_sums(source.draw, 2, 32_768, source._block) == [32_768.0, 32_768.0]
+
+    @pytest.mark.parametrize("n", (65_535, 65_536, 70_000))
+    def test_rows_of_two_to_the_16_or_more_count_exactly(self, n):
+        # rows this wide share a block only when it is larger than a source's own:
+        # a uint16 count of 65,536 or 70,000 would wrap, so these take int32
+        source = BernoulliSource(1.0, seed=2)
+        assert estimator._row_sums(source.draw, 3, n, 2**18) == [float(n)] * 3
+
     def test_short_boolean_block_exhausts(self):
         class Short(SampleSource):
             def _generate(self, k):

@@ -40,6 +40,25 @@ def binomial_tail_fraction(n: int, mu: float, k: int) -> Fraction:
     )
 
 
+def binomial_tail_per_term(n: int, mu: float, k: int) -> float:
+    """The scalar per-term sum that ``binomial_tail_exact`` must reproduce
+    bit for bit: one lgamma pair and one exponent per term, in ascending j."""
+    log_mu = math.log(mu)
+    log_q = math.log1p(-mu)
+    log_n_fact = math.lgamma(n + 1)
+    terms = (
+        math.exp(
+            log_n_fact
+            - math.lgamma(j + 1)
+            - math.lgamma(n - j + 1)
+            + j * log_mu
+            + (n - j) * log_q
+        )
+        for j in range(k + 1)
+    )
+    return min(math.fsum(terms), 1.0)
+
+
 class TestBinomialTailExact:
     def test_reference_value(self):
         assert binomial_tail_exact(10, 0.5, 3) == pytest.approx(
@@ -77,6 +96,24 @@ class TestBinomialTailExact:
     def test_large_n_stays_in_range(self):
         value = binomial_tail_exact(577, 0.05, 10)
         assert 0.0 < value < 1.0
+
+    def test_bit_identical_to_per_term_sum(self):
+        rng = np.random.default_rng(16)
+        cases = [
+            (1, 0.3, 0), (1, 0.3, 1), (2, 0.999, 2), (577, 0.05, 0), (577, 0.05, 577),
+            # 40,001 terms: more than two blocks of terms
+            (50_000, 0.6, 40_000),
+        ]
+        for _ in range(2000):
+            n = int(np.exp(rng.uniform(0.0, math.log(1e6))))  # log-uniform in [1, 10^6)
+            top = min(n, 1000)  # k = n for small n; at most 1,001 terms a case
+            k = int(rng.choice([0, top, rng.integers(0, top + 1)]))
+            cases.append((n, float(rng.uniform(1e-6, 1.0 - 1e-6)), k))
+        assert max(k for _, _, k in cases) + 1 > 2 * verification._DRAW_CHUNK
+        for n, mu, k in cases:
+            value = binomial_tail_exact(n, mu, k)
+            expected = binomial_tail_per_term(n, mu, k)
+            assert value.hex() == expected.hex(), (n, mu, k)
 
 
 class TestLemmaScans:
@@ -287,6 +324,33 @@ class TestLemma56Check:
     def test_mixed_grid_rejected(self):
         with pytest.raises(DomainError):
             lemma56_check(SPEC, [0.1, 0.5], 100)
+
+    def test_tails_at_cli_grids_match_per_mean_loop(self, monkeypatch, capsys):
+        grids, tails = [], []
+
+        def recording_check(spec, mu_grid, n):
+            grids.append((spec, mu_grid, n))
+            return lemma56_check(spec, mu_grid, n)
+
+        def recording_tails(n, pairs):
+            tails.append(shared(n, pairs))
+            return tails[-1]
+
+        shared = verification._binomial_tails
+        monkeypatch.setattr(cli, "lemma56_check", recording_check)
+        monkeypatch.setattr(verification, "_binomial_tails", recording_tails)
+        assert cli.main(["verify", "--suite", "lemma56"]) == 0
+        capsys.readouterr()
+        lower, upper = grids
+        assert len(tails) == 2  # one shared-table call per check
+        spec, mus, n = lower
+        ks = [math.floor(n * (mu - spec.eps_a)) for mu in mus]
+        expected = [binomial_tail_exact(n, mu, k) if k >= 0 else 0.0 for mu, k in zip(mus, ks)]
+        assert tails[0] == expected and any(expected)
+        spec, mus, n = upper
+        ks = [math.ceil(n * (1.0 + spec.eps_r) * mu) for mu in mus]
+        expected = [binomial_tail_exact(n, 1.0 - mu, n - k) if k <= n else 0.0 for mu, k in zip(mus, ks)]
+        assert tails[1] == expected and any(expected)
 
     def test_grid_range_validation(self):
         with pytest.raises(DomainError):
