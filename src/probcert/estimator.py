@@ -20,17 +20,21 @@ failure indicators) may return its block as booleans, whose rows are counted
 in one integer reduction per block; a count is exact.  ``BernoulliSource``
 makes eight draws from each 64-bit generator word, one per byte lane, and
 settles a lane that ties with 256 p from a tie child of its stream, so a
-draw is 1 with a probability in [p, p + 2^-61).  Any other block is converted to float and goes
-through error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-summation, part I", SIAM J. Sci. Comput. 31(1), 2008), which splits each row
-into a few partial sums whose numpy sums are exact and reduces the block in
-place against one reused scratch buffer.  A source is drawn at most its
-``_block`` of values at a time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64),
-or four times that for ``BernoulliSource``, whose 65,536-draw block is 8,192
-words (64 KiB) and as many booleans.  One planned estimate is one row, and a
-coverage experiment draws many trials' rows per block.  Memory therefore
-stays constant in the planned n, and because the sums are exact the block
-size never changes a certificate.
+draw is 1 with a probability in [p, p + 2^-61).  A one-row planned estimate
+on a ``BernoulliSource`` is counted from its byte lanes (the lanes below the
+cut, plus the ties that settle to 1) and never builds its draws; blocks of
+many rows, as a coverage experiment draws them, stay boolean.  Any other
+block is converted to float and goes through error-free extraction (Rump,
+Ogita & Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
+Comput. 31(1), 2008), which splits each row into a few partial sums whose
+numpy sums are exact and reduces the block in place against one reused
+scratch buffer.  A source is drawn at most its ``_block`` of values at a
+time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64), or four times that for
+``BernoulliSource``, whose 65,536-draw block is 8,192 words (64 KiB) and as
+many booleans.  One planned estimate is one row, and a coverage experiment
+draws many trials' rows per block.  Memory therefore stays constant in the
+planned n, and because the sums are exact the block size never changes a
+certificate.
 """
 
 from __future__ import annotations
@@ -134,6 +138,10 @@ class BernoulliSource(SampleSource):
     Pr{1} - p lies in [0, 2^-61).  Lanes left over from a word wait for the
     next draw, so any split of the draws gives the same values.  The private
     ``_key`` names another (role, index) child of ``seed``.
+
+    A one-row planned estimate counts the lanes (``_count``) without building
+    the draws; it takes words, spare lanes and ties through the same
+    ``_lanes`` as ``_generate``.  Many-row blocks stay boolean.
     """
 
     def __init__(self, p: float, seed: int = 0, *, _key: tuple[int, int] = (_BERNOULLI, 0)):
@@ -151,17 +159,31 @@ class BernoulliSource(SampleSource):
     # 8,192 words (64 KiB) and as many booleans: per-block costs are paid once per 65,536 draws
     _block = property(lambda self: 4 * _DRAW_CHUNK)
 
-    def _generate(self, k: int) -> np.ndarray:
+    def _lanes(self, k: int) -> np.ndarray:
+        """The next k byte lanes: the spare ones first, then those of new words."""
         words = self._rng.bit_generator.random_raw(-((self._spare.size - k) // 8))
         lanes = words.astype("<u8", copy=False).view(np.uint8)
         if self._spare.size:
             lanes = np.concatenate((self._spare, lanes))
         lanes, self._spare = lanes[:k], lanes[k:].copy()
+        return lanes
+
+    def _generate(self, k: int) -> np.ndarray:
+        lanes = self._lanes(k)
         ones = lanes < self._cut
         if self._frac:  # otherwise every tie is a 0, as lanes < cut has it
             ties = np.flatnonzero(lanes == self._cut)
             ones[ties] = self._ties.random(ties.size) < self._frac
         return ones
+
+    def _count(self, k: int) -> int:
+        """``count_nonzero(self.draw(k))`` from the same lanes and ties; a tie is counted, never placed."""
+        lanes = self._lanes(k)
+        ones = np.count_nonzero(lanes < self._cut)
+        if self._frac:
+            ones += np.count_nonzero(self._ties.random(np.count_nonzero(lanes == self._cut)) < self._frac)
+        self.draws_made += k
+        return int(ones)
 
 
 @dataclass(frozen=True)
@@ -187,7 +209,9 @@ class Certificate:
         return asdict(self)
 
 
-def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) -> Optional[list[float]]:
+def _row_sums(
+    take: Callable[[int], np.ndarray], rows: int, n: int, block: int, count: Optional[Callable[[int], int]] = None
+) -> Optional[list[float]]:
     """The exact, correctly rounded sum of each of ``rows`` consecutive rows
     of ``n`` values; each is bit-identical to ``math.fsum`` of its row.
 
@@ -195,7 +219,10 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) 
     kernel may overwrite.  Blocks hold ``block // n`` whole rows, or one
     ``block``-sized part of a row when n exceeds ``block``, so the stream is
     consumed in order and no request exceeds ``block`` values; a source's
-    reduction passes its ``_block``.
+    reduction passes its ``_block``.  ``count(k)``, when given, returns the
+    number of ones among the next k values of the same stream; it takes the
+    place of ``take`` for blocks that hold one row, which a 0/1 source then
+    never builds.  Blocks of many rows are always taken.
 
     A boolean block adds its rows' counts to one int64 array in one reduction:
     ``count_nonzero`` for one row, else a sum in uint16 while rows hold fewer
@@ -228,6 +255,9 @@ def _row_sums(take: Callable[[int], np.ndarray], rows: int, n: int, block: int) 
         parts: Optional[list[list[float]]] = None
         for start in range(0, n, width):
             m = min(width, n - start)
+            if count is not None and b == 1:
+                counts += count(m)
+                continue
             r = take(b * m).reshape(b, m)
             if r.dtype == bool:
                 counts += np.count_nonzero(r) if b == 1 else r.sum(axis=1, dtype=count_type)
@@ -301,10 +331,13 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     of the plan.  Samples are consumed in a single sequential pass, in blocks
     of at most the source's ``_block`` of draws that are summed exactly, so
     memory does not grow with n and the certificate is reproducible from the
-    source seed whatever the block size.
+    source seed whatever the block size.  A ``BernoulliSource`` is counted
+    from its byte lanes, without building its draws, unless a subclass
+    overrides ``_generate`` or ``draw``; then its values are drawn.
     """
     plan = minimum_sample_size(spec)
-    mu_hat = _row_sums(source.draw, 1, plan.n, source._block)[0] / plan.n
+    counted = type(source)._generate is BernoulliSource._generate and type(source).draw is SampleSource.draw
+    mu_hat = _row_sums(source.draw, 1, plan.n, source._block, source._count if counted else None)[0] / plan.n
     return _certificate(mu_hat, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 

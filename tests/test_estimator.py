@@ -289,15 +289,16 @@ class UniformSource(SampleSource):
 
 
 class RecordingSource(BernoulliSource):
-    """A Bernoulli source that records the size of every request."""
+    """A Bernoulli source that records the size of every request for lanes,
+    which counting and drawing both make."""
 
     def __init__(self, p: float, seed: int = 0):
         super().__init__(p, seed)
         self.requests = []
 
-    def _generate(self, k: int) -> np.ndarray:
+    def _lanes(self, k: int) -> np.ndarray:
         self.requests.append(k)
-        return super()._generate(k)
+        return super()._lanes(k)
 
 
 class TestChunkedDraws:
@@ -389,6 +390,131 @@ class TestChunkedDraws:
         assert cert.n == source.draws_made == 7_229_021
         assert len(source.requests) == -(-7_229_021 // 65_536) == 111
         assert source.requests[:-1] == [65_536] * 110
+
+
+class DrawnBernoulliSource(BernoulliSource):
+    """The same source, reduced from its boolean draws: it overrides ``_generate``."""
+
+    def _generate(self, k: int) -> np.ndarray:
+        return super()._generate(k)
+
+
+COUNT_PS = (0.0, 1.0, 77 / 256, 0.3, 7 / 256 + 1e-9, 1 - 2.0**-53)  # 77/256 has frac 0: ties are 0s
+
+
+def same_streams(a, b):
+    """Both sources consumed the same words and ties and keep the same spare lanes."""
+    for mine, theirs in ((a._rng, b._rng), (a._ties, b._ties)):
+        assert mine.bit_generator.state == theirs.bit_generator.state
+    np.testing.assert_array_equal(a._spare, b._spare)
+    assert a.draws_made == b.draws_made
+
+
+class TestLaneCounts:
+    """A one-row estimate counts a BernoulliSource's lanes; the count is the
+    count of its draws, from the same streams, bit for bit."""
+
+    @pytest.mark.parametrize("lead", [0, 3], ids=["aligned", "3-draw lead"])
+    @pytest.mark.parametrize("k", [0, 1, 7, 65_535, 65_536, 65_537])
+    @pytest.mark.parametrize("p", COUNT_PS)
+    def test_count_is_the_count_of_the_draws(self, p, k, lead):
+        counted, drawn = BernoulliSource(p, seed=6), BernoulliSource(p, seed=6)
+        # a 3-draw lead leaves 5 spare lanes for the request to start on
+        np.testing.assert_array_equal(counted.draw(lead), drawn.draw(lead))
+        count = counted._count(k)
+        assert type(count) is int
+        assert count == np.count_nonzero(drawn.draw(k))
+        same_streams(counted, drawn)
+        # and the draws after it are the same
+        np.testing.assert_array_equal(counted.draw(11), drawn.draw(11))
+
+    @pytest.mark.parametrize("p", COUNT_PS)
+    def test_counts_and_draws_mix_freely(self, p):
+        sizes = [3, 65_536, 1, 7, 65_537, 577, 0, 65_535, 13]
+        mixed, whole = BernoulliSource(p, seed=9), BernoulliSource(p, seed=9)
+        values = whole.draw(sum(sizes))
+        start = 0
+        for i, k in enumerate(sizes):
+            part = values[start : start + k]
+            if i % 2:
+                assert mixed._count(k) == np.count_nonzero(part)
+            else:
+                np.testing.assert_array_equal(mixed.draw(k), part)
+            start += k
+        same_streams(mixed, whole)
+
+    @pytest.mark.parametrize("p", [0.3, 7 / 256 + 1e-9, 77 / 256])
+    @pytest.mark.parametrize(
+        "spec", [SPEC_1755, validate_spec(2e-4, 0.02, 1e-6)], ids=["n1755", "n7229021"]
+    )
+    def test_estimate_with_plan_equals_the_boolean_path(self, spec, p):
+        counted, drawn = BernoulliSource(p, seed=4), DrawnBernoulliSource(p, seed=4)
+        assert estimate_with_plan(counted, spec) == estimate_with_plan(drawn, spec)
+        assert counted.draws_made == drawn.draws_made == minimum_sample_size(spec).n
+        same_streams(counted, drawn)
+
+    @pytest.mark.parametrize("rows, n", [(40, 577), (3, 40_000)], ids=["many-row blocks", "one-row blocks"])
+    def test_row_sums_count_only_blocks_of_one_row(self, rows, n):
+        counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
+        counts = []
+
+        def count(k):
+            counts.append(k)
+            return counted._count(k)
+
+        sums = estimator._row_sums(counted.draw, rows, n, counted._block, count)
+        assert sums == estimator._row_sums(twin.draw, rows, n, twin._block)
+        assert sum(counted.requests) == counted.draws_made == twin.draws_made == rows * n
+        # 40 rows of 577 share one block, which is drawn; a row of 40,000 fills a block alone
+        assert counts == ([] if n == 577 else [n] * rows)
+
+    def test_a_plain_source_is_counted_not_drawn(self, monkeypatch):
+        expected = estimate_with_plan(DrawnBernoulliSource(0.3, seed=4), SPEC_1755)
+
+        def refuse(self, k):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(SampleSource, "draw", refuse)
+        source = BernoulliSource(0.3, seed=4)
+        assert estimate_with_plan(source, SPEC_1755) == expected
+        assert source.draws_made == 1755
+
+    @pytest.mark.parametrize("method", ["_generate", "draw"])
+    def test_a_subclass_that_draws_its_own_way_is_reduced_through_it(self, method):
+        calls = []
+
+        class Own(BernoulliSource):
+            def _count(self, k):
+                raise AssertionError("counted a source that draws its own way")
+
+        def record(self, k):
+            calls.append(k)
+            return getattr(super(Own, self), method)(k)
+
+        setattr(Own, method, record)
+        cert = estimate_with_plan(Own(0.3, seed=4), SPEC_1755)
+        assert cert == estimate_with_plan(BernoulliSource(0.3, seed=4), SPEC_1755)
+        assert sum(calls) == 1755
+
+    def test_coverage_reduces_boolean_blocks_drawn_through_draw(self, monkeypatch):
+        expected = verification.coverage_experiment(SPEC, [0.2, 0.6], trials=40, seed=5)
+        blocks = []
+        draw = SampleSource.draw
+
+        def recorded(self, k):
+            values = draw(self, k)
+            blocks.append((values.dtype, k))
+            return values
+
+        def refuse(self, k):
+            raise AssertionError("counted a coverage block")
+
+        monkeypatch.setattr(SampleSource, "draw", recorded)
+        monkeypatch.setattr(BernoulliSource, "_count", refuse)
+        assert verification.coverage_experiment(SPEC, [0.2, 0.6], trials=40, seed=5) == expected
+        # each block holds many 577-draw trials
+        assert blocks and all(dtype == bool and k % 577 == 0 and k > 577 for dtype, k in blocks)
+        assert sum(k for _, k in blocks) == 2 * 40 * 577
 
 
 class TestBatchedTrials:
