@@ -1,10 +1,11 @@
 """Command-line surface: plan, confidence, estimate, optimize, verify.
 
-Exit codes: 0 success, 1 validation or domain error, 2 I/O error,
-3 verification-suite failure.  Structured output is JSON (``--json`` to
-stdout, ``--output PATH`` to a file); the default is human-readable text.
-Seeds default to DEFAULT_SEED so repeated invocations reproduce bit-identical
-results unless the caller opts out.
+Exit codes, all set in ``main``: 0 success; 1 validation or domain error, an
+input that is not valid text included (its check names the line); 2 a file that
+cannot be opened, read or written (an input, ``--output`` or ``--trace-csv``);
+3 verification-suite failure.  JSON goes to stdout with ``--json`` and to a file
+with ``--output PATH``; stdout is text otherwise.  Seeds default to DEFAULT_SEED
+so repeated invocations reproduce bit-identical results unless the caller opts out.
 """
 
 from __future__ import annotations
@@ -94,17 +95,10 @@ def _build_parser() -> _Parser:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.output is not None:
-        try:
-            with open(args.output, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        with open(args.output, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
     print(json.dumps(payload, indent=2) if args.json else human)
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def _cmd_plan(args) -> int:
@@ -140,11 +134,8 @@ def _cmd_confidence(args) -> int:
 
 def _read_sample_file(path: str) -> tuple[list[float], list[int]]:
     """The decimal values of a sample file, and the line number of each."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    with open(path, errors="replace") as fh:
+        lines = fh.readlines()
     values, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -213,11 +204,8 @@ def _build(cls, cfg: dict, key: str):
 
 
 def _load_run_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    with open(path, errors="replace") as fh:
+        raw = fh.read()
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -262,13 +250,10 @@ def _cmd_optimize(args) -> int:
     }
 
     if args.trace_csv is not None:
-        try:
-            with open(args.trace_csv, "w") as fh:
-                fh.write("iteration,objective\n")
-                for i, value in enumerate(outcome.objective_trace):
-                    fh.write(f"{i},{value!r}\n")
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        with open(args.trace_csv, "w") as fh:
+            fh.write("iteration,objective\n")
+            for i, value in enumerate(outcome.objective_trace):
+                fh.write(f"{i},{value!r}\n")
 
     human_lines = [
         f"theta_star = {list(outcome.theta_star)}",
@@ -341,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _IOFailure as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProbcertError as exc:

@@ -32,7 +32,8 @@ import numpy as np
 from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, make_model
 from .errors import DomainError
 from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _row_sums, _stream
-from .tail_bounds import ErrorSpec, _dg, _g, _require_int, _require_real, hoeffding_exponent, minimum_sample_size
+from .tail_bounds import (ErrorSpec, _dg, _g, _require_int, _require_real, lower_tail_bound, minimum_sample_size,
+                          upper_tail_bound)
 
 __all__ = [
     "GridSpec",
@@ -269,7 +270,7 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
             f"mu grid must lie entirely in (0, {crossover}] or ({crossover}, 1)"
         )
 
-    bound = math.exp(n * hoeffding_exponent(-spec.eps_a if in_lower else spec.eps_a, crossover))
+    bound = (lower_tail_bound if in_lower else upper_tail_bound)(n, spec.eps_a, crossover)
     pairs = []  # (p, k) of each tail as Pr{Binomial(n, p) <= k}, which is 0 for k < 0
     for mu in mus:
         if in_lower:  # Pr{S <= n (mu - eps_a)}

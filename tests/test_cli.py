@@ -11,6 +11,7 @@ import pytest
 from probcert import (
     OptimizationSettings,
     ScanReport,
+    cli,
     estimate_from_batch,
     make_model,
     minimum_sample_size,
@@ -50,6 +51,14 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--eps-a", "0.3", "--eps-r", "0.5", "--delta", "0.1")
         assert code == 1
         assert "eps_a/eps_r" in err
+
+    def test_os_error_inside_a_command_exits_two(self, capsys, monkeypatch):
+        def failing(spec):
+            raise OSError("device lost")
+
+        monkeypatch.setattr(cli, "minimum_sample_size", failing)
+        code, out, err = run_cli(capsys, "plan", "--eps-a", "0.05", "--eps-r", "0.2", "--delta", "0.05")
+        assert (code, out, err) == (2, "", "error: device lost\n")
 
     def test_plan_round_trip_via_file(self, capsys, tmp_path):
         out_path = tmp_path / "plan.json"
@@ -122,6 +131,18 @@ class TestEstimate:
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--input", str(tmp_path / "nope.txt"), "--eps-a", "0.05", "--eps-r", "0.2")
         assert code == 2
+
+    def test_directory_input_is_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "estimate", "--input", str(tmp_path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff0.5\n0.25\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: not a decimal number: '\ufffd0.5'\n"
 
 
 def write_config(tmp_path, **overrides):
@@ -311,6 +332,29 @@ class TestOptimize:
             "--output", str(tmp_path / "missing_dir" / "x.json"),
         )
         assert code == 2
+
+    def test_unwritable_trace_csv_is_io_error(self, capsys, tmp_path):
+        path = write_config(tmp_path)
+        code, out, err = run_cli(
+            capsys, "optimize", "--config", str(path),
+            "--trace-csv", str(tmp_path / "missing_dir" / "t.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "t.csv" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b'{"model": "quadratic_well"\xff}', "error: config: invalid JSON: "),
+            (b'{"mod\xffel": "quadratic_well"}', "error: mod\ufffdel: unknown field\n"),
+        ],
+    )
+    def test_non_utf8_config_exits_one(self, capsys, tmp_path, raw, message):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "optimize", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 class TestVerify:

@@ -232,9 +232,7 @@ class TestLemmaScans:
                 return fn(*args)
             return wrapper
 
-        original = tail_bounds.hoeffding_exponent
-        monkeypatch.setattr(tail_bounds, "hoeffding_exponent", counting(original))
-        monkeypatch.setattr(verification, "hoeffding_exponent", counting(original))
+        monkeypatch.setattr(tail_bounds, "hoeffding_exponent", counting(tail_bounds.hoeffding_exponent))
         for lemma_id in ("L2", "L3", "L4"):
             assert lemma_scan(lemma_id, GridSpec(eps=0.1)).passed
         assert calls == []
@@ -351,6 +349,24 @@ class TestLemma56Check:
         ks = [math.ceil(n * (1.0 + spec.eps_r) * mu) for mu in mus]
         expected = [binomial_tail_exact(n, 1.0 - mu, n - k) if k <= n else 0.0 for mu, k in zip(mus, ks)]
         assert tails[1] == expected and any(expected)
+
+    @pytest.mark.parametrize(
+        "name, mus", [("lower_tail_bound", [0.1, 0.2]), ("upper_tail_bound", [0.3, 0.6])]
+    )
+    def test_bound_is_the_library_tail_bound(self, monkeypatch, name, mus):
+        # L5 and L6 take their bound from the functions users call, once, at
+        # (n, eps_a, eps_a/eps_r): a bound of 0 fails every nonzero tail
+        calls = []
+
+        def zero(n, eps, mu):
+            calls.append((n, eps, mu))
+            return 0.0
+
+        monkeypatch.setattr(verification, name, zero)
+        report = lemma56_check(SPEC, mus, 577)
+        assert calls == [(577, SPEC.eps_a, SPEC.worst_case_mean)]
+        assert [point for point, _ in report.violations] == [(mu,) for mu in mus]
+        assert all(values["bound"] == 0.0 for _, values in report.violations)
 
     def test_grid_range_validation(self):
         with pytest.raises(DomainError):
