@@ -60,7 +60,7 @@ __all__ = [
 _Y_BOUND = 2.0**450  # for Y and its gradient: Y * Y stays inside the exact kernel's 2^900 range
 _STEP_FLOOR = 1e-20  # the line search halves a unit first step down to this
 _ARMIJO_C = 1e-4
-_LAMBDA_RTOL = 1e-12  # the lambda solve ends at a step this small relative to lambda
+_LAMBDA_RTOL = 1e-12  # the lambda solve ends at a clipped Newton step this small relative to lambda
 _LAMBDA_STEPS = 200
 # largest x with math.exp(x) finite
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -449,9 +449,9 @@ def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.n
 
     lambda* minimizes the convex h = log g over (0, cap]: the cap when every
     Y > 0.  When mean Y <= 0, h' >= 0 from 0 on, so lam is kept and theta
-    still gets a gradient.  Otherwise Newton steps from lam find the root of
-    h', or the cap if h' < 0 there; a step out of the bracket, or zero
-    curvature (all the weight on one scenario), bisects instead.
+    still gets a gradient.  Otherwise Newton steps from lam, clipped to the
+    cap, run until one is within _LAMBDA_RTOL of lambda; zero curvature is an
+    infinite step toward the root, and a longer step out of the bracket bisects.
     """
     if ys.min() > 0.0:
         lam = cap
@@ -459,16 +459,12 @@ def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.n
         lo, hi = 0.0, math.inf  # h' < 0 at lo, h' > 0 at hi
         for _ in range(_LAMBDA_STEPS):
             f, d1, d2, weights = _moments(ys, lam)
-            if d1 == 0.0 or (d1 < 0.0 and lam == cap):
-                return lam, f, weights
-            lo, hi = (lam, hi) if d1 < 0.0 else (lo, lam)
-            nxt = lam - d1 / d2 if d2 > 0.0 else math.nan
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if hi < math.inf else cap
-            nxt = min(nxt, cap)
+            step = -d1 / d2 if d2 > 0.0 else math.copysign(math.inf, -d1) if d1 else 0.0
+            nxt = min(lam + step, cap)
             if abs(nxt - lam) <= _LAMBDA_RTOL * lam:
                 return lam, f, weights
-            lam = nxt
+            lo, hi = (lam, hi) if d1 < 0.0 else (lo, lam)
+            lam = nxt if lo < nxt < hi else 0.5 * (lo + hi) if hi < math.inf else cap
     f, _, _, weights = _moments(ys, lam)
     return lam, f, weights
 

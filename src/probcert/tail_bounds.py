@@ -159,6 +159,10 @@ def hoeffding_exponent(eps: float, mu: float) -> float:
     return _g(eps, mu, math.log1p)
 
 
+def _bound(risk: float) -> float:
+    return max(risk, math.ulp(0.0))  # a risk bound that underflowed to 0 reads 5e-324: never 0, never rounded down
+
+
 def upper_tail_bound(n: int, eps: float, mu: float) -> float:
     """Bound on Pr{mean >= mu + eps}: exp(n g(eps, mu)), for 0 < eps < 1 - mu."""
     _require_int(n, "n", 1)
@@ -166,7 +170,7 @@ def upper_tail_bound(n: int, eps: float, mu: float) -> float:
         raise DomainError(
             f"need 0 < eps < 1 - mu < 1, got eps={eps!r}, mu={mu!r}"
         )
-    return math.exp(n * hoeffding_exponent(eps, mu))
+    return _bound(math.exp(n * hoeffding_exponent(eps, mu)))
 
 
 def lower_tail_bound(n: int, eps: float, mu: float) -> float:
@@ -174,7 +178,7 @@ def lower_tail_bound(n: int, eps: float, mu: float) -> float:
     _require_int(n, "n", 1)
     if not (0.0 < eps < mu < 1.0):
         raise DomainError(f"need 0 < eps < mu < 1, got eps={eps!r}, mu={mu!r}")
-    return math.exp(n * hoeffding_exponent(-eps, mu))
+    return _bound(math.exp(n * hoeffding_exponent(-eps, mu)))
 
 
 def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
@@ -220,12 +224,11 @@ def achieved_confidence(n: int, eps_a: float, eps_r: float) -> float:
     """Smallest risk certified at sample count n: 2 exp(n g(eps_a, eps_a/eps_r)).
 
     Values >= 1 are reported as 1.0; such a result carries no guarantee
-    (callers flag it).  Decreases monotonically to 0 as n grows.
+    (callers flag it).  Decreases monotonically as n grows, to 5e-324, never 0.
     """
     _require_int(n, "n", 1)
     eps_a, eps_r = _require_real(eps_a, "eps_a"), _require_real(eps_r, "eps_r")
     violations = _pair_violations(eps_a, eps_r)
     if violations:
         raise InvalidSpecError(violations)
-    raw = 2.0 * math.exp(n * hoeffding_exponent(eps_a, eps_a / eps_r))
-    return min(raw, 1.0)
+    return min(_bound(2.0 * math.exp(n * hoeffding_exponent(eps_a, eps_a / eps_r))), 1.0)

@@ -6,8 +6,11 @@ import math
 import re
 from fractions import Fraction
 
+import hypothesis
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from probcert import (
     Certificate,
@@ -47,6 +50,46 @@ def plus_minus_one_objective():
     """Y values {1, -1}: uniform_gap at theta=0 over scenario rows {-1, +1}."""
     model = make_model("uniform_gap")
     return ChernoffObjective(model, ScenarioSet.from_array([[-1.0], [1.0]]))
+
+
+def count_passes(monkeypatch):
+    """A list that gets one entry per lambda solve (``_profile`` call): the
+    number of ``_moments`` passes that solve made.
+    """
+    counts = []
+    moments, profile = chernoff_opt._moments, chernoff_opt._profile
+
+    def counted_moments(*args):
+        counts[-1] += 1
+        return moments(*args)
+
+    def counted_profile(*args):
+        counts.append(0)
+        return profile(*args)
+
+    monkeypatch.setattr(chernoff_opt, "_moments", counted_moments)
+    monkeypatch.setattr(chernoff_opt, "_profile", counted_profile)
+    return counts
+
+
+def root_of_slope(ys):
+    """lambda* > 0 with sum_i Y_i exp(-lambda Y_i) = 0, the root of h', by
+    bisection in 40-digit mpmath: independent of the Newton solve under test.
+    """
+    with mp.workdps(40):
+        ys = [mp.mpf(y) for y in ys]
+
+        def s(lam):  # sum_i Y_i exp(-lambda Y_i): > 0 below the root, < 0 above
+            return mp.fsum(y * mp.exp(-lam * y) for y in ys)
+
+        hi = mp.mpf(1)
+        while s(hi) > 0:
+            hi *= 2
+        lo = mp.mpf(0)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if s(mid) > 0 else (lo, mid)
+        return float((lo + hi) / 2)
 
 
 def fd_moment_gradient(obj, lam, theta):
@@ -567,6 +610,68 @@ class TestMinimize:
             certificate=certificate,
         )
         assert rebuilt == out
+
+
+class TestLambdaSolve:
+    """``_profile``, the lambda solve, counted in ``_moments`` passes."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 1729])
+    def test_readme_config_solves_in_few_passes(self, monkeypatch, seed):
+        # a Newton step that rounds onto the bracket's end has converged:
+        # bisecting it instead costs about 40 more passes
+        counts = count_passes(monkeypatch)
+        model = make_model("quadratic_well", sigma=0.5)
+        settings = OptimizationSettings(theta0=(0.8,), nu0=0.0, max_iters=1000, grad_tol=1e-6, lambda_cap=50.0)
+        out = optimize_probability(model, settings, seed=seed, n_scenarios=5000)
+        assert out.termination == "gradient_tol"
+        assert len(counts) > out.iterations
+        assert max(counts) <= 12
+
+    def test_every_y_positive_gives_the_cap_in_one_pass(self, monkeypatch):
+        counts = count_passes(monkeypatch)
+        ys = np.array([0.5, 1.0, 2.0])
+        lam, f, _ = chernoff_opt._profile(ys, 1.0, 10.0)
+        assert (lam, counts) == (10.0, [1])
+        assert f == chernoff_opt._moments(ys, 10.0)[0]
+
+    def test_mean_y_nonpositive_keeps_the_warm_start(self, monkeypatch):
+        counts = count_passes(monkeypatch)
+        lam, _, _ = chernoff_opt._profile(np.array([-1.0, 0.5]), 0.3, 50.0)
+        assert (lam, counts) == (0.3, [1])
+
+    @pytest.mark.parametrize("warm", [1e-6, 0.05, 0.1])
+    def test_root_beyond_the_cap_gives_the_cap(self, warm):
+        # Y = {-1, 3}: h' = 0 at exp(4 lambda) = 3, lambda = 0.2747, past the cap 0.1
+        ys = np.array([-1.0, 3.0])
+        lam, _, _ = chernoff_opt._profile(ys, warm, 0.1)
+        assert lam == 0.1
+        assert chernoff_opt._moments(ys, lam)[1] < 0.0
+
+    def test_zero_curvature_still_ends(self, monkeypatch):
+        counts = count_passes(monkeypatch)
+        # Y = {-1, 100}: at lambda = 50 the weight of Y = 100 underflows, so
+        # h'' = 0 and h' = 1 > 0, an infinite step down to the root ln(100) / 101
+        lam, _, _ = chernoff_opt._profile(np.array([-1.0, 100.0]), 50.0, 50.0)
+        assert lam == pytest.approx(math.log(100.0) / 101.0, rel=1e-11)
+        # Y = {0, 1e10}: the weight of 1e10 underflows at lambda = 1, so h' = 0
+        # and h'' = 0, a zero step
+        lam, _, _ = chernoff_opt._profile(np.array([0.0, 1e10]), 1.0, 50.0)
+        assert lam == 1.0
+        assert counts[-1] == 1 and counts[0] < chernoff_opt._LAMBDA_STEPS
+
+    @hypothesis.given(
+        st.lists(st.floats(0.01, 10.0), min_size=1, max_size=20),
+        st.lists(st.floats(-10.0, -0.01), min_size=1, max_size=20),
+    )
+    @hypothesis.settings(max_examples=60, deadline=None)
+    def test_interior_root_from_far_warm_starts(self, positive, negative):
+        ys = np.array(positive + negative)
+        # a mean near 0 puts the root near 0, where its relative error grows
+        hypothesis.assume(ys.mean() >= 0.05 * np.abs(ys).max())
+        root = root_of_slope(ys)
+        for warm in (1e-3 * root, 1e3 * root):
+            lam, _, _ = chernoff_opt._profile(ys, warm, 1e9)
+            assert lam == pytest.approx(root, rel=1e-11)
 
 
 class TestCertifyProbability:

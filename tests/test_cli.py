@@ -79,6 +79,11 @@ class TestConfidence:
         assert payload["delta_achieved"] == pytest.approx(0.0497625, abs=1e-6)
         assert payload["no_guarantee"] is False
 
+    def test_risk_past_underflow_is_not_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "confidence", "--n", "100000000", "--eps-a", "0.05", "--eps-r", "0.2", "--json")
+        assert code == 0
+        assert json.loads(out)["delta_achieved"] == 5e-324
+
     def test_tiny_n_flags_no_guarantee(self, capsys):
         code, out, _ = run_cli(capsys, "confidence", "--n", "1", "--eps-a", "0.05", "--eps-r", "0.2")
         assert code == 0

@@ -811,6 +811,12 @@ class TestEstimateFromBatch:
         assert cert.delta_achieved == pytest.approx(ACH_577, rel=1e-12)
         assert not cert.no_guarantee
 
+    def test_large_batch_risk_never_zero(self):
+        # 2 exp(400,000 g(0.05, 0.25)) underflows: the risk reads 5e-324, not 0
+        cert = estimate_from_batch([0.5] * 400_000, 0.05, 0.2)
+        assert cert.delta_achieved == math.ulp(0.0)
+        assert not cert.no_guarantee
+
     def test_out_of_range_reports_index(self):
         with pytest.raises(SampleValueError) as exc_info:
             estimate_from_batch([0.5, 0.5, 1.2, 0.5], 0.05, 0.2)

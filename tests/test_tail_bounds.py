@@ -164,7 +164,6 @@ class TestTailBounds:
             upper_tail_bound(10, 0.5, 0.5)  # eps >= 1 - mu
 
     def test_bounds_in_unit_interval(self):
-        # zero only through exp underflow, when n*g < ln(DBL_MIN)
         rng = np.random.default_rng(3)
         for _ in range(100):
             mu = rng.uniform(0.05, 0.95)
@@ -173,10 +172,15 @@ class TestTailBounds:
             eps_lo = rng.uniform(0.01, 0.99) * mu
             up = upper_tail_bound(n, eps_up, mu)
             lo = lower_tail_bound(n, eps_lo, mu)
-            assert 0.0 <= up <= 1.0
-            assert 0.0 <= lo <= 1.0
-            assert up > 0.0 or n * hoeffding_exponent(eps_up, mu) < -700.0
-            assert lo > 0.0 or n * hoeffding_exponent(-eps_lo, mu) < -700.0
+            assert 0.0 < up <= 1.0
+            assert 0.0 < lo <= 1.0
+
+    def test_underflow_reads_smallest_subnormal(self):
+        # n g(+-0.3, 0.5) is about -1.9e5, far below ln(5e-324): exp(n g) is 0.0,
+        # and a 0 would claim the tail impossible
+        assert 10**6 * hoeffding_exponent(0.3, 0.5) < -1e5
+        assert upper_tail_bound(10**6, 0.3, 0.5) == math.ulp(0.0)
+        assert lower_tail_bound(10**6, 0.3, 0.5) == math.ulp(0.0)
 
 
 class TestValidateSpec:
@@ -279,6 +283,12 @@ class TestAchievedConfidence:
 
     def test_cap_at_one(self):
         assert achieved_confidence(1, 0.02, 0.2) == 1.0
+
+    def test_underflow_reads_smallest_subnormal(self):
+        # 2 exp(1e8 g) underflows to 0, and a certificate at 0 risk claims
+        # its criterion holds with probability > 1
+        assert 2.0 * math.exp(10**8 * hoeffding_exponent(0.05, 0.25)) == 0.0
+        assert achieved_confidence(10**8, 0.05, 0.2) == math.ulp(0.0)
 
     def test_constraint_errors(self):
         with pytest.raises(InvalidSpecError):
