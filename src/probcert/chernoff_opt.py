@@ -338,7 +338,7 @@ def _moments(ys: np.ndarray, lam: float) -> tuple[float, float, float, np.ndarra
     h'' = Var_w(Y) under the shifted weights w, from exact sums in one pass.
     """
     top, weights = _weights(ys, lam)
-    rows = np.empty((3, ys.size))  # owned, so reduced in place; |Y| <= 2^450 keeps Y * Y * w in its range
+    rows = np.empty((3, ys.size))  # |Y| <= 2^450 keeps Y * Y * w in its range
     rows[0], rows[1] = 1.0, ys
     np.multiply(ys, ys, out=rows[2])
     s0, s1, s2 = _exact_sums(np.multiply(rows, weights, out=rows))
@@ -359,7 +359,7 @@ def _theta_gradient(
     if model.gradient_theta is not None:
         grads = model.gradient_theta(theta, obj.scenarios.scenarios)
         grads = _model_output(model, grads, (weights.size, model.dim_theta), "gradient")
-        rows = np.empty((1 + model.dim_theta, weights.size))  # owned, so reduced in place
+        rows = np.empty((1 + model.dim_theta, weights.size))
         rows[0], rows[1:] = 1.0, grads.T
         sums = _exact_sums(np.multiply(rows, weights, out=rows))
         return -lam * np.array(sums[1:]) / sums[0]

@@ -27,14 +27,14 @@ many rows, as a coverage experiment draws them, stay boolean.  Any other
 block is converted to float and goes through error-free extraction (Rump,
 Ogita & Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
 Comput. 31(1), 2008), which splits each row into a few partial sums whose
-numpy sums are exact and reduces the block in place against one reused
-scratch buffer.  A source is drawn at most its ``_block`` of values at a
-time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64), or four times that for
-``BernoulliSource``, whose 65,536-draw block is 8,192 words (64 KiB) and as
-many booleans.  One planned estimate is one row, and a coverage experiment
-draws many trials' rows per block.  Memory therefore stays constant in the
-planned n, and because the sums are exact the block size never changes a
-certificate.
+numpy sums are exact; it leaves the block unchanged and works in two scratch
+buffers reused across blocks.  A source is drawn at most its ``_block`` of
+values at a time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64), or four
+times that for ``BernoulliSource``, whose 65,536-draw block is 8,192 words
+(64 KiB) and as many booleans.  One planned estimate is one row, and a
+coverage experiment draws many trials' rows per block.  Memory therefore
+stays constant in the planned n, and because the sums are exact the block
+size never changes a certificate.
 """
 
 from __future__ import annotations
@@ -110,10 +110,7 @@ class SampleSource:
         """Emit the next k values, validated into [0, 1].
 
         A boolean block stays boolean, and the estimators count it; any other
-        block is converted to float64.  The returned array belongs to the
-        caller, which may overwrite it (the estimators reduce float blocks in
-        place).  ``_generate`` must therefore return a fresh array, never a
-        view of state the source keeps.
+        block is converted to float64.
         """
         k = _require_int(k, "draw count", 0)
         values = np.asarray(self._generate(k))
@@ -209,38 +206,56 @@ class Certificate:
         return asdict(self)
 
 
+def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.ndarray) -> bool:
+    """Append to ``parts[i]`` partial sums of row i of a 2-D float block whose
+    exact sum is the row's; False where a value is not finite or exceeds 2^900
+    in magnitude, where sigma could overflow (values in [0, 1] never do).
+
+    Each pass rounds every remainder r to q = (r + sigma) - sigma, a multiple
+    of ulp(sigma) / 2 with |q| <= 2^e, where max|r| < 2^e over the block and
+    sigma = 2^(e + k) with 2^k > m + 1 for rows of m values.  Every partial sum
+    of a row's q's is then below 2^(e + k) on that grid, so its numpy sum is
+    exact in any order, and r - q is exact too.  Each pass removes 53 - k bits,
+    until every remainder is zero.  The block is only read: remainders go to
+    the flat scratch ``r`` and q to ``q``, both reused by every pass.
+    """
+    r, q = r[: block.size].reshape(block.shape), q[: block.size].reshape(block.shape)
+    k = (block.shape[1] + 1).bit_length()
+    top = float(np.abs(block, out=q).max())
+    if not top <= 2.0**900:  # also true for nan
+        return False
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+        np.add(block, sigma, out=q)
+        q -= sigma
+        for row, total in zip(parts, q.sum(axis=1).tolist()):
+            row.append(total)
+        block = np.subtract(block, q, out=r)
+        top = float(np.abs(block, out=q).max())
+    return True
+
+
 def _row_sums(
     take: Callable[[int], np.ndarray], rows: int, n: int, block: int, count: Optional[Callable[[int], int]] = None
 ) -> Optional[list[float]]:
     """The exact, correctly rounded sum of each of ``rows`` consecutive rows
-    of ``n`` values; each is bit-identical to ``math.fsum`` of its row.
+    of ``n`` values (``math.fsum`` of the row), or None where ``_extract``
+    returns False.
 
-    ``take(k)`` returns the next k values of the stream as an array the
-    kernel may overwrite.  Blocks hold ``block // n`` whole rows, or one
-    ``block``-sized part of a row when n exceeds ``block``, so the stream is
-    consumed in order and no request exceeds ``block`` values; a source's
-    reduction passes its ``_block``.  ``count(k)``, when given, returns the
-    number of ones among the next k values of the same stream; it takes the
-    place of ``take`` for blocks that hold one row, which a 0/1 source then
-    never builds.  Blocks of many rows are always taken.
+    ``take(k)`` returns the next k values of the stream.  Blocks hold
+    ``block // n`` whole rows, or one ``block``-sized part of a row when n
+    exceeds ``block``, so the stream is consumed in order and no request
+    exceeds ``block`` values; a source's reduction passes its ``_block``.
+    ``count(k)``, when given, returns the number of ones among the next k
+    values; it takes the place of ``take`` for one-row blocks, which a 0/1
+    source then never builds.
 
     A boolean block adds its rows' counts to one int64 array in one reduction:
     ``count_nonzero`` for one row, else a sum in uint16 while rows hold fewer
-    than 2^16 values, so no count wraps (rows share a block only when each
-    is at most half of it, 32,768 values of a 65,536-value block), and in
-    int32 otherwise.  A count is an integer below 2^53, so as
-    a float it is ``fsum`` of its 0.0/1.0 values.  A float block is
-    extracted: each pass rounds every remainder r of the block to q = (r + sigma) - sigma, a multiple of ulp(sigma) / 2
-    with |q| <= 2^e, where max|r| < 2^e over the block and sigma = 2^(e + k)
-    with 2^k > m + 1 for rows of m values.  Every partial sum of a row's q's
-    is then below 2^(e + k) on that grid, so its numpy sum is exact in any
-    order, and r - q is exact too.  Each pass removes 53 - k bits, until
-    every remainder is zero, and writes q into one scratch buffer and r - q
-    over the block, so no pass allocates (nor a boolean block: the scratch
-    is made for the first float block).  ``fsum`` then rounds each row's
-    few partial sums and its count once.  A value that is not finite or
-    exceeds 2^900 in magnitude, where sigma could overflow, stops the kernel
-    with None; values in [0, 1] never do.
+    than 2^16 values, so no count wraps (rows share a block only when each is
+    at most half of it), and in int32 otherwise.  Float blocks go to
+    ``_extract`` with one scratch, and ``fsum`` rounds each row's partial sums
+    and its count once.
     """
     per_block = min(rows, max(1, block // n))
     width = min(n, block)
@@ -258,27 +273,15 @@ def _row_sums(
             if count is not None and b == 1:
                 counts += count(m)
                 continue
-            r = take(b * m).reshape(b, m)
-            if r.dtype == bool:
-                counts += np.count_nonzero(r) if b == 1 else r.sum(axis=1, dtype=count_type)
+            values = take(b * m).reshape(b, m)
+            if values.dtype == bool:
+                counts += np.count_nonzero(values) if b == 1 else values.sum(axis=1, dtype=count_type)
                 continue
             if parts is None:
                 parts = [[] for _ in range(b)]
-            if scratch is None:
-                scratch = np.empty(per_block * width)
-            q = scratch[: b * m].reshape(b, m)
-            k = (m + 1).bit_length()
-            top = float(np.abs(r, out=q).max())
-            if not top <= 2.0**900:  # also true for nan
+                scratch = np.empty((2, per_block * width)) if scratch is None else scratch
+            if not _extract(values, parts, *scratch):
                 return None
-            while top > 0.0:
-                sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
-                np.add(r, sigma, out=q)
-                q -= sigma
-                for row, total in zip(parts, q.sum(axis=1).tolist()):
-                    row.append(total)
-                r -= q
-                top = float(np.abs(r, out=q).max())
         if parts is None:  # a count is below 2^53, so it is its own exact float
             sums += counts.astype(float).tolist()
         else:
@@ -287,27 +290,24 @@ def _row_sums(
 
 
 def _exact_sums(rows: np.ndarray) -> Optional[list[float]]:
-    """``math.fsum`` of each row of a 2-D float array that the caller hands
-    over, reduced in place in one kernel pass; None, with ``rows`` partly
-    reduced, where a value is not finite or exceeds 2^900 in magnitude."""
-    flat = rows.reshape(-1)
-    taken = 0
-
-    def next_block(k: int) -> np.ndarray:
-        nonlocal taken
-        taken += k
-        return flat[taken - k : taken]
-
-    return _row_sums(next_block, rows.shape[0], rows.shape[1], _DRAW_CHUNK)
+    """``math.fsum`` of each row of a 2-D float array, left unchanged, from ``_extract``
+    on column blocks of at most ``_DRAW_CHUNK`` values (or one column); None where it fails."""
+    b, n = rows.shape
+    width = max(1, min(n, _DRAW_CHUNK // b))
+    scratch = np.empty((2, b * width))
+    parts: list[list[float]] = [[] for _ in range(b)]
+    for start in range(0, n, width):
+        if not _extract(rows[:, start : start + width], parts, *scratch):
+            return None
+    return [math.fsum(row) for row in parts]
 
 
 def stable_mean(values: Sequence[float]) -> float:
-    """Compensated mean: exact summation of a copy of ``values``, then one rounding."""
+    """``math.fsum(values) / len(values)`` bit for bit, with no Python loop; ``values`` is left unchanged."""
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DomainError("cannot take the mean of an empty sequence")
-    sums = _exact_sums(arr.reshape(1, -1).copy())  # a copy: the input may be the caller's
-    return (math.fsum(arr.tolist()) if sums is None else sums[0]) / arr.size  # inf, nan and overflow as in fsum
+    return (_exact_sums(arr.reshape(1, -1)) or [math.fsum(arr.tolist())])[0] / arr.size  # fsum's inf, nan or error
 
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:

@@ -83,7 +83,7 @@ class ErrorSpec:
 
     eps_a: absolute error tolerance, in (0, 1).
     eps_r: relative error tolerance, in (0, 1).
-    delta: risk bound, in (0, 1).
+    delta: risk bound, in (0, 1) and above 5e-324, the least risk a bound reads.
 
     Construction enforces eps_a/eps_r + eps_a <= 1/2, which implies
     eps_a < eps_r and eps_a/eps_r <= 1/2.
@@ -99,6 +99,8 @@ class ErrorSpec:
         violations = _pair_violations(self.eps_a, self.eps_r)
         if not 0.0 < self.delta < 1.0:
             violations.append(f"delta must lie in (0, 1), got {self.delta!r}")
+        elif self.delta == math.ulp(0.0):  # a plan would certify a risk of 5e-324, not below it
+            violations.append("delta must exceed 5e-324, the least risk a bound reads")
         if violations:
             raise InvalidSpecError(violations)
 
@@ -192,14 +194,15 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
 
     whose denominator equals -eps_r * g(eps_a, eps_a/eps_r); the threshold is
     therefore equivalent to 2 exp(n g(eps_a, eps_a/eps_r)) < delta, and n is
-    computed from g directly: floor(ln(2/delta) / -g) + 1, corrected against
-    the exponential form so the returned n satisfies the strict inequality
-    exactly even when double rounding of the ratio would flip the floor.  An
-    exponent that rounds to 0 or a ratio of 2**53 or more, where m * g no
-    longer tells neighbouring counts m apart, is a DomainError.
+    computed from g directly: floor((ln 2 - ln delta) / -g) + 1, corrected
+    against the exponential form so the returned n satisfies the strict
+    inequality exactly even when double rounding of the ratio would flip the
+    floor.  An exponent that rounds to 0 or a ratio of 2**53 or more, where
+    m * g no longer tells neighbouring counts m apart, is a DomainError.
     """
     exponent = hoeffding_exponent(spec.eps_a, spec.worst_case_mean)
-    rhs = math.log(2.0 / spec.delta) / -exponent if exponent < 0.0 else math.inf
+    # ln 2 - ln delta: 2 / delta overflows for delta below about 1.1e-308
+    rhs = (math.log(2.0) - math.log(spec.delta)) / -exponent if exponent < 0.0 else math.inf
     if not rhs < 2.0**53:
         raise DomainError(
             f"sample size must be below 2**53, got ln(2/delta) / -g = {rhs!r} "
@@ -207,10 +210,9 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
         )
 
     n = int(math.floor(rhs)) + 1
-    half = spec.delta / 2.0
 
     def satisfies(m: int) -> bool:
-        return math.exp(m * exponent) < half
+        return 2.0 * math.exp(m * exponent) < spec.delta  # 2 exp() is exact; delta / 2 can round
 
     while n > 1 and satisfies(n - 1):
         n -= 1

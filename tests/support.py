@@ -52,7 +52,7 @@ class SequenceSource(SampleSource):
             raise SourceExhaustedError(
                 f"sequence exhausted: {remaining} values left, {k} requested"
             )
-        # a copy: draws belong to the caller, who may overwrite them
+        # a copy: a source hands out no view of its own state
         out = self._values[self._cursor : self._cursor + k].copy()
         self._cursor += k
         return out

@@ -52,6 +52,14 @@ class TestPlan:
         assert code == 1
         assert "eps_a/eps_r" in err
 
+    def test_delta_past_2_over_delta_overflow_plans_and_5e_324_exits_one(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--eps-a", "0.05", "--eps-r", "0.2", "--delta", "1e-320")
+        assert code == 0
+        assert "n = 115212" in out
+        code, _, err = run_cli(capsys, "plan", "--eps-a", "0.05", "--eps-r", "0.2", "--delta", "5e-324")
+        assert code == 1
+        assert "5e-324" in err
+
     def test_os_error_inside_a_command_exits_two(self, capsys, monkeypatch):
         def failing(spec):
             raise OSError("device lost")

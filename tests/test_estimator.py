@@ -1,9 +1,10 @@
-"""Tests for sample sources, compensated means, and certificates."""
+"""Tests for sample sources, exact means, and certificates."""
 
 import json
 import math
 import re
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -571,6 +572,62 @@ class TestBatchedTrials:
         seqs = [g.bit_generator.seed_seq for pair in streams + [(own._rng, own._ties)] for g in pair]
         heads = [np.random.default_rng(seq).bit_generator.random_raw(8) for seq in seqs]
         assert len({int(x) for head in heads for x in head}) == 8 * len(seqs)
+
+
+class TestExactSums:
+    """The extraction reads a float block and never writes it: the caller's
+    array, or a stream's views, are left as they were."""
+
+    @staticmethod
+    def scaled_rows(rows, n, seed):
+        # mixed signs, and every other row 2^-900 below its neighbours
+        rng = np.random.default_rng(seed)
+        return np.ldexp(rng.random((rows, n)) - 0.25, -900 * (np.arange(rows)[:, None] % 2))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("shape", [(40, 577), (3, 40_000)], ids=["40x577", "3x40000"])
+    def test_each_row_is_fsum_and_the_input_is_left_unchanged(self, monkeypatch, chunk, shape):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        rows = self.scaled_rows(*shape, seed=chunk)
+        before = rows.copy()
+        assert estimator._exact_sums(rows) == [math.fsum(row) for row in before.tolist()]
+        np.testing.assert_array_equal(rows, before)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("special", [math.nan, math.inf, 1.5 * 2.0**950], ids=["nan", "inf", "past_2_900"])
+    def test_a_late_value_it_cannot_take_gives_none_and_leaves_the_input(self, monkeypatch, chunk, special):
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        rows = self.scaled_rows(*((40, 577) if chunk < 577 else (3, 40_000)), seed=1)
+        rows[1, -1] = special  # in the last of several column blocks, after the others are extracted
+        before = rows.copy()
+        assert estimator._exact_sums(rows) is None
+        np.testing.assert_array_equal(rows, before)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_row_sums_leave_the_stream_its_views_come_from(self, chunk):
+        stream = self.scaled_rows(9, 700, seed=2).ravel()
+        before = stream.copy()
+        taken = 0
+
+        def take(k):  # a view of the stream, not a copy
+            nonlocal taken
+            taken += k
+            return stream[taken - k : taken]
+
+        assert estimator._row_sums(take, 9, 700, chunk) == [math.fsum(row) for row in before.reshape(9, 700).tolist()]
+        np.testing.assert_array_equal(stream, before)
+
+    def test_stable_mean_of_a_million_values_peaks_below_one_mib(self):
+        # the array is only read: the two scratch blocks are all that is allocated
+        values = np.random.default_rng(6).random(1_000_000)
+        tracemalloc.start()
+        try:
+            mean = stable_mean(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mean == math.fsum(values.tolist()) / values.size
+        assert peak < 2**20
 
 
 class FloatBernoulliSource(BernoulliSource):

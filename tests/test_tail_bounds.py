@@ -247,6 +247,20 @@ class TestMinimumSampleSize:
         assert math.exp(plan.n * plan.worst_case_exponent) < spec.delta / 2.0
         assert math.exp((plan.n - 1) * plan.worst_case_exponent) >= spec.delta / 2.0
 
+    def test_delta_below_the_smallest_normal_plans(self):
+        # 2 / delta overflows at delta = 1e-320; ln 2 - ln delta does not
+        plan = minimum_sample_size(validate_spec(0.05, 0.2, 1e-320))
+        assert plan.n == 115_212
+        assert achieved_confidence(plan.n, 0.05, 0.2) < 1e-320 <= achieved_confidence(plan.n - 1, 0.05, 0.2)
+
+    def test_delta_at_the_smallest_normal_plans_as_before(self):
+        assert minimum_sample_size(validate_spec(0.05, 0.2, 2.2250738585072014e-308)).n == 110_771
+
+    def test_delta_of_5e_324_has_no_plan(self):
+        # a risk bound never reads below 5e-324, so no plan could certify a risk below it
+        with pytest.raises(InvalidSpecError, match="5e-324"):
+            validate_spec(0.05, 0.2, 5e-324)
+
     def test_tightness_random_specs(self):
         for spec in random_valid_specs(100, seed=91):
             plan = minimum_sample_size(spec)
