@@ -15,26 +15,25 @@ package is one named child of its seed per role (``_stream``), never a seed
 offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
-would, but without a Python-level loop.  A 0/1 source (Bernoulli draws,
-failure indicators) may return its block as booleans, whose rows are counted
-in one integer reduction per block; a count is exact.  ``BernoulliSource``
-makes eight draws from each 64-bit generator word, one per byte lane, and
-settles a lane that ties with 256 p from a tie child of its stream, so a
-draw is 1 with a probability in [p, p + 2^-61).  A one-row planned estimate
-on a ``BernoulliSource`` is counted from its byte lanes (the lanes below the
-cut, plus the ties that settle to 1) and never builds its draws; blocks of
-many rows, as a coverage experiment draws them, stay boolean.  Any other
-block is converted to float and goes through error-free extraction (Rump,
-Ogita & Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
-Comput. 31(1), 2008), which splits each row into a few partial sums whose
-numpy sums are exact; it leaves the block unchanged and works in two scratch
-buffers reused across blocks.  A source is drawn at most its ``_block`` of
-values at a time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64), or four
-times that for ``BernoulliSource``, whose 65,536-draw block is 8,192 words
-(64 KiB) and as many booleans.  One planned estimate is one row, and a
-coverage experiment draws many trials' rows per block.  Memory therefore
-stays constant in the planned n, and because the sums are exact the block
-size never changes a certificate.
+would, but without a Python-level loop.  A planned estimate is one row,
+reduced a block at a time.  A 0/1 source (Bernoulli draws, failure
+indicators) may return a block as booleans, which are counted exactly.
+``BernoulliSource`` makes eight draws from each 64-bit generator word, one
+per byte lane, and settles a lane that ties with 256 p from a tie child of
+its stream, so a draw is 1 with a probability in [p, p + 2^-61); a planned
+estimate on it counts each block from its byte lanes and never builds its
+draws.  Any other block is converted to float, checked into [0, 1] where it
+is reduced, and goes through error-free extraction (Rump, Ogita & Oishi,
+"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
+2008), which splits the row into a few partial sums whose numpy sums are
+exact; it leaves the block unchanged and works in two scratch buffers reused
+across blocks.  A source is drawn at most its ``_block`` of values at a
+time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64), or four times that for
+``BernoulliSource``, whose 65,536-draw block is 8,192 words (64 KiB) and as
+many booleans.  Memory therefore stays constant in the planned n, and
+because the sums are exact the block size never changes a certificate.  A
+coverage trial that shares no block with another is counted as a planned
+estimate is, from its byte lanes.
 """
 
 from __future__ import annotations
@@ -131,14 +130,17 @@ class BernoulliSource(SampleSource):
     Each 64-bit word of the Bernoulli child of ``seed`` makes eight draws, one
     per little-endian byte lane.  With cut = floor(256 p) and frac = 256 p - cut,
     both exact, a lane below cut is a 1, one above it a 0, and one equal to cut
-    a 1 when ``random() < frac`` on the child's tie child, in draw order.  So
-    Pr{1} - p lies in [0, 2^-61).  Lanes left over from a word wait for the
-    next draw, so any split of the draws gives the same values.  The private
-    ``_key`` names another (role, index) child of ``seed``.
+    a 1 when the top 53 bits of the next raw word of the child's tie child,
+    in draw order, are below frac 2^53 (``_tie_cut``).  That is ``random() <
+    frac`` bit for bit, read from the raw words, the only stream numpy keeps
+    fixed across versions (NEP 19).  So Pr{1} - p lies in [0, 2^-61).  Lanes
+    left over from a word wait for the next draw, so any split of the draws
+    gives the same values.  The private ``_key`` names another (role, index)
+    child of ``seed``.
 
-    A one-row planned estimate counts the lanes (``_count``) without building
-    the draws; it takes words, spare lanes and ties through the same
-    ``_lanes`` as ``_generate``.  Many-row blocks stay boolean.
+    A planned estimate, and a coverage trial that shares no block, counts the
+    lanes (``_count``) without building the draws, through the same ``_lanes``
+    and ties as ``_generate``.
     """
 
     def __init__(self, p: float, seed: int = 0, *, _key: tuple[int, int] = (_BERNOULLI, 0)):
@@ -150,7 +152,7 @@ class BernoulliSource(SampleSource):
         super().__init__(seed)
         self.p = p
         self._cut = math.floor(256.0 * p)
-        self._frac = 256.0 * p - self._cut
+        self._tie_cut = math.ldexp(256.0 * p - self._cut, 53)  # frac 2^53, exact
         self._spare = np.empty(0, np.uint8)
 
     # 8,192 words (64 KiB) and as many booleans: per-block costs are paid once per 65,536 draws
@@ -168,17 +170,18 @@ class BernoulliSource(SampleSource):
     def _generate(self, k: int) -> np.ndarray:
         lanes = self._lanes(k)
         ones = lanes < self._cut
-        if self._frac:  # otherwise every tie is a 0, as lanes < cut has it
+        if self._tie_cut:  # otherwise every tie is a 0, as lanes < cut has it
             ties = np.flatnonzero(lanes == self._cut)
-            ones[ties] = self._ties.random(ties.size) < self._frac
+            ones[ties] = (self._ties.bit_generator.random_raw(ties.size) >> 11) < self._tie_cut
         return ones
 
     def _count(self, k: int) -> int:
         """``count_nonzero(self.draw(k))`` from the same lanes and ties; a tie is counted, never placed."""
         lanes = self._lanes(k)
         ones = np.count_nonzero(lanes < self._cut)
-        if self._frac:
-            ones += np.count_nonzero(self._ties.random(np.count_nonzero(lanes == self._cut)) < self._frac)
+        if self._tie_cut:
+            tied = np.count_nonzero(lanes == self._cut)
+            ones += np.count_nonzero((self._ties.bit_generator.random_raw(tied) >> 11) < self._tie_cut)
         self.draws_made += k
         return int(ones)
 
@@ -235,58 +238,34 @@ def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.n
     return True
 
 
-def _row_sums(
-    take: Callable[[int], np.ndarray], rows: int, n: int, block: int, count: Optional[Callable[[int], int]] = None
-) -> Optional[list[float]]:
-    """The exact, correctly rounded sum of each of ``rows`` consecutive rows
-    of ``n`` values (``math.fsum`` of the row), or None where ``_extract``
-    returns False.
+def _row_sum(
+    take: Callable[[int], np.ndarray], n: int, block: int, count: Optional[Callable[[int], int]] = None
+) -> float:
+    """``math.fsum`` of the next ``n`` values of a stream, taken in parts of
+    at most ``block`` (a source's ``_block``) in stream order.
 
-    ``take(k)`` returns the next k values of the stream.  Blocks hold
-    ``block // n`` whole rows, or one ``block``-sized part of a row when n
-    exceeds ``block``, so the stream is consumed in order and no request
-    exceeds ``block`` values; a source's reduction passes its ``_block``.
-    ``count(k)``, when given, returns the number of ones among the next k
-    values; it takes the place of ``take`` for one-row blocks, which a 0/1
-    source then never builds.
-
-    A boolean block adds its rows' counts to one int64 array in one reduction:
-    ``count_nonzero`` for one row, else a sum in uint16 while rows hold fewer
-    than 2^16 values, so no count wraps (rows share a block only when each is
-    at most half of it), and in int32 otherwise.  Float blocks go to
-    ``_extract`` with one scratch, and ``fsum`` rounds each row's partial sums
-    and its count once.
+    ``take(k)`` returns the next k values, or ``count(k)``, when given, the
+    number of ones among them.  A boolean part is counted.  A float part is
+    checked into [0, 1], at its index in the row, so a ``draw`` override cannot
+    skip the check, and then ``_extract`` cannot fail on it.
     """
-    per_block = min(rows, max(1, block // n))
     width = min(n, block)
-    # a count is at most the width; uint16 is the cheaper sum where it cannot wrap
-    count_type = np.uint16 if width < 2**16 else np.int32
     scratch: Optional[np.ndarray] = None
-    sums: list[float] = []
-    for first in range(0, rows, per_block):
-        b = min(per_block, rows - first)
-        counts = np.zeros(b, np.int64)
-        # Python numbers, not arrays: a row split over many chunks keeps a part per chunk
-        parts: Optional[list[list[float]]] = None
-        for start in range(0, n, width):
-            m = min(width, n - start)
-            if count is not None and b == 1:
-                counts += count(m)
-                continue
-            values = take(b * m).reshape(b, m)
-            if values.dtype == bool:
-                counts += np.count_nonzero(values) if b == 1 else values.sum(axis=1, dtype=count_type)
-                continue
-            if parts is None:
-                parts = [[] for _ in range(b)]
-                scratch = np.empty((2, per_block * width)) if scratch is None else scratch
-            if not _extract(values, parts, *scratch):
-                return None
-        if parts is None:  # a count is below 2^53, so it is its own exact float
-            sums += counts.astype(float).tolist()
-        else:
-            sums += [math.fsum([*row, count]) for row, count in zip(parts, counts.tolist())]
-    return sums
+    parts: list[list[float]] = [[]]
+    ones = 0
+    for start in range(0, n, width):
+        m = min(width, n - start)
+        if count is not None:
+            ones += count(m)
+            continue
+        values = take(m).reshape(1, m)
+        if values.dtype == bool:
+            ones += np.count_nonzero(values)
+            continue
+        _check_unit_interval(values[0], start)
+        scratch = np.empty((2, width)) if scratch is None else scratch
+        _extract(values, parts, *scratch)
+    return math.fsum([*parts[0], ones])
 
 
 def _exact_sums(rows: np.ndarray) -> Optional[list[float]]:
@@ -337,7 +316,7 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     """
     plan = minimum_sample_size(spec)
     counted = type(source)._generate is BernoulliSource._generate and type(source).draw is SampleSource.draw
-    mu_hat = _row_sums(source.draw, 1, plan.n, source._block, source._count if counted else None)[0] / plan.n
+    mu_hat = _row_sum(source.draw, plan.n, source._block, source._count if counted else None) / plan.n
     return _certificate(mu_hat, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 

@@ -260,6 +260,30 @@ class TestEstimateWithPlan:
         with pytest.raises(SampleValueError):
             estimate_with_plan(ConstantSource(-0.1), SPEC)
 
+    @pytest.mark.parametrize("bad", [2.0, math.nan], ids=["two", "nan"])
+    def test_a_draw_override_cannot_certify_values_outside_the_unit_interval(self, bad):
+        class Unchecked(SampleSource):
+            def draw(self, k):  # skips draw's own check
+                return np.full(k, bad)
+
+        with pytest.raises(SampleValueError) as exc_info:
+            estimate_with_plan(Unchecked(), SPEC)
+        assert exc_info.value.index == 0
+
+    def test_a_bad_value_in_a_later_block_is_reported_at_its_index_in_the_row(self):
+        class LateBad(SampleSource):
+            def draw(self, k):
+                values = np.full(k, 0.5)
+                if self.draws_made <= 35_000 < self.draws_made + k:
+                    values[35_000 - self.draws_made] = -0.25
+                self.draws_made += k
+                return values
+
+        # n = 39,064 in three blocks of at most 16,384: the offender is in the third
+        with pytest.raises(SampleValueError) as exc_info:
+            estimate_with_plan(LateBad(), SPEC_LARGE)
+        assert (exc_info.value.value, exc_info.value.index) == (-0.25, 35_000)
+
     def test_boolean_blocks_skip_the_range_check(self, monkeypatch):
         # a boolean cannot leave [0, 1]: only float blocks are range-checked
         expected = estimate_with_plan(BernoulliSource(0.3, seed=4), SPEC)
@@ -454,8 +478,8 @@ class TestLaneCounts:
         assert counted.draws_made == drawn.draws_made == minimum_sample_size(spec).n
         same_streams(counted, drawn)
 
-    @pytest.mark.parametrize("rows, n", [(40, 577), (3, 40_000)], ids=["many-row blocks", "one-row blocks"])
-    def test_row_sums_count_only_blocks_of_one_row(self, rows, n):
+    @pytest.mark.parametrize("n", [577, 40_000, 70_000])
+    def test_row_sum_counts_every_block_it_is_given_a_count_for(self, n):
         counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
         counts = []
 
@@ -463,11 +487,11 @@ class TestLaneCounts:
             counts.append(k)
             return counted._count(k)
 
-        sums = estimator._row_sums(counted.draw, rows, n, counted._block, count)
-        assert sums == estimator._row_sums(twin.draw, rows, n, twin._block)
-        assert sum(counted.requests) == counted.draws_made == twin.draws_made == rows * n
-        # 40 rows of 577 share one block, which is drawn; a row of 40,000 fills a block alone
-        assert counts == ([] if n == 577 else [n] * rows)
+        sums = [estimator._row_sum(counted.draw, n, counted._block, count) for _ in range(3)]
+        assert sums == [estimator._row_sum(twin.draw, n, twin._block) for _ in range(3)]
+        assert sum(counted.requests) == counted.draws_made == twin.draws_made == 3 * n
+        # no block is drawn: a row of 70,000 is a full block and the rest
+        assert counts == ([65_536] * (n // 65_536) + [n % 65_536]) * 3
 
     def test_a_plain_source_is_counted_not_drawn(self, monkeypatch):
         expected = estimate_with_plan(DrawnBernoulliSource(0.3, seed=4), SPEC_1755)
@@ -528,27 +552,27 @@ class TestBatchedTrials:
         n, trials = minimum_sample_size(spec).n, 12
         batched = BernoulliSource(0.3, seed=8)
         sequential = BernoulliSource(0.3, seed=8)
-        means = [total / n for total in estimator._row_sums(batched.draw, trials, n, batched._block)]
+        means = (verification._trial_counts(batched, trials, n) / n).tolist()
         expected = [estimate_with_plan(sequential, spec).mu_hat for _ in range(trials)]
         assert means == expected
         assert batched.draws_made == sequential.draws_made == trials * n
 
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_rows_of_different_scales_sum_exactly(self, monkeypatch, chunk):
-        # the block's largest row sets sigma; a row 2^-900 smaller still sums exactly
-        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
-        rng = np.random.default_rng(9)
-        rows = rng.random((9, 700)) * np.ldexp(1.0, -rng.integers(0, 900, (9, 1)))
-        stream = rows.ravel()
-        taken = 0
-
-        def take(k):
-            nonlocal taken
-            taken += k
-            return stream[taken - k : taken].copy()
-
-        assert estimator._row_sums(take, 9, 700, chunk) == [math.fsum(row) for row in rows]
-        assert taken == stream.size
+    @pytest.mark.parametrize("p", [0.3, 7 / 256 + 1e-9])
+    @pytest.mark.parametrize(
+        "spec, trials",
+        [(SPEC, 300), (SPEC_1755, 80), (validate_spec(0.0011909, 0.2, 0.05), 4),
+         (validate_spec(2e-3, 0.05, 1e-6), 3)],
+        ids=["n577", "n1755", "n32769", "n282977"],
+    )
+    def test_both_coverage_branches_are_sequential_estimates(self, spec, trials, p):
+        # rows of 577 and 1,755 share blocks and are summed in uint16;
+        # rows of 32,769 and 282,977 fill a block or more and are counted
+        n = minimum_sample_size(spec).n
+        batched, sequential = (BernoulliSource(p, seed=8, _key=(estimator._COVERAGE, 1)) for _ in range(2))
+        counts = verification._trial_counts(batched, trials, n)
+        assert counts.dtype == np.float64
+        assert (counts / n).tolist() == [estimate_with_plan(sequential, spec).mu_hat for _ in range(trials)]
+        same_streams(batched, sequential)
 
     def test_coverage_draws_trials_times_n_from_each_source(self, monkeypatch):
         sources = []
@@ -604,8 +628,9 @@ class TestExactSums:
         np.testing.assert_array_equal(rows, before)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_row_sums_leave_the_stream_its_views_come_from(self, chunk):
-        stream = self.scaled_rows(9, 700, seed=2).ravel()
+    def test_row_sum_leaves_the_stream_its_views_come_from(self, chunk):
+        # one row of 6,300 values in [0, 1), every 700 of them 2^-900 below their neighbours
+        stream = np.abs(self.scaled_rows(9, 700, seed=2)).ravel()
         before = stream.copy()
         taken = 0
 
@@ -614,7 +639,8 @@ class TestExactSums:
             taken += k
             return stream[taken - k : taken]
 
-        assert estimator._row_sums(take, 9, 700, chunk) == [math.fsum(row) for row in before.reshape(9, 700).tolist()]
+        assert estimator._row_sum(take, 6300, chunk) == math.fsum(before.tolist())
+        assert taken == stream.size
         np.testing.assert_array_equal(stream, before)
 
     def test_stable_mean_of_a_million_values_peaks_below_one_mib(self):
@@ -666,11 +692,11 @@ class TestCountedDraws:
                 assert counted.draws_made == twin.draws_made == minimum_sample_size(spec).n
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_row_sums_of_many_rows_match_float_twin(self, monkeypatch, chunk):
+    def test_trial_counts_match_float_twin(self, monkeypatch, chunk):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         counted, twin = BernoulliSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
-        sums = estimator._row_sums(counted.draw, 40, 577, counted._block)
-        assert sums == estimator._row_sums(twin.draw, 40, 577, twin._block)
+        sums = verification._trial_counts(counted, 40, 577).tolist()
+        assert sums == [estimator._row_sum(twin.draw, 577, twin._block) for _ in range(40)]
         assert all(isinstance(total, float) for total in sums)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -685,7 +711,7 @@ class TestCountedDraws:
 
     @pytest.mark.parametrize("chunk", (7, 577))
     def test_row_of_boolean_and_float_blocks_sums_exactly(self, monkeypatch, chunk):
-        # a row spans several blocks here, so one row has both a count and partial sums
+        # a row of 1,755 spans several blocks here, so it has both a count and partial sums
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         rng = np.random.default_rng(5)
         taken = []
@@ -695,22 +721,14 @@ class TestCountedDraws:
             taken.append(block.astype(float))
             return block
 
-        sums = estimator._row_sums(take, 3, 1755, chunk)
-        rows = np.concatenate(taken).reshape(3, 1755)
-        assert sums == [math.fsum(row) for row in rows.tolist()]
+        total = estimator._row_sum(take, 1755, chunk)
+        assert total == math.fsum(np.concatenate(taken).tolist())
 
-    def test_rows_sharing_a_block_count_to_two_to_the_15(self):
-        # the widest rows two of which share a 65,536-draw block; their counts are uint16
+    def test_trials_sharing_a_block_count_to_two_to_the_15(self):
+        # the widest trials two of which share a 65,536-draw block; their counts are uint16
         source = BernoulliSource(1.0, seed=2)
         assert source._block == 65_536
-        assert estimator._row_sums(source.draw, 2, 32_768, source._block) == [32_768.0, 32_768.0]
-
-    @pytest.mark.parametrize("n", (65_535, 65_536, 70_000))
-    def test_rows_of_two_to_the_16_or_more_count_exactly(self, n):
-        # rows this wide share a block only when it is larger than a source's own:
-        # a uint16 count of 65,536 or 70,000 would wrap, so these take int32
-        source = BernoulliSource(1.0, seed=2)
-        assert estimator._row_sums(source.draw, 3, n, 2**18) == [float(n)] * 3
+        assert verification._trial_counts(source, 3, 32_768).tolist() == [32_768.0] * 3
 
     def test_short_boolean_block_exhausts(self):
         class Short(SampleSource):
@@ -749,13 +767,23 @@ class TestLaneSampler:
     @pytest.mark.parametrize("p", [0.0, 2.0**-9, 3 / 256, 0.3, 1 - 2.0**-53, 1.0])
     def test_probability_of_a_one_exceeds_p_by_less_than_2_to_the_minus_61(self, p):
         source = BernoulliSource(p)
-        cut, frac = source._cut, Fraction(source._frac)
-        assert cut + frac == 256 * Fraction(p)  # both exact
-        # a lane is uniform on 0..255 and random() on the multiples of 2^-53 in [0, 1)
-        law = (cut + Fraction(math.ceil(frac * 2**53), 2**53)) / 256
+        cut, tie_cut = source._cut, Fraction(source._tie_cut)
+        assert cut + tie_cut / 2**53 == 256 * Fraction(p)  # both exact
+        # a lane is uniform on 0..255 and a tie's top 53 bits on 0..2^53 - 1
+        law = (cut + Fraction(math.ceil(tie_cut), 2**53)) / 256
         assert 0 <= law - Fraction(p) < Fraction(1, 2**61)
         if p in (0.0, 1.0):
             assert law == p
+
+    @pytest.mark.parametrize("frac", [2.0**-60, 2.0**-53, 1e-9, 0.3, 0.5, 1 - 2.0**-53])
+    def test_ties_from_raw_words_are_random_below_frac_bit_for_bit(self, frac):
+        # numpy fixes only a bit generator's raw stream; random() is its top 53 bits times 2^-53
+        for seed in range(40):
+            raw, floats = (estimator._stream(seed, estimator._BERNOULLI, 0, 1) for _ in range(2))
+            np.testing.assert_array_equal(
+                (raw.bit_generator.random_raw(50_000) >> 11) < math.ldexp(frac, 53), floats.random(50_000) < frac
+            )
+            assert raw.bit_generator.state == floats.bit_generator.state
 
     @pytest.mark.parametrize("p", [3 / 256, 0.3, 0.5])
     def test_any_split_gives_the_same_draws(self, p):
@@ -798,7 +826,7 @@ class TestLaneSampler:
     def test_count_of_ones_within_five_sigma(self, p):
         n = 20_000_000
         source = BernoulliSource(p, seed=12)
-        count = estimator._row_sums(source.draw, 1, n, source._block)[0]
+        count = estimator._row_sum(source.draw, n, source._block)
         assert abs(count - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
