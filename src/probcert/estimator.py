@@ -87,6 +87,16 @@ def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
         raise SampleValueError(float(values[i]), offset + i)
 
 
+def _require_block(values, k: int) -> np.ndarray:
+    """values as an array of shape (k,); a shorter 1-D block means the source ran dry."""
+    values = np.asarray(values)
+    if values.shape != (k,):
+        if values.ndim == 1 and values.size < k:
+            raise SourceExhaustedError(f"source produced {values.size} of {k} requested values")
+        raise DomainError(f"source returned shape {values.shape}, expected {(k,)}")
+    return values
+
+
 class SampleSource:
     """Deterministic stream of values in [0, 1].
 
@@ -112,11 +122,7 @@ class SampleSource:
         block is converted to float64.
         """
         k = _require_int(k, "draw count", 0)
-        values = np.asarray(self._generate(k))
-        if values.shape != (k,):
-            if values.ndim == 1 and values.size < k:
-                raise SourceExhaustedError(f"source produced {values.size} of {k} requested values")
-            raise DomainError(f"source returned shape {values.shape}, expected {(k,)}")
+        values = _require_block(self._generate(k), k)
         if values.dtype != bool:  # a boolean cannot leave [0, 1]
             values = values.astype(float, copy=False)
             _check_unit_interval(values, self.draws_made)
@@ -245,9 +251,10 @@ def _row_sum(
     at most ``block`` (a source's ``_block``) in stream order.
 
     ``take(k)`` returns the next k values, or ``count(k)``, when given, the
-    number of ones among them.  A boolean part is counted.  A float part is
+    number of ones among them.  A part must have the shape ``draw`` checks
+    (``_require_block``), and a boolean part is counted.  A float part is
     checked into [0, 1], at its index in the row, so a ``draw`` override cannot
-    skip the check, and then ``_extract`` cannot fail on it.
+    skip either check, and then ``_extract`` cannot fail on it.
     """
     width = min(n, block)
     scratch: Optional[np.ndarray] = None
@@ -258,7 +265,7 @@ def _row_sum(
         if count is not None:
             ones += count(m)
             continue
-        values = take(m).reshape(1, m)
+        values = _require_block(take(m), m).reshape(1, m)
         if values.dtype == bool:
             ones += np.count_nonzero(values)
             continue

@@ -9,12 +9,11 @@ which controls the exponential decay rate of deviation probabilities for
 means of [0, 1]-bounded i.i.d. samples:  Pr{mean >= mu + eps} <= exp(n g(eps, mu))
 and Pr{mean <= mu - eps} <= exp(n g(-eps, mu)).
 
-g and its mu-derivative are written once (``_g``, ``_dg``), with the log1p
-they use as an argument.  Plans call ``_g`` with ``math.log1p`` behind the
-validated scalar functions, because acceptance pins the exact n and numpy's
-log1p differs from it in the last bit at some points.  The lemma scans in
-``verification`` call both with ``np.log1p`` on whole grids, whose strict
-checks carry a 1e-12 margin; ``_dg`` has no other caller.
+g and its two partial derivatives are written once, on floats with
+``math.log1p`` (``_g``, ``_dg_eps`` and ``_dg``, the mu-derivative).  Plans
+call ``_g`` behind the validated scalar functions; the lemma checks in
+``verification`` read all three at the ends of their intervals and have
+no other source for them.
 
 On top of it sits the mixed absolute/relative error criterion: an estimate
 mu_hat is acceptable when |mu_hat - mu| < eps_a OR |mu_hat - mu| < eps_r * mu.
@@ -134,18 +133,19 @@ class SamplePlan:
         return asdict(self)
 
 
-def _g(eps, mu, log1p):
-    """g(eps, mu) with the given log1p, on floats or on numpy arrays alike.
-
-    The log-of-ratio terms are evaluated as -log1p(eps/mu) and
-    -log1p(-eps/(1-mu)); the naive ratios lose all precision for small |eps|.
-    """
-    return -(mu + eps) * log1p(eps / mu) - (1.0 - mu - eps) * log1p(-eps / (1.0 - mu))
+def _g(eps: float, mu: float) -> float:
+    """g(eps, mu), its log-ratios as log1p(eps/mu) and log1p(-eps/(1-mu)), which stay precise for small |eps|."""
+    return -(mu + eps) * math.log1p(eps / mu) - (1.0 - mu - eps) * math.log1p(-eps / (1.0 - mu))
 
 
-def _dg(eps, mu, log1p):
-    """d g(eps, mu) / d mu with the given log1p, on floats or numpy arrays."""
-    return -log1p(eps / mu) + log1p(-eps / (1.0 - mu)) + eps / mu + eps / (1.0 - mu)
+def _dg_eps(eps: float, mu: float) -> float:
+    """d g(eps, mu) / d eps = ln(mu / (mu + eps)) - ln((1 - mu) / (1 - mu - eps))."""
+    return -math.log1p(eps / mu) + math.log1p(-eps / (1.0 - mu))
+
+
+def _dg(eps: float, mu: float) -> float:
+    """d g(eps, mu) / d mu = d g / d eps + eps/mu + eps/(1 - mu)."""
+    return _dg_eps(eps, mu) + eps / mu + eps / (1.0 - mu)
 
 
 def hoeffding_exponent(eps: float, mu: float) -> float:
@@ -158,7 +158,7 @@ def hoeffding_exponent(eps: float, mu: float) -> float:
         raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
     if not 0.0 < mu + eps < 1.0:
         raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
-    return _g(eps, mu, math.log1p)
+    return _g(eps, mu)
 
 
 def _bound(risk: float) -> float:

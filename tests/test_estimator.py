@@ -270,6 +270,20 @@ class TestEstimateWithPlan:
             estimate_with_plan(Unchecked(), SPEC)
         assert exc_info.value.index == 0
 
+    @pytest.mark.parametrize(
+        "make_block, error, message",
+        [(lambda k: np.full(k - 1, 0.5), SourceExhaustedError, "source produced 576 of 577 requested values"),
+         (lambda k: np.full((k, 1), 0.5), DomainError, r"source returned shape \(577, 1\), expected \(577,\)")],
+        ids=["short", "column"],
+    )
+    def test_a_draw_override_with_a_misshapen_block_fails_as_draw_does(self, make_block, error, message):
+        class Misshapen(SampleSource):
+            def draw(self, k):  # skips draw's own check
+                return make_block(k)
+
+        with pytest.raises(error, match=message):
+            estimate_with_plan(Misshapen(), SPEC)
+
     def test_a_bad_value_in_a_later_block_is_reported_at_its_index_in_the_row(self):
         class LateBad(SampleSource):
             def draw(self, k):

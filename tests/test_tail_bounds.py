@@ -35,7 +35,7 @@ from probcert import (
     upper_tail_bound,
     validate_spec,
 )
-from probcert.tail_bounds import _dg
+from probcert.tail_bounds import _dg as dg  # d g / d mu as the lemma checks compute it
 from support import ConstantSource, random_valid_specs
 
 # 50-digit oracle values (mpmath, direct evaluation of the two-term formula)
@@ -111,11 +111,6 @@ class TestHoeffdingExponent:
         eps = sign * eps
         assume(0.0 < mu + eps < 1.0)
         assert hoeffding_exponent(eps, mu) < 0.0
-
-
-def dg(eps, mu):
-    """d g / d mu as the lemma scans compute it, with the math module's log1p."""
-    return _dg(eps, mu, math.log1p)
 
 
 class TestExponentDerivative:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,55 @@ class TestBinomialTailExact:
             assert value.hex() == expected.hex(), (n, mu, k)
 
 
+def g50(eps, mu):
+    """g(eps, mu) from its defining formula, at the working mpmath precision."""
+    eps, mu = mpmath.mpf(eps), mpmath.mpf(mu)
+    return (mu + eps) * mpmath.log(mu / (mu + eps)) + (1 - mu - eps) * mpmath.log((1 - mu) / (1 - mu - eps))
+
+
+def inside(rng, lo, hi):
+    """A random float strictly inside (lo, hi), away from the ends by 1e-3 of its width."""
+    return float(lo + (hi - lo) * rng.uniform(1e-3, 1.0 - 1e-3))
+
+
+class TestLemmaPremises:
+    """The convexity facts behind ``lemma_scan``'s endpoint checks, by
+    50-digit second derivatives of g's defining formula at 1,000 random
+    (eps, mu) each."""
+
+    @pytest.fixture(autouse=True)
+    def fifty_digits(self):
+        with mpmath.workdps(50):
+            yield
+
+    def test_l2_g_is_concave_in_mu(self):
+        rng = np.random.default_rng(2)
+        for _ in range(1000):
+            eps = inside(rng, -0.5, 0.5)
+            mu = inside(rng, max(0.0, -eps), min(1.0, 1.0 - eps))
+            assert mpmath.diff(lambda x: g50(eps, x), mu, 2) < 0, (eps, mu)
+
+    def test_l3_difference_is_odd_about_half_and_convex_below_it(self):
+        rng = np.random.default_rng(3)
+
+        def d(eps, x):
+            return g50(eps, x) - g50(-eps, x)
+
+        for _ in range(1000):
+            eps = inside(rng, 0.0, 0.5)
+            mu = inside(rng, eps, 0.5)
+            assert abs(d(eps, mu) + d(eps, 1 - mpmath.mpf(mu))) < 1e-45, (eps, mu)
+            assert mpmath.diff(lambda x: d(eps, x), mu, 2) > 0, (eps, mu)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_l4_offset_curves_are_concave(self, sign):
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            c = sign * inside(rng, 0.0, 1.0)
+            mu = inside(rng, 0.0, min(1.0, 1.0 / (1.0 + c)))
+            assert mpmath.diff(lambda x: g50(mpmath.mpf(c) * x, x), mu, 2) < 0, (c, mu)
+
+
 class TestLemmaScans:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
     def test_l2_monotonicity(self, eps):
@@ -154,74 +204,69 @@ class TestLemmaScans:
         [
             ("L4", GridSpec(eps=0.1, margin=0.7)),  # 1/(1+eps) - margin < margin
             ("L2", GridSpec(eps=0.3, margin=0.2)),  # first interval is empty
-            ("L3", GridSpec(eps=0.1, step=0.5)),  # one point per side of 1/2
         ],
     )
     def test_vacuous_grid_rejected(self, lemma_id, grid):
-        with pytest.raises(DomainError, match="fewer than two points"):
+        with pytest.raises(DomainError, match=r"scan interval \[.*\] has fewer than two points"):
             lemma_scan(lemma_id, grid)
 
-    def test_grid_point_count_capped(self):
-        # counted before numpy is asked for the 3e14-point array
-        with pytest.raises(DomainError, match="more than 1,000,000 points"):
-            lemma_scan("L3", GridSpec(eps=0.1, step=1e-15))
-
-    def test_grid_must_keep_exponent_domain(self):
-        with pytest.raises(DomainError, match="inside"):
-            verification._inside(0.1, np.array([0.5, 0.95]))
-        with pytest.raises(DomainError, match="inside"):
-            verification._inside(-0.1, np.array([0.05, 0.5]))
-
     def test_broken_exponent_fails_every_claim(self, monkeypatch):
-        # the scans read g and dg/dmu through these two names; negating them
-        # reverses every monotonicity and domination claim
-        monkeypatch.setattr(verification, "_g", lambda e, m, f: -tail_bounds._g(e, m, f))
-        monkeypatch.setattr(verification, "_dg", lambda e, m, f: -tail_bounds._dg(e, m, f))
+        # the checks read g and its two partials through these three names;
+        # negating them reverses every monotonicity and domination claim
+        monkeypatch.setattr(verification, "_g", lambda e, m: -tail_bounds._g(e, m))
+        monkeypatch.setattr(verification, "_dg", lambda e, m: -tail_bounds._dg(e, m))
+        monkeypatch.setattr(verification, "_dg_eps", lambda e, m: -tail_bounds._dg_eps(e, m))
         eps = 0.1
-        formats = {
-            "L2": lambda p: p[0] in ("dmu", "diff") and p[1] in (eps, -eps) and len(p) == 3,
-            "L3": lambda p: len(p) == 1,
-            "L4": lambda p: p[0] in ("g(eps*mu, mu)", "g(-eps*mu, mu)") and len(p) == 2,
+        expected = {
+            "L2": {("dg/dmu", e, mu) for e, mu in ((eps, 0.399), (eps, 0.501), (-eps, 0.499), (-eps, 0.601))},
+            "L3": {(q, mu) for q in ("D", "dD/dmu") for mu in (0.499, 0.501)},
+            "L4": {("d/dmu g(eps*mu, mu)", 0.001), ("d/dmu g(-eps*mu, mu)", 0.001)},
         }
-        for lemma_id, shaped in formats.items():
+        for lemma_id, points in expected.items():
             report = lemma_scan(lemma_id, GridSpec(eps=eps))
-            assert not report.passed
             assert "FAIL" in report.to_text()
+            # every interval fails, each at its deciding end
+            assert {p[:-1] + (round(p[-1], 12),) for p, _ in report.violations} == points
             for point, values in report.violations:
-                assert shaped(point), point
-                assert type(point[-1]) is float and 0.0 < point[-1] < 1.0
+                assert type(point[-1]) is float
                 assert set(values) == {"value", "expected_sign"}
+                assert type(values["value"]) is float
                 assert values["expected_sign"] in (+1, -1)
-        l2 = lemma_scan("L2", GridSpec(eps=eps))
-        assert {(p[0], p[1]) for p, _ in l2.violations} == {
-            (kind, e) for kind in ("dmu", "diff") for e in (eps, -eps)
-        }
-        l4 = lemma_scan("L4", GridSpec(eps=eps))
-        assert {p[0] for p, _ in l4.violations} == {"g(eps*mu, mu)", "g(-eps*mu, mu)"}
 
-    def test_array_formulas_match_scalar_on_cli_grids(self, monkeypatch, capsys):
-        seen = {"g": [], "dg": []}
+    def test_endpoint_values_match_fifty_digits(self, monkeypatch, capsys):
+        # every value the CLI and criterion 5 compare with the margin, against
+        # 50-digit numerical derivatives of g's defining formula
+        seen = []
 
-        def recording(name, formula):
-            def wrapper(eps, mus, log1p):
-                values = formula(eps, mus, log1p)
-                seen[name].append((np.broadcast_to(eps, mus.shape), mus, values))
-                return values
+        def recording(lemma_id, claims):
+            def wrapper(eps, m):
+                for point, value, sign in claims(eps, m):
+                    seen.append((lemma_id, eps, point, value))
+                    yield point, value, sign
             return wrapper
 
-        monkeypatch.setattr(verification, "_g", recording("g", verification._g))
-        monkeypatch.setattr(verification, "_dg", recording("dg", verification._dg))
+        claims = {k: v[:3] + (recording(k, v[3]),) for k, v in verification._CLAIMS.items()}
+        monkeypatch.setattr(verification, "_CLAIMS", claims)
         assert cli.main(["verify", "--suite", "lemmas"]) == 0
         capsys.readouterr()
-        for name, scalar, tolerance in (
-            ("g", tail_bounds.hoeffding_exponent, {"rtol": 1e-13, "atol": 0.0}),
-            ("dg", lambda e, mu: tail_bounds._dg(e, mu, math.log1p), {"rtol": 0.0, "atol": 1e-14}),
-        ):
-            assert seen[name]
-            for eps, mus, values in seen[name]:
-                expected = [scalar(float(e), float(mu)) for e, mu in zip(eps, mus)]
-                np.testing.assert_allclose(values, expected, **tolerance)
-        assert sum(mus.size for _, mus, _ in seen["g"] + seen["dg"]) > 20_000
+        for lemma_id, eps_values in (("L2", (0.05, 0.1, 0.2, 0.3)), ("L3", (0.05, 0.1, 0.2, 0.3)),
+                                     ("L4", (0.1, 0.3, 0.5, 0.9))):
+            for eps in eps_values:
+                assert lemma_scan(lemma_id, GridSpec(eps=eps, step=1e-3, margin=1e-3)).passed
+        assert len(seen) == 2 * (4 * 4 + 4 * 4 + 4 * 2)
+        with mpmath.workdps(50):
+            for lemma_id, eps, point, value in seen:
+                mu = point[-1]
+                if lemma_id == "L2":
+                    exact = mpmath.diff(lambda x: g50(point[1], x), mu)
+                elif point[0] == "D":
+                    exact = g50(eps, mu) - g50(-eps, mu)
+                elif point[0] == "dD/dmu":
+                    exact = mpmath.diff(lambda x: g50(eps, x) - g50(-eps, x), mu)
+                else:
+                    c = eps if point[0] == "d/dmu g(eps*mu, mu)" else -eps
+                    exact = mpmath.diff(lambda x: g50(mpmath.mpf(c) * x, x), mu)
+                assert abs(value - exact) <= 1e-15, (lemma_id, eps, point, value)
 
     def test_scans_make_no_scalar_exponent_calls(self, monkeypatch):
         calls = []
