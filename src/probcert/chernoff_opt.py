@@ -119,9 +119,7 @@ def _make_affine(a: Sequence[float] = (1.0,), b: Sequence[float] = (-1.0,), c: f
 
 def _make_quadratic_well(sigma: float = 0.5) -> PerformanceModel:
     """Y = 1 - (theta_1 - delta_1)^2, with delta ~ Normal(0, sigma^2)."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    s = float(sigma)
+    s = _require_real(sigma, "sigma", 0)
 
     def evaluate(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return 1.0 - np.square(theta[0] - rows[:, 0])
@@ -185,10 +183,15 @@ class ScenarioSet:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0))
-        arr = np.atleast_2d(np.asarray(self.scenarios, dtype=float))
+        try:
+            arr = np.asarray(self.scenarios)
+        except ValueError:
+            raise DomainError("scenario values must be numbers, got a ragged sequence") from None
+        if arr.dtype.kind not in "iuf":  # no string is parsed, nor an object converted
+            raise DomainError(f"scenario values must be numbers, got dtype {arr.dtype}")
+        arr = np.atleast_2d(arr).astype(float, order="C")  # a copy, which only this set holds
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError(f"scenario array must be (n, d) with n >= 1, got shape {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "scenarios", arr)
 
@@ -296,15 +299,11 @@ def _evaluate(model: PerformanceModel, theta: np.ndarray, rows: np.ndarray, offs
 
 
 def _check_theta(theta, dim_theta: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    """theta as floats of shape (dim_theta,), each entry a finite number, as theta0's are."""
+    arr = np.atleast_1d(np.asarray(theta, dtype=object))
     if arr.shape != (dim_theta,):
         raise DomainError(f"theta must have shape ({dim_theta},), got {arr.shape}")
-    return arr
-
-
-def _check_lambda(lam: float) -> None:
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    return np.array([_require_real(t, "theta", -math.inf) for t in arr])
 
 
 def _exp(log_value: float) -> float:
@@ -375,7 +374,7 @@ def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
 
     Beyond the double range the result is inf.
     """
-    _check_lambda(lam)
+    lam = _require_real(lam, "lambda", 0)
     return _exp(_log_moment(obj.performance_values(theta), lam))
 
 
@@ -388,7 +387,7 @@ def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tupl
     Models without an analytic gradient get central differences of log g in
     theta.  Beyond the double range the partials are infinite.
     """
-    _check_lambda(lam)
+    lam = _require_real(lam, "lambda", 0)
     theta = _check_theta(theta, obj.model.dim_theta)
     log_g, d_lambda, _, weights = _moments(obj.performance_values(theta), lam)
     g = _exp(log_g)
@@ -410,20 +409,15 @@ class OptimizationSettings:
     def __post_init__(self):
         if isinstance(self.theta0, (str, bytes)) or not hasattr(self.theta0, "__iter__"):
             raise DomainError(f"theta0 must be a sequence of reals, got {self.theta0!r}")
-        object.__setattr__(self, "theta0", tuple(_require_real(t, "theta0") for t in self.theta0))
+        object.__setattr__(self, "theta0", tuple(_require_real(t, "theta0", -math.inf) for t in self.theta0))
         # checked, not converted: the settings are echoed as given
-        for name in ("nu0", "grad_tol", "lambda_cap"):
-            _require_real(getattr(self, name), name)
+        for name, low in (("nu0", None), ("grad_tol", 0), ("lambda_cap", 0)):
+            _require_real(getattr(self, name), name, low)
         object.__setattr__(self, "max_iters", _require_int(self.max_iters, "max_iters", 0))
         if len(self.theta0) < 1:
             raise DomainError("theta0 must be nonempty")
-        if not all(math.isfinite(t) for t in self.theta0):
-            raise DomainError(f"theta0 must be finite, got {self.theta0}")
         if not _NU0_MIN <= self.nu0 < math.inf:  # false for nan too
             raise DomainError(f"nu0 must be finite and >= {_NU0_MIN:.6g} (exp(nu0) > 0), got {self.nu0!r}")
-        for name in ("grad_tol", "lambda_cap"):
-            if not 0.0 < getattr(self, name) < math.inf:  # false for nan too
-                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

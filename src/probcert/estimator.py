@@ -332,9 +332,15 @@ def estimate_from_batch(
 ) -> Certificate:
     """Certify a fixed batch post hoc, inverting the risk for its length.
 
-    Every value must lie in [0, 1]; the first offender is reported by index.
+    Values are numbers, or booleans (0/1 indicators), and every one must lie
+    in [0, 1]; the first offender is reported by index.
     """
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise DomainError("batch values must be numbers or booleans, got a ragged sequence") from None
+    if arr.dtype.kind not in "biuf":  # no string is parsed, nor an object converted
+        raise DomainError(f"batch values must be numbers or booleans, got dtype {arr.dtype}")
     if arr.size == 0:
         raise DomainError("batch is empty")
     _check_unit_interval(arr)

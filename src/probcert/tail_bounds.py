@@ -22,7 +22,9 @@ has probability > 1 - delta, uniformly over the unknown mean; the worst case
 sits at mu = eps_a / eps_r, where the two tolerances coincide.
 
 All functions here are pure and reentrant.  ``_require_int`` and
-``_require_real`` are the package's one check of an integer and of a number.
+``_require_real`` are the package's one check of an integer and of a number,
+the latter with an optional open range: every "number in (low, high)" test of
+the package is a call of it, with one message form.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ def _require_int(value, name: str, low: int) -> int:
     return int(value)
 
 
-def _require_real(value, name: str) -> float:
-    """value as a float if it is a real number, NaN included (numpy's too, not a bool)."""
+def _require_real(value, name: str, low=None, high=math.inf) -> float:
+    """value as a float if it is a real number (numpy's too, not a bool), NaN
+    included unless low is given: then it must lie in the open (low, high)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise DomainError(f"{name} must be a number, got {value!r}")
+    if low is not None and not low < value < high:  # false for nan too
+        raise DomainError(f"{name} must lie in ({low!r}, {high!r}), got {value!r}")
     return float(value)
 
 
@@ -154,10 +159,8 @@ def hoeffding_exponent(eps: float, mu: float) -> float:
     Requires mu in (0, 1) and mu + eps in (0, 1).  Returns 0 at eps = 0
     (continuous extension) and a strictly negative value otherwise.
     """
-    if not 0.0 < mu < 1.0:
-        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
-    if not 0.0 < mu + eps < 1.0:
-        raise DomainError(f"mu + eps must lie in (0, 1), got {mu + eps!r}")
+    eps, mu = _require_real(eps, "eps"), _require_real(mu, "mu", 0, 1)
+    _require_real(mu + eps, "mu + eps", 0, 1)
     return _g(eps, mu)
 
 
@@ -168,18 +171,14 @@ def _bound(risk: float) -> float:
 def upper_tail_bound(n: int, eps: float, mu: float) -> float:
     """Bound on Pr{mean >= mu + eps}: exp(n g(eps, mu)), for 0 < eps < 1 - mu."""
     _require_int(n, "n", 1)
-    if not (0.0 < eps and 0.0 < mu < 1.0 and eps < 1.0 - mu):
-        raise DomainError(
-            f"need 0 < eps < 1 - mu < 1, got eps={eps!r}, mu={mu!r}"
-        )
+    _require_real(eps, "eps", 0, 1.0 - _require_real(mu, "mu", 0, 1))
     return _bound(math.exp(n * hoeffding_exponent(eps, mu)))
 
 
 def lower_tail_bound(n: int, eps: float, mu: float) -> float:
     """Bound on Pr{mean <= mu - eps}: exp(n g(-eps, mu)), for 0 < eps < mu."""
     _require_int(n, "n", 1)
-    if not (0.0 < eps < mu < 1.0):
-        raise DomainError(f"need 0 < eps < mu < 1, got eps={eps!r}, mu={mu!r}")
+    _require_real(eps, "eps", 0, _require_real(mu, "mu", 0, 1))
     return _bound(math.exp(n * hoeffding_exponent(-eps, mu)))
 
 

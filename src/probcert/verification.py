@@ -23,7 +23,7 @@ within 1e-15 of a 50-digit evaluation, and above 1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -59,10 +59,8 @@ class GridSpec:
     margin: float = 1e-3
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _require_real(getattr(self, f.name), f.name))
-        if not 0.0 < self.step < math.inf:
-            raise DomainError(f"grid step must be positive and finite, got {self.step!r}")
+        for name, low in (("eps", None), ("step", 0), ("margin", None)):
+            object.__setattr__(self, name, _require_real(getattr(self, name), name, low))
         if not 1e-3 <= self.margin < math.inf:
             raise DomainError(f"grid margin must be >= 1e-3 and finite, got {self.margin!r}")
 
@@ -105,10 +103,7 @@ def binomial_tail_exact(n: int, mu: float, k: int) -> float:
     lgamma values are tabulated once, in two arrays of 16 B per term
     together (``_binomial_tails``), so memory grows with k, never with n.
     """
-    n = _require_int(n, "n", 1)
-    if not 0.0 < mu < 1.0:
-        raise DomainError(f"mu must lie in (0, 1), got {mu!r}")
-    k = _require_int(k, "k", 0)
+    n, mu, k = _require_int(n, "n", 1), _require_real(mu, "mu", 0, 1), _require_int(k, "k", 0)
     if k > n:
         raise DomainError(f"k must be an integer in [0, n], got {k!r}")
     return _binomial_tails(n, [(mu, k)])[0]
@@ -152,11 +147,9 @@ def _binomial_tails(n: int, pairs) -> list[float]:
 
 def _mu_grid(mu_grid) -> list[float]:
     """The means of a check as floats: a nonempty list of numbers inside (0, 1)."""
-    mus = [_require_real(mu, "mu grid entry") for mu in mu_grid]
+    mus = [_require_real(mu, "mu grid entry", 0, 1) for mu in mu_grid]
     if not mus:
         raise DomainError("mu grid is empty")
-    if not all(0.0 < mu < 1.0 for mu in mus):
-        raise DomainError("mu grid must lie inside (0, 1)")
     return mus
 
 
@@ -209,11 +202,11 @@ def _l4_claims(eps: float, m: float):
         yield (label, mu), c * _dg_eps(c * mu, mu) + _dg(c * mu, mu), -1
 
 
-# lemma id -> (eps upper bound, as worded, what a pass shows, claims at interval ends)
+# lemma id -> (eps upper bound, what a pass shows, claims at interval ends)
 _CLAIMS = {
-    "L2": (0.5, "1/2", "monotone on four mu-intervals", _l2_claims),
-    "L3": (0.5, "1/2", "g(eps,.) vs g(-eps,.) on both sides of 1/2", _l3_claims),
-    "L4": (1.0, "1", "proportional-offset curves decrease in mu", _l4_claims),
+    "L2": (0.5, "monotone on four mu-intervals", _l2_claims),
+    "L3": (0.5, "g(eps,.) vs g(-eps,.) on both sides of 1/2", _l3_claims),
+    "L4": (1.0, "proportional-offset curves decrease in mu", _l4_claims),
 }
 
 
@@ -224,10 +217,8 @@ def lemma_scan(lemma_id: str, grid: GridSpec) -> ScanReport:
     """
     if lemma_id not in _CLAIMS:
         raise DomainError(f"lemma_scan supports L2/L3/L4, got {lemma_id!r}")
-    eps_max, eps_max_text, shows, claims = _CLAIMS[lemma_id]
-    eps, m = grid.eps, grid.margin
-    if not 0.0 < eps < eps_max:
-        raise DomainError(f"{lemma_id} requires eps in (0, {eps_max_text}), got {eps!r}")
+    eps_max, shows, claims = _CLAIMS[lemma_id]
+    eps, m = _require_real(grid.eps, f"{lemma_id} eps", 0, eps_max), grid.margin
     violations = [
         (point, {"value": value, "expected_sign": sign})
         for point, value, sign in claims(eps, m)

@@ -125,6 +125,22 @@ class TestScenarioSet:
         with pytest.raises(ValueError):
             scen.scenarios[0, 0] = 9.9
 
+    @pytest.mark.parametrize(
+        "rows", [[["x"]], [["0.5"]], [[b"0.5"]], [[0.5], [0.5, 0.5]], [np.zeros(2), np.zeros((2, 3))], [[True], [False]]],
+        ids=["word", "numeric_string", "bytes", "ragged", "ragged_arrays", "booleans"],
+    )
+    def test_rows_that_are_not_numbers_rejected(self, rows):
+        # once parsed as floats, or numpy's bare ValueError
+        with pytest.raises(DomainError, match="scenario values must be numbers"):
+            ScenarioSet.from_array(rows)
+
+    def test_rows_copied_as_c_ordered_floats(self):
+        given = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        scen = ScenarioSet.from_array(given)
+        np.testing.assert_array_equal(scen.scenarios, given)
+        assert scen.scenarios.flags.c_contiguous and not np.shares_memory(scen.scenarios, given)
+        assert ScenarioSet.from_array([[1], [2]]).scenarios.dtype == float
+
     def test_from_csv(self, tmp_path):
         path = tmp_path / "scenarios.csv"
         path.write_text("0.5,1.0\n-0.25,0.75\n0.0,0.125\n")

@@ -273,7 +273,7 @@ class TestOptimize:
             ({"certify_spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": True}}, "certify_spec: delta must be a number"),
             ({"model": "affine", "model_params": {"c": "3"}}, "model_params: c must be a number, got '3'"),
             ({"model": "affine", "model_params": {"a": [[1.0], [2.0]]}}, "model_params: a and b must be flat lists"),
-            ({"model_params": {"sigma": 1e400}}, "model_params: sigma must be positive and finite, got inf"),
+            ({"model_params": {"sigma": 1e400}}, "model_params: sigma must lie in (0, inf), got inf"),
             # every top-level key is known: no plan sizes the scenarios, and no typo runs on a default
             ({"spec": {"eps_a": 0.05, "eps_r": 0.2, "delta": 0.05}}, "spec: unknown field"),
             ({"sede": 7}, "sede: unknown field"),
@@ -291,9 +291,9 @@ class TestOptimize:
              "certify_spec.delta: missing required field"),
             ({"settings": {"theta0": "0.5"}}, "settings: theta0 must be a sequence of reals, got '0.5'"),
             ({"settings": {"theta0": [0.5], "lambda_cap": 1e999}},
-             "settings: lambda_cap must be positive and finite, got inf"),
+             "settings: lambda_cap must lie in (0, inf), got inf"),
             ({"settings": {"theta0": [0.5], "grad_tol": 1e999}},
-             "settings: grad_tol must be positive and finite, got inf"),
+             "settings: grad_tol must lie in (0, inf), got inf"),
         ],
         ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
              "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
@@ -310,6 +310,17 @@ class TestOptimize:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and named in err
+
+    def test_readme_quick_start_runs(self, capsys):
+        # the library quick start in README.md, exactly as written there
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
+        names: dict = {}
+        exec(block, names)
+        capsys.readouterr()
+        assert names["plan"].n == 577
+        assert names["cert"].delta_achieved < 0.05 and names["batch_cert"].delta_achieved < 0.05
+        assert names["outcome"].certificate.n == 577
 
     def test_readme_config_runs(self, capsys, tmp_path):
         # the run configuration documented in README.md, exactly as written there

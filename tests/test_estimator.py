@@ -934,6 +934,23 @@ class TestEstimateFromBatch:
         with pytest.raises(DomainError):
             estimate_from_batch([], 0.05, 0.2)
 
+    @pytest.mark.parametrize(
+        "values", [["x"], ["0.5"], [b"0.5"], [[0.5], [0.5, 0.5]], [np.zeros(2), np.zeros((2, 3))], [0.5, None]],
+        ids=["word", "numeric_string", "bytes", "ragged", "ragged_arrays", "none"],
+    )
+    def test_values_that_are_not_numbers_rejected(self, values):
+        # once parsed as floats (None as NaN), or numpy's bare ValueError
+        with pytest.raises(DomainError, match="batch values must be numbers or booleans"):
+            estimate_from_batch(values, 0.05, 0.2)
+
+    def test_indicator_batch_matches_floats(self):
+        # 0/1 indicators are samples: booleans and integers certify as their floats do
+        flags = np.random.default_rng(5).random(700) < 0.3
+        expected = estimate_from_batch(flags.astype(float), 0.05, 0.2)
+        assert estimate_from_batch(flags, 0.05, 0.2) == expected
+        assert estimate_from_batch(flags.tolist(), 0.05, 0.2) == expected
+        assert estimate_from_batch(flags.astype(np.uint8), 0.05, 0.2) == expected
+
     def test_invalid_tolerance_pair(self):
         with pytest.raises(InvalidSpecError):
             estimate_from_batch([0.5] * 10, 0.3, 0.5)

@@ -26,6 +26,8 @@ from probcert import (
     binomial_tail_exact,
     coverage_experiment,
     domination_experiment,
+    empirical_moment,
+    empirical_moment_gradient,
     hoeffding_exponent,
     lemma56_check,
     lower_tail_bound,
@@ -307,6 +309,7 @@ class TestAchievedConfidence:
 
 
 MODEL = make_model("uniform_gap")
+OBJECTIVE = ChernoffObjective(MODEL, ScenarioSet.from_model(MODEL, 5, 1))
 SPEC = validate_spec(0.05, 0.2, 0.05)
 # a bool is never a number here, nor a string or None; -1 and NaN are out of range
 INTS = (True, 2.5, "3", None, -1, math.nan)
@@ -326,6 +329,7 @@ BAD_INPUTS = {
     "binomial_tail_exact.k": (lambda v: binomial_tail_exact(5, 0.5, v), "k", INTS),
     "binomial_tail_exact.n": (lambda v: binomial_tail_exact(v, 0.5, 0), "n", INTS + (0,)),
     "upper_tail_bound.n": (lambda v: upper_tail_bound(v, 0.1, 0.5), "n", INTS + (0,)),
+    "lower_tail_bound.n": (lambda v: lower_tail_bound(v, 0.1, 0.5), "n", INTS + (0,)),
     "achieved_confidence.n": (lambda v: achieved_confidence(v, 0.05, 0.2), "n", INTS + (0,)),
     "lemma56_check.n": (lambda v: lemma56_check(SPEC, [0.1], v), "n", INTS + (0,)),
     "ScenarioSet.from_model.n": (lambda v: ScenarioSet.from_model(MODEL, v, 1), "scenario count", INTS + (0,)),
@@ -353,14 +357,30 @@ BAD_INPUTS = {
     "lemma56_check.mu_grid": (lambda v: lemma56_check(SPEC, [0.1, v], 10), "mu grid", REALS + (-1, math.nan)),
     "coverage_experiment.mu_grid": (
         lambda v: coverage_experiment(SPEC, [0.1, v], 10, 3), "mu grid", REALS + (-1, math.nan)),
+    # open ranges: mu in (0, 1), eps in (0, 1 - mu) above and (0, mu) below, mu + eps in (0, 1)
+    "hoeffding_exponent.eps": (lambda v: hoeffding_exponent(v, 0.5), "eps", REALS + (-0.5, 0.5, math.nan)),
+    "hoeffding_exponent.mu": (lambda v: hoeffding_exponent(0.1, v), "mu", REALS + (0, 1, math.nan)),
+    "upper_tail_bound.eps": (lambda v: upper_tail_bound(10, v, 0.6), "eps", REALS + (0, 0.4, math.nan)),
+    "upper_tail_bound.mu": (lambda v: upper_tail_bound(10, 0.1, v), "mu", REALS + (0, 1, math.nan)),
+    "lower_tail_bound.eps": (lambda v: lower_tail_bound(10, v, 0.4), "eps", REALS + (0, 0.4, math.nan)),
+    "lower_tail_bound.mu": (lambda v: lower_tail_bound(10, 0.1, v), "mu", REALS + (0, 1, math.nan)),
+    "binomial_tail_exact.mu": (lambda v: binomial_tail_exact(5, v, 2), "mu", REALS + (0, 1, math.nan)),
+    # lambda in (0, inf), and every entry of theta finite
+    "empirical_moment.lambda": (
+        lambda v: empirical_moment(OBJECTIVE, v, (0.5,)), "lambda", REALS + (0, math.inf, math.nan)),
+    "empirical_moment_gradient.lambda": (
+        lambda v: empirical_moment_gradient(OBJECTIVE, v, (0.5,)), "lambda", REALS + (0, math.inf, math.nan)),
+    "empirical_moment.theta": (
+        lambda v: empirical_moment(OBJECTIVE, 1.0, (v,)), "theta", REALS + (math.inf, math.nan)),
 }
 
 
 class TestInputPolicy:
     """Every count, seed and number the library receives goes through
-    ``_require_int`` or ``_require_real``: a bad one is a DomainError or an
-    InvalidSpecError naming the parameter, never a TypeError or a bare
-    ValueError from deeper down.
+    ``_require_int`` or ``_require_real``, a number's open range (a tail
+    bound's mu and eps, lambda, each entry of theta) too: a bad one is a
+    DomainError or an InvalidSpecError naming the parameter, never a
+    TypeError, a bare ValueError from deeper down, or a bool taken as 0 or 1.
     """
 
     @pytest.mark.parametrize(

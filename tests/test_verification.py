@@ -196,7 +196,8 @@ class TestLemmaScans:
 
     @pytest.mark.parametrize("kwargs", [{"step": math.inf}, {"margin": math.inf}])
     def test_non_finite_grid_rejected(self, kwargs):
-        with pytest.raises(DomainError, match="finite"):
+        # step lies in the open (0, inf), margin in [1e-3, inf)
+        with pytest.raises(DomainError, match=r"step must lie in \(0, inf\), got inf|margin must be >= 1e-3 and finite"):
             GridSpec(eps=0.1, **kwargs)
 
     @pytest.mark.parametrize(
@@ -245,7 +246,7 @@ class TestLemmaScans:
                     yield point, value, sign
             return wrapper
 
-        claims = {k: v[:3] + (recording(k, v[3]),) for k, v in verification._CLAIMS.items()}
+        claims = {k: v[:-1] + (recording(k, v[-1]),) for k, v in verification._CLAIMS.items()}
         monkeypatch.setattr(verification, "_CLAIMS", claims)
         assert cli.main(["verify", "--suite", "lemmas"]) == 0
         capsys.readouterr()
