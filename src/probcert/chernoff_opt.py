@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .estimator import Certificate, SampleSource, _exact_sums, estimate_with_plan, stable_mean
+from .estimator import Certificate, SampleSource, _exact_sums, _require_block, estimate_with_plan
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
 from .tail_bounds import ErrorSpec, _require_int, _require_real
 
@@ -187,8 +187,7 @@ class ScenarioSet:
             arr = np.asarray(self.scenarios)
         except ValueError:
             raise DomainError("scenario values must be numbers, got a ragged sequence") from None
-        if arr.dtype.kind not in "iuf":  # no string is parsed, nor an object converted
-            raise DomainError(f"scenario values must be numbers, got dtype {arr.dtype}")
+        arr = _require_block(arr, arr.shape, "scenario", "iuf")
         arr = np.atleast_2d(arr).astype(float, order="C")  # a copy, which only this set holds
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError(f"scenario array must be (n, d) with n >= 1, got shape {arr.shape}")
@@ -250,10 +249,8 @@ class ScenarioSource:
 
     def draw(self, k: int) -> np.ndarray:
         k = _require_int(k, "draw count", 0)
-        rows = np.asarray(self._model.sample_scenarios(self._rng, k), dtype=float)
-        expected = (k, self._model.dim_delta)
-        if rows.shape != expected:
-            raise DomainError(f"scenario sampler returned shape {rows.shape}, expected {expected}")
+        rows = self._model.sample_scenarios(self._rng, k)
+        rows = _require_block(rows, (k, self._model.dim_delta), "scenario sampler", "iuf").astype(float, copy=False)
         self.draws_made += k
         return rows
 
@@ -283,7 +280,10 @@ def _model_output(model: PerformanceModel, values, shape: tuple, what: str, offs
     finite with |v| <= 2^450.  ``what`` names the output ("Y" or "gradient"),
     and ``offset`` is added to the reported scenario index (the first axis).
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":  # no string is parsed, nor an object converted
+        raise DomainError(f"model {model.name!r} {what} values must be numbers, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
     if values.shape != shape:
         raise DomainError(f"model {model.name!r} returned {what} shape {values.shape}, expected {shape}")
     if not (values.max() <= _Y_BOUND and values.min() >= -_Y_BOUND):  # also false for nan
@@ -449,7 +449,7 @@ def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.n
     """
     if ys.min() > 0.0:
         lam = cap
-    elif stable_mean(ys) > 0.0:
+    elif _exact_sums(ys.reshape(1, -1))[0] > 0.0:
         lo, hi = 0.0, math.inf  # h' < 0 at lo, h' > 0 at hi
         for _ in range(_LAMBDA_STEPS):
             f, d1, d2, weights = _moments(ys, lam)
@@ -522,7 +522,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
 
     if ys.min() > 0.0:
         termination = "lambda_cap"
-    elif stable_mean(ys) <= 0.0:
+    elif _exact_sums(ys.reshape(1, -1))[0] <= 0.0:
         termination = "trivial_bound"
     return OptimizationOutcome(
         theta_star=tuple(float(t) for t in theta),

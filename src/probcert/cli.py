@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     add_output_flags(p)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", type=str, required=True, help=f"one of {_VERIFY_SUITES}")
+    p.add_argument("--suite", required=True, choices=_VERIFY_SUITES, help="the suite to run")
     p.add_argument("--trials", type=int, default=2000, help="trials per mean for the coverage suite")
     p.add_argument("--points", type=int, default=20, help="random points for the domination suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="experiment seed")
@@ -272,10 +272,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in _VERIFY_SUITES:
-        raise _UsageError(
-            f"probcert verify: unknown suite {args.suite!r}; choose from {_VERIFY_SUITES}"
-        )
     spec = validate_spec(args.eps_a, args.eps_r, args.delta)
     reports = []
 

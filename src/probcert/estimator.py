@@ -16,24 +16,25 @@ offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
 would, but without a Python-level loop.  A planned estimate is one row,
-reduced a block at a time.  A 0/1 source (Bernoulli draws, failure
-indicators) may return a block as booleans, which are counted exactly.
+reduced a block at a time, and so is a post-hoc batch, in views of
+``_DRAW_CHUNK`` values.  A 0/1 source (Bernoulli draws, failure indicators)
+or batch may be booleans, which are counted exactly.
 ``BernoulliSource`` makes eight draws from each 64-bit generator word, one
 per byte lane, and settles a lane that ties with 256 p from a tie child of
 its stream, so a draw is 1 with a probability in [p, p + 2^-61); a planned
 estimate on it counts each block from its byte lanes and never builds its
 draws.  Any other block is converted to float, checked into [0, 1] where it
-is reduced, and goes through error-free extraction (Rump, Ogita & Oishi,
-"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
-2008), which splits the row into a few partial sums whose numpy sums are
-exact; it leaves the block unchanged and works in two scratch buffers reused
-across blocks.  A source is drawn at most its ``_block`` of values at a
-time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as float64), or four times that for
-``BernoulliSource``, whose 65,536-draw block is 8,192 words (64 KiB) and as
-many booleans.  Memory therefore stays constant in the planned n, and
-because the sums are exact the block size never changes a certificate.  A
-coverage trial that shares no block with another is counted as a planned
-estimate is, from its byte lanes.
+is reduced, and only then goes through error-free extraction (Rump, Ogita &
+Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
+31(1), 2008), which splits the row into a few partial sums whose numpy sums
+are exact; it has no failure path, leaves the block unchanged and works in
+two scratch buffers reused across blocks.  A source is drawn at most its
+``_block`` of values at a time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as
+float64), or four times that for ``BernoulliSource``, whose 65,536-draw
+block is 8,192 words (64 KiB) and as many booleans.  Memory therefore stays
+constant in the planned n, and because the sums are exact the block size
+never changes a certificate.  A coverage trial that shares no block with
+another is counted as a planned estimate is, from its byte lanes.
 """
 
 from __future__ import annotations
@@ -87,13 +88,16 @@ def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
         raise SampleValueError(float(values[i]), offset + i)
 
 
-def _require_block(values, k: int) -> np.ndarray:
-    """values as an array of shape (k,); a shorter 1-D block means the source ran dry."""
+def _require_block(values, shape: tuple, what: str = "source", kinds: str = "biuf") -> np.ndarray:
+    """values as an array of ``shape`` and a dtype kind in ``kinds`` (numbers, and booleans
+    unless left out); a block short along its first axis means ``what`` ran dry."""
     values = np.asarray(values)
-    if values.shape != (k,):
-        if values.ndim == 1 and values.size < k:
-            raise SourceExhaustedError(f"source produced {values.size} of {k} requested values")
-        raise DomainError(f"source returned shape {values.shape}, expected {(k,)}")
+    if values.shape != shape:
+        if values.ndim == len(shape) and values.shape[1:] == shape[1:] and len(values) < shape[0]:
+            raise SourceExhaustedError(f"{what} produced {len(values)} of {shape[0]} requested values")
+        raise DomainError(f"{what} returned shape {values.shape}, expected {shape}")
+    if values.dtype.kind not in kinds:  # no string is parsed, nor an object converted
+        raise DomainError(f"{what} values must be numbers{' or booleans' * ('b' in kinds)}, got dtype {values.dtype}")
     return values
 
 
@@ -122,7 +126,7 @@ class SampleSource:
         block is converted to float64.
         """
         k = _require_int(k, "draw count", 0)
-        values = _require_block(self._generate(k), k)
+        values = _require_block(self._generate(k), (k,))
         if values.dtype != bool:  # a boolean cannot leave [0, 1]
             values = values.astype(float, copy=False)
             _check_unit_interval(values, self.draws_made)
@@ -215,10 +219,10 @@ class Certificate:
         return asdict(self)
 
 
-def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.ndarray) -> bool:
+def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.ndarray) -> None:
     """Append to ``parts[i]`` partial sums of row i of a 2-D float block whose
-    exact sum is the row's; False where a value is not finite or exceeds 2^900
-    in magnitude, where sigma could overflow (values in [0, 1] never do).
+    exact sum is the row's.  Values must be finite with |v| <= 2^900, or sigma
+    could overflow: every caller bounds them first, so the DomainError is unreachable.
 
     Each pass rounds every remainder r to q = (r + sigma) - sigma, a multiple
     of ulp(sigma) / 2 with |q| <= 2^e, where max|r| < 2^e over the block and
@@ -232,7 +236,7 @@ def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.n
     k = (block.shape[1] + 1).bit_length()
     top = float(np.abs(block, out=q).max())
     if not top <= 2.0**900:  # also true for nan
-        return False
+        raise DomainError(f"exact sums take finite values of magnitude up to 2**900, got {top!r}")
     while top > 0.0:
         sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
         np.add(block, sigma, out=q)
@@ -241,7 +245,6 @@ def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.n
             row.append(total)
         block = np.subtract(block, q, out=r)
         top = float(np.abs(block, out=q).max())
-    return True
 
 
 def _row_sum(
@@ -254,7 +257,7 @@ def _row_sum(
     number of ones among them.  A part must have the shape ``draw`` checks
     (``_require_block``), and a boolean part is counted.  A float part is
     checked into [0, 1], at its index in the row, so a ``draw`` override cannot
-    skip either check, and then ``_extract`` cannot fail on it.
+    skip either check, and then ``_extract`` takes it.
     """
     width = min(n, block)
     scratch: Optional[np.ndarray] = None
@@ -265,7 +268,7 @@ def _row_sum(
         if count is not None:
             ones += count(m)
             continue
-        values = _require_block(take(m), m).reshape(1, m)
+        values = _require_block(take(m), (m,)).reshape(1, m)
         if values.dtype == bool:
             ones += np.count_nonzero(values)
             continue
@@ -275,25 +278,16 @@ def _row_sum(
     return math.fsum([*parts[0], ones])
 
 
-def _exact_sums(rows: np.ndarray) -> Optional[list[float]]:
-    """``math.fsum`` of each row of a 2-D float array, left unchanged, from ``_extract``
-    on column blocks of at most ``_DRAW_CHUNK`` values (or one column); None where it fails."""
+def _exact_sums(rows: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of a 2-D float array with |values| <= 2^900, left unchanged,
+    from ``_extract`` on column blocks of at most ``_DRAW_CHUNK`` values (or one column)."""
     b, n = rows.shape
     width = max(1, min(n, _DRAW_CHUNK // b))
     scratch = np.empty((2, b * width))
     parts: list[list[float]] = [[] for _ in range(b)]
     for start in range(0, n, width):
-        if not _extract(rows[:, start : start + width], parts, *scratch):
-            return None
+        _extract(rows[:, start : start + width], parts, *scratch)
     return [math.fsum(row) for row in parts]
-
-
-def stable_mean(values: Sequence[float]) -> float:
-    """``math.fsum(values) / len(values)`` bit for bit, with no Python loop; ``values`` is left unchanged."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise DomainError("cannot take the mean of an empty sequence")
-    return (_exact_sums(arr.reshape(1, -1)) or [math.fsum(arr.tolist())])[0] / arr.size  # fsum's inf, nan or error
 
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:
@@ -333,15 +327,17 @@ def estimate_from_batch(
     """Certify a fixed batch post hoc, inverting the risk for its length.
 
     Values are numbers, or booleans (0/1 indicators), and every one must lie
-    in [0, 1]; the first offender is reported by index.
+    in [0, 1]; the first offender is reported by its flat index.  Booleans are
+    counted, and numbers read as float64 (float64 is not copied) and summed exactly.
     """
     try:
         arr = np.asarray(values)
     except ValueError:
         raise DomainError("batch values must be numbers or booleans, got a ragged sequence") from None
-    if arr.dtype.kind not in "biuf":  # no string is parsed, nor an object converted
-        raise DomainError(f"batch values must be numbers or booleans, got dtype {arr.dtype}")
+    arr = _require_block(arr, arr.shape, "batch").reshape(-1)
     if arr.size == 0:
         raise DomainError("batch is empty")
-    _check_unit_interval(arr)
-    return _certificate(stable_mean(arr), int(arr.size), eps_a, eps_r, "post_hoc")
+    arr = arr if arr.dtype == bool else arr.astype(float, copy=False)
+    blocks = (arr[start : start + _DRAW_CHUNK] for start in range(0, arr.size, _DRAW_CHUNK))
+    mu_hat = _row_sum(lambda k: next(blocks), arr.size, _DRAW_CHUNK) / arr.size
+    return _certificate(mu_hat, arr.size, eps_a, eps_r, "post_hoc")

@@ -49,7 +49,7 @@ __all__ = [
 
 def _require_int(value, name: str, low: int) -> int:
     """value as an int if it is an integer >= low, 0 or 1 (numpy's too, not a bool)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+    if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)) or value < low:
         kind = "positive" if low else "nonnegative"
         raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
@@ -58,7 +58,7 @@ def _require_int(value, name: str, low: int) -> int:
 def _require_real(value, name: str, low=None, high=math.inf) -> float:
     """value as a float if it is a real number (numpy's too, not a bool), NaN
     included unless low is given: then it must lie in the open (low, high)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if type(value) is not float and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
         raise DomainError(f"{name} must be a number, got {value!r}")
     if low is not None and not low < value < high:  # false for nan too
         raise DomainError(f"{name} must lie in ({low!r}, {high!r}), got {value!r}")

@@ -22,6 +22,7 @@ from probcert import (
     PerformanceModel,
     ScenarioSet,
     ScenarioSource,
+    SourceExhaustedError,
     certify_probability,
     chernoff_opt,
     empirical_moment,
@@ -174,6 +175,33 @@ class TestScenarioSet:
             ScenarioSet.from_model(flat, 5, seed=1)
         with pytest.raises(DomainError, match=r"returned shape \(5,\), expected \(5, 1\)"):
             ScenarioSource.from_model(flat, 1).draw(5)
+
+    @pytest.mark.parametrize(
+        "make_rows, dtype",
+        [(lambda k: [["0.25"]] * k, "<U4"), (lambda k: np.ones((k, 1), bool), "bool"),
+         (lambda k: [[None]] * k, "object")],
+        ids=["numeric_string", "bool", "none"],
+    )
+    def test_sampler_rows_that_are_not_numbers_rejected(self, make_rows, dtype):
+        # as ScenarioSet.from_array rejects them: no string is parsed, nor a flag taken for a number
+        model = dataclasses.replace(make_model("uniform_gap"), sample_scenarios=lambda rng, k: make_rows(k))
+        message = f"scenario sampler values must be numbers, got dtype {dtype}"
+        with pytest.raises(DomainError, match=message):
+            ScenarioSet.from_model(model, 5, seed=1)
+        with pytest.raises(DomainError, match=message):
+            ScenarioSource.from_model(model, 1).draw(5)
+
+    def test_short_sampler_is_exhaustion(self):
+        # as a short sample source is, and through either stream
+        short = dataclasses.replace(make_model("uniform_gap"), sample_scenarios=lambda rng, k: rng.random((k - 1, 1)))
+        source = ScenarioSource.from_model(short, 1)
+        with pytest.raises(SourceExhaustedError, match="scenario sampler produced 4 of 5 requested values"):
+            source.draw(5)
+        assert source.draws_made == 0
+        with pytest.raises(SourceExhaustedError, match="scenario sampler produced 4 of 5 requested values"):
+            ScenarioSet.from_model(short, 5, seed=1)
+        with pytest.raises(SourceExhaustedError, match="scenario sampler produced 576 of 577 requested values"):
+            certify_probability(short, [0.5], SPEC, ScenarioSource.from_model(short, 1))
 
     def test_model_without_sampler_rejected(self):
         # frozen and certification rows come from one stream type with one check
@@ -745,6 +773,22 @@ class TestCertifyProbability:
         obj = ChernoffObjective(make_model("affine", a=[0.0], b=[0.0], c=past), rows)
         with pytest.raises(DomainError, match=re.escape(f"|Y| exceeds 2**450 at scenario 0: {past!r}")):
             obj.performance_values([0.0])
+
+    @pytest.mark.parametrize(
+        "output, dtype", [(lambda n: ["0.5"] * n, "<U3"), (lambda n: np.zeros(n, bool), "bool")], ids=["string", "bool"]
+    )
+    def test_y_that_is_not_numbers_rejected(self, output, dtype):
+        # a string Y was parsed, a boolean one read as 0/1
+        model = dataclasses.replace(make_model("uniform_gap"), evaluate=lambda theta, rows: output(rows.shape[0]))
+        message = f"model 'uniform_gap' Y values must be numbers, got dtype {dtype}"
+        with pytest.raises(DomainError, match=message):
+            certify_probability(model, [0.5], SPEC, ScenarioSource.from_model(model, 3))
+        obj = ChernoffObjective(model, ScenarioSet.from_array([[0.1], [0.2]]))
+        with pytest.raises(DomainError, match=message):
+            obj.performance_values([0.5])
+        gradient = dataclasses.replace(make_model("uniform_gap"), gradient_theta=lambda theta, rows: np.c_[output(2)])
+        with pytest.raises(DomainError, match=f"model 'uniform_gap' gradient values must be numbers, got dtype {dtype}"):
+            empirical_moment_gradient(ChernoffObjective(gradient, obj.scenarios), 1.0, [0.5])
 
     def test_wrong_output_shape_rejected(self):
         base = make_model("uniform_gap")

@@ -414,7 +414,7 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 1
-        assert "unknown suite" in err
+        assert "invalid choice" in err
 
     def test_failing_report_exits_three(self, capsys, monkeypatch):
         import probcert.cli as cli_module

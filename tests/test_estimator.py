@@ -32,7 +32,6 @@ from probcert import (
     validate_spec,
     verification,
 )
-from probcert.estimator import stable_mean
 from support import ConstantSource, SequenceSource
 
 # 50-digit oracle for the mean of 500000 copies each of float(1e-8) and 1.0
@@ -57,27 +56,29 @@ EXACTNESS = settings(
 )
 
 
-def fsum_outcome(mean, values):
-    """The bits of a mean, "nan" for any NaN, or the type of the exception."""
+def bits(x):
+    """The bits of a float, so that -0.0 and 0.0 differ."""
+    return struct.pack("<d", x)
+
+
+def peak_bytes(run):
+    """run()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
     try:
-        x = mean(values)
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
-    return "nan" if math.isnan(x) else struct.pack("<d", x)
-
-
-def fsum_mean(values):
-    return math.fsum(values) / len(values)
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
 def spread_arrays(draw):
     """1 to 3,000 doubles with mixed signs and binary exponents anywhere
-    between those of 1e-300 and 1e300, optionally with exact cancellation
-    and subnormals mixed in."""
+    between those of 1e-300 and 2^899, inside the extraction's range, optionally
+    with exact cancellation and subnormals mixed in."""
     m = draw(st.integers(1, 3000))
-    lo = draw(st.integers(-997, 996))
-    hi = draw(st.integers(lo, 996))
+    lo = draw(st.integers(-997, 899))
+    hi = draw(st.integers(lo, 899))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = np.ldexp(rng.random(m) + 0.5, rng.integers(lo, hi + 1, m))
     values *= rng.choice([-1.0, 1.0], m)
@@ -89,20 +90,26 @@ def spread_arrays(draw):
     return values.tolist()
 
 
-class TestStableMean:
+class TestBatchMean:
+    """The mean of a [0, 1] batch, reduced in blocks as a planned estimate is."""
+
+    @staticmethod
+    def mean(values):
+        return estimate_from_batch(values, 0.05, 0.2).mu_hat
+
     def test_constant_tenth(self):
-        assert stable_mean([0.1] * 10) == pytest.approx(0.1, abs=1e-15)
+        assert self.mean([0.1] * 10) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_one_exact(self):
-        assert stable_mean([0.0, 1.0]) == 0.5
+        assert self.mean([0.0, 1.0]) == 0.5
 
     def test_alternating_against_high_precision_oracle(self):
         values = [1e-8, 1.0] * 500_000
-        assert stable_mean(values) == pytest.approx(ALT_MEAN_ORACLE, rel=1e-12)
+        assert self.mean(values) == pytest.approx(ALT_MEAN_ORACLE, rel=1e-12)
 
     def test_empty_error(self):
         with pytest.raises(DomainError):
-            stable_mean([])
+            self.mean([])
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
     @settings(max_examples=200)
@@ -111,34 +118,39 @@ class TestStableMean:
         for v in values:
             exact += Fraction(v)
         exact = float(exact / len(values))
-        assert stable_mean(values) == pytest.approx(exact, abs=1e-15)
-
-    @given(st.lists(EXTRACTABLE, min_size=1, max_size=3000))
-    @EXACTNESS
-    def test_bit_identical_to_fsum(self, values):
-        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
-
-    @given(spread_arrays())
-    @EXACTNESS
-    def test_bit_identical_to_fsum_across_exponents(self, values):
-        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
-
-    @given(st.lists(st.one_of(EXTRACTABLE, SPECIAL), min_size=1, max_size=50))
-    @EXACTNESS
-    def test_nan_inf_and_overflow_match_fsum(self, values):
-        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values)
+        assert self.mean(values) == pytest.approx(exact, abs=1e-15)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_chunked_input_matches_fsum_and_is_left_unchanged(self, monkeypatch, chunk):
+    def test_chunked_batch_matches_fsum_and_is_left_unchanged(self, monkeypatch, chunk):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
-        values = np.random.default_rng(21).random(2000) - 0.25
+        # the second 1,000 values 2^-900 below the first
+        values = np.ldexp(np.random.default_rng(21).random(2000), -900 * (np.arange(2000) // 1000))
         before = values.copy()
-        assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values.tolist())
+        assert self.mean(values) == math.fsum(before.tolist()) / values.size
         np.testing.assert_array_equal(values, before)
-        # a value the extraction cannot take, late in the input, falls back to fsum
-        for special in (math.nan, math.inf, 1.5 * 2.0**950):
-            values[1500] = special
-            assert fsum_outcome(stable_mean, values) == fsum_outcome(fsum_mean, values.tolist())
+
+    @pytest.mark.parametrize("shape", [(5 * 16_384,), (5, 16_384)], ids=["flat", "rows"])
+    def test_first_bad_value_in_the_third_block_is_reported_at_its_index(self, shape):
+        # the blocks before it are reduced, then its block's check names it by its flat index
+        values = np.full(5 * 16_384, 0.5)
+        values[2 * 16_384 + 5], values[4 * 16_384] = 1.5, math.nan
+        with pytest.raises(SampleValueError) as info:
+            estimate_from_batch(values.reshape(shape), 0.05, 0.2)
+        assert (info.value.index, info.value.value) == (2 * 16_384 + 5, 1.5)
+
+    def test_boolean_batch_is_counted_below_one_mib(self):
+        # no float copy of a million flags (7.6 MiB): each block is counted
+        flags = np.random.default_rng(9).random(1_000_000) < 0.3
+        cert, peak = peak_bytes(lambda: estimate_from_batch(flags, 0.05, 0.2))
+        assert cert.mu_hat == np.count_nonzero(flags) / flags.size
+        assert peak < 2**20
+
+    def test_float_batch_of_a_million_values_peaks_below_one_mib(self):
+        # the batch is only read: the two scratch blocks are all that is allocated
+        values = np.random.default_rng(6).random(1_000_000)
+        cert, peak = peak_bytes(lambda: estimate_from_batch(values, 0.05, 0.2))
+        assert cert.mu_hat == math.fsum(values.tolist()) / values.size
+        assert peak < 2**20
 
 
 class TestSampleSources:
@@ -230,6 +242,24 @@ class TestSampleSources:
 
         with pytest.raises(SourceExhaustedError, match="source produced 574 of 577 requested values"):
             Short().draw(577)
+
+    @pytest.mark.parametrize(
+        "value, dtype", [("0.5", "<U3"), (b"1", "|S1"), (None, "object"), (0.5 + 0j, "complex128")],
+        ids=["numeric_string", "bytes", "none", "complex"],
+    )
+    def test_block_of_values_that_are_not_numbers_rejected(self, value, dtype):
+        # a string block was parsed as floats, a None one read as NaN
+        class Words(SampleSource):
+            def _generate(self, k):
+                return [value] * k
+
+        source = Words()
+        message = f"source values must be numbers or booleans, got dtype {dtype}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            source.draw(3)
+        assert source.draws_made == 0
+        with pytest.raises(DomainError, match=re.escape(message)):
+            estimate_with_plan(Words(), SPEC)
 
 
 class TestEstimateWithPlan:
@@ -623,7 +653,7 @@ class TestExactSums:
         return np.ldexp(rng.random((rows, n)) - 0.25, -900 * (np.arange(rows)[:, None] % 2))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    @pytest.mark.parametrize("shape", [(40, 577), (3, 40_000)], ids=["40x577", "3x40000"])
+    @pytest.mark.parametrize("shape", [(40, 577), (3, 40_000), (1, 2000)], ids=["40x577", "3x40000", "1x2000"])
     def test_each_row_is_fsum_and_the_input_is_left_unchanged(self, monkeypatch, chunk, shape):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         rows = self.scaled_rows(*shape, seed=chunk)
@@ -631,14 +661,36 @@ class TestExactSums:
         assert estimator._exact_sums(rows) == [math.fsum(row) for row in before.tolist()]
         np.testing.assert_array_equal(rows, before)
 
+    @given(st.lists(EXTRACTABLE, min_size=1, max_size=3000))
+    @EXACTNESS
+    def test_bit_identical_to_fsum(self, values):
+        assert bits(estimator._exact_sums(np.array([values]))[0]) == bits(math.fsum(values))
+
+    @given(spread_arrays())
+    @EXACTNESS
+    def test_bit_identical_to_fsum_across_exponents(self, values):
+        assert bits(estimator._exact_sums(np.array([values]))[0]) == bits(math.fsum(values))
+
+    @given(st.lists(st.one_of(EXTRACTABLE, SPECIAL), min_size=1, max_size=50))
+    @EXACTNESS
+    def test_values_past_2_to_the_900_raise_and_leave_the_input(self, values):
+        rows = np.array([values])
+        if all(abs(v) <= 2.0**900 for v in values):  # false for nan
+            assert bits(estimator._exact_sums(rows)[0]) == bits(math.fsum(values))
+        else:
+            with pytest.raises(DomainError, match=r"up to 2\*\*900"):
+                estimator._exact_sums(rows)
+        np.testing.assert_array_equal(rows, np.array([values]))
+
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("special", [math.nan, math.inf, 1.5 * 2.0**950], ids=["nan", "inf", "past_2_900"])
-    def test_a_late_value_it_cannot_take_gives_none_and_leaves_the_input(self, monkeypatch, chunk, special):
+    def test_a_late_value_it_cannot_take_raises_and_leaves_the_input(self, monkeypatch, chunk, special):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         rows = self.scaled_rows(*((40, 577) if chunk < 577 else (3, 40_000)), seed=1)
         rows[1, -1] = special  # in the last of several column blocks, after the others are extracted
         before = rows.copy()
-        assert estimator._exact_sums(rows) is None
+        with pytest.raises(DomainError, match=r"up to 2\*\*900"):
+            estimator._exact_sums(rows)
         np.testing.assert_array_equal(rows, before)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -656,18 +708,6 @@ class TestExactSums:
         assert estimator._row_sum(take, 6300, chunk) == math.fsum(before.tolist())
         assert taken == stream.size
         np.testing.assert_array_equal(stream, before)
-
-    def test_stable_mean_of_a_million_values_peaks_below_one_mib(self):
-        # the array is only read: the two scratch blocks are all that is allocated
-        values = np.random.default_rng(6).random(1_000_000)
-        tracemalloc.start()
-        try:
-            mean = stable_mean(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert mean == math.fsum(values.tolist()) / values.size
-        assert peak < 2**20
 
 
 class FloatBernoulliSource(BernoulliSource):
