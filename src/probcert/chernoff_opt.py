@@ -183,11 +183,7 @@ class ScenarioSet:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0))
-        try:
-            arr = np.asarray(self.scenarios)
-        except ValueError:
-            raise DomainError("scenario values must be numbers, got a ragged sequence") from None
-        arr = _require_block(arr, arr.shape, "scenario", "iuf")
+        arr = _require_block(self.scenarios, None, "scenario", "iuf")
         arr = np.atleast_2d(arr).astype(float, order="C")  # a copy, which only this set holds
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DomainError(f"scenario array must be (n, d) with n >= 1, got shape {arr.shape}")
@@ -280,10 +276,7 @@ def _model_output(model: PerformanceModel, values, shape: tuple, what: str, offs
     finite with |v| <= 2^450.  ``what`` names the output ("Y" or "gradient"),
     and ``offset`` is added to the reported scenario index (the first axis).
     """
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf":  # no string is parsed, nor an object converted
-        raise DomainError(f"model {model.name!r} {what} values must be numbers, got dtype {values.dtype}")
-    values = values.astype(float, copy=False)
+    values = _require_block(values, None, f"model {model.name!r} {what}", "iuf").astype(float, copy=False)
     if values.shape != shape:
         raise DomainError(f"model {model.name!r} returned {what} shape {values.shape}, expected {shape}")
     if not (values.max() <= _Y_BOUND and values.min() >= -_Y_BOUND):  # also false for nan

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from dataclasses import MISSING, fields
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .chernoff_opt import OptimizationSettings, make_model, optimize_probability
-from .errors import ConfigError, DomainError, ProbcertError, SampleValueError
-from .estimator import estimate_from_batch
+from .errors import ConfigError, DomainError, ProbcertError
+from .estimator import _DRAW_CHUNK, _certificate, _row_sum
 from .tail_bounds import ErrorSpec, achieved_confidence, minimum_sample_size, validate_spec
 from .verification import (
     GridSpec,
@@ -132,31 +136,41 @@ def _cmd_confidence(args) -> int:
     return 0
 
 
-def _read_sample_file(path: str) -> tuple[list[float], list[int]]:
-    """The decimal values of a sample file, and the line number of each."""
-    with open(path, errors="replace") as fh:
-        lines = fh.readlines()
-    values, linenos = [], []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise DomainError(f"line {lineno}: not a decimal number: {text!r}") from None
-        linenos.append(lineno)
-    if not values:
-        raise DomainError(f"no sample values in {path!r}")
-    return values, linenos
+def _nonblank(fh) -> Iterator[list[str]]:
+    """fh's lines from its start, stripped, blank ones left out, in lists of ``_DRAW_CHUNK``."""
+    fh.seek(0)
+    lines = filter(None, map(str.strip, fh))
+    return iter(lambda: list(islice(lines, _DRAW_CHUNK)), [])
+
+
+def _first_error(fh) -> Optional[DomainError]:
+    """The error of fh's first line that is not a number, else of its first value outside [0, 1]."""
+    fh.seek(0)
+    outside = None
+    for lineno, text in enumerate(map(str.strip, fh), start=1):
+        if text:
+            try:
+                value = float(text)
+            except ValueError:
+                return DomainError(f"line {lineno}: not a decimal number: {text!r}")
+            if outside is None and not 0.0 <= value <= 1.0:
+                outside = DomainError(f"line {lineno}: value {value!r} outside [0, 1]")
+    return outside
 
 
 def _cmd_estimate(args) -> int:
-    values, linenos = _read_sample_file(args.input)
-    try:
-        cert = estimate_from_batch(values, args.eps_a, args.eps_r)
-    except SampleValueError as exc:
-        raise DomainError(f"line {linenos[exc.index]}: value {exc.value!r} outside [0, 1]") from None
+    """One pass counts the file's values, a second parses them by ``float``'s rules and sums them."""
+    with open(args.input, errors="replace") as fh:
+        fh = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe is read whole, to be read again
+        n = sum(map(len, _nonblank(fh)))
+        if not n:
+            raise DomainError(f"no sample values in {args.input!r}")
+        blocks = _nonblank(fh)
+        try:
+            total = _row_sum(lambda k: np.array(next(blocks, ()), dtype=float), n, _DRAW_CHUNK)
+        except ValueError as exc:  # numpy's, or a SampleValueError: name the line
+            raise _first_error(fh) or exc from None
+    cert = _certificate(total / n, n, args.eps_a, args.eps_r, "post_hoc")
     payload = cert.to_dict()
     human = (
         f"mu_hat = {cert.mu_hat:.12g} from n = {cert.n} samples; "
@@ -292,9 +306,7 @@ def _cmd_verify(args) -> int:
         mu_grid = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
         reports.append(coverage_experiment(spec, mu_grid, args.trials, args.seed))
     if args.suite in ("domination", "all"):
-        reports.append(
-            domination_experiment("quadratic_well", spec, args.points, args.seed)
-        )
+        reports.append(domination_experiment("quadratic_well", spec, args.points, args.seed))
 
     all_passed = all(r.passed for r in reports)
     payload = {

@@ -23,8 +23,8 @@ or batch may be booleans, which are counted exactly.
 per byte lane, and settles a lane that ties with 256 p from a tie child of
 its stream, so a draw is 1 with a probability in [p, p + 2^-61); a planned
 estimate on it counts each block from its byte lanes and never builds its
-draws.  Any other block is converted to float, checked into [0, 1] where it
-is reduced, and only then goes through error-free extraction (Rump, Ogita &
+draws.  Any other block is checked into [0, 1] where it is reduced, and only
+then converted to float and put through error-free extraction (Rump, Ogita &
 Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
 31(1), 2008), which splits the row into a few partial sums whose numpy sums
 are exact; it has no failure path, leaves the block unchanged and works in
@@ -78,21 +78,21 @@ def _stream(seed: int, role: int, index: int = 0, *sub: int) -> np.random.Genera
 
 
 def _check_unit_interval(values: np.ndarray, offset: int = 0) -> None:
-    """Raise SampleValueError at the first value outside [0, 1], NaN included.
-
-    ``offset`` is added to the reported index.
-    """
+    """Raise SampleValueError at the first value outside [0, 1], NaN included, at its index plus ``offset``."""
     # NaN fails this test too; only then is the offender located
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         i = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
         raise SampleValueError(float(values[i]), offset + i)
 
 
-def _require_block(values, shape: tuple, what: str = "source", kinds: str = "biuf") -> np.ndarray:
-    """values as an array of ``shape`` and a dtype kind in ``kinds`` (numbers, and booleans
-    unless left out); a block short along its first axis means ``what`` ran dry."""
-    values = np.asarray(values)
-    if values.shape != shape:
+def _require_block(values, shape: Optional[tuple], what: str = "source", kinds: str = "biuf") -> np.ndarray:
+    """values as an array of ``shape`` (any shape if None) and a dtype kind in ``kinds`` (numbers,
+    and booleans unless left out); a block short along its first axis means ``what`` ran dry."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError(f"{what} values must be numbers{' or booleans' * ('b' in kinds)}, got a ragged sequence") from None
+    if shape is not None and values.shape != shape:
         if values.ndim == len(shape) and values.shape[1:] == shape[1:] and len(values) < shape[0]:
             raise SourceExhaustedError(f"{what} produced {len(values)} of {shape[0]} requested values")
         raise DomainError(f"{what} returned shape {values.shape}, expected {shape}")
@@ -255,9 +255,9 @@ def _row_sum(
 
     ``take(k)`` returns the next k values, or ``count(k)``, when given, the
     number of ones among them.  A part must have the shape ``draw`` checks
-    (``_require_block``), and a boolean part is counted.  A float part is
+    (``_require_block``), and a boolean part is counted.  Any other part is
     checked into [0, 1], at its index in the row, so a ``draw`` override cannot
-    skip either check, and then ``_extract`` takes it.
+    skip either check, and then ``_extract`` takes it as float64.
     """
     width = min(n, block)
     scratch: Optional[np.ndarray] = None
@@ -274,7 +274,7 @@ def _row_sum(
             continue
         _check_unit_interval(values[0], start)
         scratch = np.empty((2, width)) if scratch is None else scratch
-        _extract(values, parts, *scratch)
+        _extract(values.astype(float, copy=False), parts, *scratch)  # a float64 block is not copied
     return math.fsum([*parts[0], ones])
 
 
@@ -328,16 +328,11 @@ def estimate_from_batch(
 
     Values are numbers, or booleans (0/1 indicators), and every one must lie
     in [0, 1]; the first offender is reported by its flat index.  Booleans are
-    counted, and numbers read as float64 (float64 is not copied) and summed exactly.
+    counted, and numbers read as float64 a view at a time (never copied whole) and summed exactly.
     """
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        raise DomainError("batch values must be numbers or booleans, got a ragged sequence") from None
-    arr = _require_block(arr, arr.shape, "batch").reshape(-1)
+    arr = _require_block(values, None, "batch").reshape(-1)
     if arr.size == 0:
         raise DomainError("batch is empty")
-    arr = arr if arr.dtype == bool else arr.astype(float, copy=False)
     blocks = (arr[start : start + _DRAW_CHUNK] for start in range(0, arr.size, _DRAW_CHUNK))
     mu_hat = _row_sum(lambda k: next(blocks), arr.size, _DRAW_CHUNK) / arr.size
     return _certificate(mu_hat, arr.size, eps_a, eps_r, "post_hoc")

@@ -790,6 +790,16 @@ class TestCertifyProbability:
         with pytest.raises(DomainError, match=f"model 'uniform_gap' gradient values must be numbers, got dtype {dtype}"):
             empirical_moment_gradient(ChernoffObjective(gradient, obj.scenarios), 1.0, [0.5])
 
+    def test_ragged_output_rejected(self):
+        # numpy's bare ValueError ("inhomogeneous shape") escaped before
+        ragged = lambda theta, rows: [[0.5]] * (rows.shape[0] - 1) + [[0.5, 0.5]]
+        model = dataclasses.replace(make_model("uniform_gap"), evaluate=ragged)
+        message = "model 'uniform_gap' Y values must be numbers, got a ragged sequence"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ChernoffObjective(model, ScenarioSet.from_array([[0.1], [0.2]])).performance_values([0.5])
+        with pytest.raises(DomainError, match=re.escape(message)):
+            certify_probability(model, [0.5], SPEC, ScenarioSource.from_model(model, 3))
+
     def test_wrong_output_shape_rejected(self):
         base = make_model("uniform_gap")
         model = dataclasses.replace(base, evaluate=lambda theta, rows: theta[0] - rows)

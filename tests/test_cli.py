@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from probcert import (
@@ -140,6 +141,76 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
         assert code == 1
         assert "line 2" in err
+
+    def test_blank_lines_and_crlf_inside_and_between_blocks(self, capsys, tmp_path):
+        # the file is reduced in blocks of 16,384 nonblank lines: blanks and CRLF at
+        # a block's edge neither shift a value nor split a block
+        values = np.random.default_rng(4).random(2 * 16_384 + 9).tolist()
+        lines = []
+        for i, value in enumerate(values):
+            if i % 1000 == 0 or i in (16_383, 16_384, 32_768):
+                lines += ["", " \t "]
+            lines.append(f"  {value!r}")
+        path = tmp_path / "blocks.txt"
+        path.write_text("\r\n".join(lines) + "\r\n \r\n", newline="")
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2", "--json")
+        assert code == 0
+        assert json.loads(out) == as_json(estimate_from_batch(values, 0.05, 0.2))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.5x", "not a decimal number: '0.5x'"), ("1.0000001", "value 1.0000001 outside [0, 1]"),
+         ("nan", "value nan outside [0, 1]")],
+        ids=["unparsable", "out_of_range", "nan"],
+    )
+    def test_bad_line_past_the_first_block_named(self, capsys, tmp_path, bad, message):
+        lines = ["0.5"] * 20_000
+        lines[3] = ""
+        lines[17_000] = bad
+        path = tmp_path / "late.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert (code, out, err) == (1, "", f"error: line 17001: {message}\n")
+
+    def test_unparsable_line_reported_before_an_earlier_value_out_of_range(self, capsys, tmp_path):
+        # every line is parsed before a value is checked, as when the file was read whole
+        path = tmp_path / "both.txt"
+        path.write_text("0.5\n1.5\n" + "0.25\n" * 20_000 + "potato\n")
+        code, _, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert (code, err) == (1, "error: line 20003: not a decimal number: 'potato'\n")
+
+    def test_values_are_parsed_by_float_rules(self, capsys, tmp_path):
+        # underscores, non-ASCII digits and Unicode spaces, exactly as float() reads them
+        texts = ["0.2_5", "\u0660.\u0665", "\U0001d7ce.\U0001d7d3", "\u30000.75\u3000", "1_0e-1", "0.5\x1c", "1e-400"]
+        path = tmp_path / "forms.txt"
+        path.write_text("\n".join(texts) + "\n")
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2", "--json")
+        assert code == 0
+        assert json.loads(out) == as_json(estimate_from_batch([float(t.strip()) for t in texts], 0.05, 0.2))
+        path.write_text("0.5\n1_0\n")
+        code, _, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert (code, err) == (1, "error: line 2: value 10.0 outside [0, 1]\n")
+
+    def test_file_of_blank_lines_has_no_values(self, capsys, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("\n  \n\t\r\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        assert (code, out, err) == (1, "", f"error: no sample values in {str(path)!r}\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_whole(self, capsys):
+        # a regular file is read twice, from its start; a pipe cannot be, so it is held
+        read, write = os.pipe()
+        os.write(write, b"0.5\n\n0.25\r\n")
+        os.close(write)
+        try:
+            code, out, _ = run_cli(
+                capsys, "estimate", "--input", f"/dev/fd/{read}", "--eps-a", "0.05", "--eps-r", "0.2", "--json"
+            )
+        finally:
+            os.close(read)
+        assert code == 0
+        assert json.loads(out) == as_json(estimate_from_batch([0.5, 0.25], 0.05, 0.2))
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--input", str(tmp_path / "nope.txt"), "--eps-a", "0.05", "--eps-r", "0.2")

@@ -152,6 +152,13 @@ class TestBatchMean:
         assert cert.mu_hat == math.fsum(values.tolist()) / values.size
         assert peak < 2**20
 
+    def test_integer_batch_is_converted_a_block_at_a_time(self):
+        # a float64 copy of the whole batch took 7.6 MiB; one block's copy takes 128 KiB
+        values = np.random.default_rng(8).integers(0, 2, 1_000_000, dtype=np.uint8)
+        cert, peak = peak_bytes(lambda: estimate_from_batch(values, 0.05, 0.2))
+        assert bits(cert.mu_hat) == bits(estimate_from_batch(values.astype(float), 0.05, 0.2).mu_hat)
+        assert peak <= 2**19
+
 
 class TestSampleSources:
     def test_same_seed_same_sequence(self):
@@ -234,6 +241,18 @@ class TestSampleSources:
         with pytest.raises(DomainError, match=rf"source returned shape {re.escape(shape)}, expected \(577,\)"):
             source.draw(577)
         assert source.draws_made == 0
+
+    def test_ragged_block_rejected(self):
+        # numpy's bare ValueError ("inhomogeneous shape") escaped before
+        class Ragged(SampleSource):
+            def _generate(self, k):
+                return [[0.5]] * (k - 1) + [[0.5, 0.5]]
+
+        message = "source values must be numbers or booleans, got a ragged sequence"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Ragged().draw(3)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            estimate_with_plan(Ragged(), SPEC)
 
     def test_short_block_is_exhaustion(self):
         class Short(SampleSource):
