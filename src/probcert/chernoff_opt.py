@@ -495,7 +495,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
             trial = theta + step * direction
             ys_trial = obj.performance_values(trial)
             lam_trial, f_trial, weights_trial = _profile(ys_trial, lam, cap)
-            if f_trial <= f + _ARMIJO_C * step * slope:
+            if f_trial < f + _ARMIJO_C * step * slope:
                 break
             step *= 0.5
         else:

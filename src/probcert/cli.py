@@ -137,8 +137,7 @@ def _cmd_confidence(args) -> int:
 
 
 def _nonblank(fh) -> Iterator[list[str]]:
-    """fh's lines from its start, stripped, blank ones left out, in lists of ``_DRAW_CHUNK``."""
-    fh.seek(0)
+    """fh's lines, stripped, blank ones left out, in lists of ``_DRAW_CHUNK``."""
     lines = filter(None, map(str.strip, fh))
     return iter(lambda: list(islice(lines, _DRAW_CHUNK)), [])
 
@@ -159,17 +158,15 @@ def _first_error(fh) -> Optional[DomainError]:
 
 
 def _cmd_estimate(args) -> int:
-    """One pass counts the file's values, a second parses them by ``float``'s rules and sums them."""
+    """One pass parses the values by ``float``'s rules and sums them; on an error a second names its line."""
     with open(args.input, errors="replace") as fh:
-        fh = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe is read whole, to be read again
-        n = sum(map(len, _nonblank(fh)))
-        if not n:
-            raise DomainError(f"no sample values in {args.input!r}")
-        blocks = _nonblank(fh)
+        fh = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe is read whole, to be read again on an error
         try:
-            total = _row_sum(lambda k: np.array(next(blocks, ()), dtype=float), n, _DRAW_CHUNK)
+            total, n = _row_sum(np.array(lines, dtype=float) for lines in _nonblank(fh))
         except ValueError as exc:  # numpy's, or a SampleValueError: name the line
             raise _first_error(fh) or exc from None
+    if not n:
+        raise DomainError(f"no sample values in {args.input!r}")
     cert = _certificate(total / n, n, args.eps_a, args.eps_r, "post_hoc")
     payload = cert.to_dict()
     human = (

@@ -15,10 +15,12 @@ package is one named child of its seed per role (``_stream``), never a seed
 offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
-would, but without a Python-level loop.  A planned estimate is one row,
-reduced a block at a time, and so is a post-hoc batch, in views of
-``_DRAW_CHUNK`` values.  A 0/1 source (Bernoulli draws, failure indicators)
-or batch may be booleans, which are counted exactly.
+would, but without a Python-level loop.  ``_row_sum`` reduces a row given
+as 1-D blocks in stream order, each cut and shape-checked by its producer:
+a source's draws in ``_widths`` of its ``_block``, a post-hoc batch's views
+of ``_DRAW_CHUNK`` values, or the values of as many lines of a sample file.
+A 0/1 source (Bernoulli draws, failure indicators) or batch may be
+booleans, which are counted exactly.
 ``BernoulliSource`` makes eight draws from each 64-bit generator word, one
 per byte lane, and settles a lane that ties with 256 p from a tie child of
 its stream, so a draw is 1 with a probability in [p, p + 2^-61); a planned
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -247,35 +249,31 @@ def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.n
         top = float(np.abs(block, out=q).max())
 
 
-def _row_sum(
-    take: Callable[[int], np.ndarray], n: int, block: int, count: Optional[Callable[[int], int]] = None
-) -> float:
-    """``math.fsum`` of the next ``n`` values of a stream, taken in parts of
-    at most ``block`` (a source's ``_block``) in stream order.
+def _row_sum(blocks: Iterable[np.ndarray]) -> tuple[float, int]:
+    """``math.fsum`` of a row given as 1-D blocks in stream order, and its length.
 
-    ``take(k)`` returns the next k values, or ``count(k)``, when given, the
-    number of ones among them.  A part must have the shape ``draw`` checks
-    (``_require_block``), and a boolean part is counted.  Any other part is
-    checked into [0, 1], at its index in the row, so a ``draw`` override cannot
-    skip either check, and then ``_extract`` takes it as float64.
+    Each producer cuts its own blocks and checks their shape and dtype
+    (``_require_block``).  A boolean block is counted.  Any other block is
+    checked into [0, 1] at its index in the row, so a ``draw`` override cannot
+    skip the check, and then ``_extract`` takes it as float64.
     """
-    width = min(n, block)
-    scratch: Optional[np.ndarray] = None
+    scratch = np.empty((2, 0))
     parts: list[list[float]] = [[]]
-    ones = 0
-    for start in range(0, n, width):
-        m = min(width, n - start)
-        if count is not None:
-            ones += count(m)
-            continue
-        values = _require_block(take(m), (m,)).reshape(1, m)
+    ones = n = 0
+    for values in blocks:
+        start, n = n, n + values.size
         if values.dtype == bool:
             ones += np.count_nonzero(values)
             continue
-        _check_unit_interval(values[0], start)
-        scratch = np.empty((2, width)) if scratch is None else scratch
-        _extract(values.astype(float, copy=False), parts, *scratch)  # a float64 block is not copied
-    return math.fsum([*parts[0], ones])
+        _check_unit_interval(values, start)
+        scratch = np.empty((2, values.size)) if scratch.shape[1] < values.size else scratch
+        _extract(values.astype(float, copy=False).reshape(1, -1), parts, *scratch)  # a float64 block is not copied
+    return math.fsum([*parts[0], ones]), n
+
+
+def _widths(n: int, block: int) -> Iterator[int]:
+    """The widths that cut a row of n draws into blocks of ``block`` and the rest."""
+    return (min(block, n - start) for start in range(0, n, block))
 
 
 def _exact_sums(rows: np.ndarray) -> list[float]:
@@ -316,9 +314,12 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     overrides ``_generate`` or ``draw``; then its values are drawn.
     """
     plan = minimum_sample_size(spec)
-    counted = type(source)._generate is BernoulliSource._generate and type(source).draw is SampleSource.draw
-    mu_hat = _row_sum(source.draw, plan.n, source._block, source._count if counted else None) / plan.n
-    return _certificate(mu_hat, plan.n, spec.eps_a, spec.eps_r, "planned")
+    widths = _widths(plan.n, source._block)
+    if type(source)._generate is BernoulliSource._generate and type(source).draw is SampleSource.draw:
+        total = sum(map(source._count, widths))  # an exact int, so total / plan.n rounds once
+    else:
+        total = _row_sum(_require_block(source.draw(m), (m,)) for m in widths)[0]
+    return _certificate(total / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 
 def estimate_from_batch(
@@ -333,6 +334,5 @@ def estimate_from_batch(
     arr = _require_block(values, None, "batch").reshape(-1)
     if arr.size == 0:
         raise DomainError("batch is empty")
-    blocks = (arr[start : start + _DRAW_CHUNK] for start in range(0, arr.size, _DRAW_CHUNK))
-    mu_hat = _row_sum(lambda k: next(blocks), arr.size, _DRAW_CHUNK) / arr.size
-    return _certificate(mu_hat, arr.size, eps_a, eps_r, "post_hoc")
+    total, n = _row_sum(arr[start : start + _DRAW_CHUNK] for start in range(0, arr.size, _DRAW_CHUNK))
+    return _certificate(total / n, n, eps_a, eps_r, "post_hoc")

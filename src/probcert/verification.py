@@ -30,7 +30,7 @@ import numpy as np
 
 from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, make_model
 from .errors import DomainError
-from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _row_sum, _stream
+from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream, _widths
 from .tail_bounds import (ErrorSpec, _dg, _dg_eps, _g, _require_int, _require_real, lower_tail_bound,
                           minimum_sample_size, upper_tail_bound)
 
@@ -272,11 +272,11 @@ def _trial_counts(source: BernoulliSource, trials: int, n: int) -> np.ndarray:
 
     Rows that share a block are summed in uint16, which cannot wrap: each is
     at most half a block, 2^15 draws.  A longer row is counted from its byte
-    lanes by ``_row_sum``, as ``estimate_with_plan`` counts it.
+    lanes, as ``estimate_with_plan`` counts it.
     """
     per_block = source._block // n
     if per_block < 2:
-        return np.array([_row_sum(source.draw, n, source._block, source._count) for _ in range(trials)])
+        return np.array([sum(map(source._count, _widths(n, source._block))) for _ in range(trials)], dtype=float)
     counts = np.empty(trials)
     for first in range(0, trials, per_block):
         b = min(per_block, trials - first)

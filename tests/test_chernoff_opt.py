@@ -135,6 +135,11 @@ class TestScenarioSet:
         with pytest.raises(DomainError, match="scenario values must be numbers"):
             ScenarioSet.from_array(rows)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 2, 2)], ids=["no_rows", "three_axes"])
+    def test_array_that_is_not_n_by_d_rejected(self, shape):
+        with pytest.raises(DomainError, match=re.escape(f"must be (n, d) with n >= 1, got shape {shape}")):
+            ScenarioSet.from_array(np.zeros(shape))
+
     def test_rows_copied_as_c_ordered_floats(self):
         given = np.asfortranarray(np.arange(6.0).reshape(3, 2))
         scen = ScenarioSet.from_array(given)
@@ -535,6 +540,25 @@ class TestMinimize:
         assert out.theta_star == (0.37,)
         assert out.lambda_star != 1.0  # lambda did move
 
+    def test_wrong_sign_gradient_ends_in_step_underflow(self):
+        # no step along +gradient descends: once halving leaves theta as it is,
+        # f_trial == f, and an Armijo test met with equality spun to max_iters
+        base = make_model("quadratic_well")
+        evaluations = []
+
+        def evaluate(theta, rows):
+            evaluations.append(theta)
+            return base.evaluate(theta, rows)
+
+        def uphill(theta, rows):
+            return -base.gradient_theta(theta, rows)
+
+        model = dataclasses.replace(base, evaluate=evaluate, gradient_theta=uphill)
+        obj = ChernoffObjective(model, ScenarioSet.from_model(base, 500, seed=11))
+        out = minimize(obj, OptimizationSettings(theta0=(0.8,), max_iters=50))
+        assert (out.termination, out.iterations, out.theta_star) == ("step_underflow", 0, (0.8,))
+        assert len(evaluations) <= 70
+
     def test_zero_iterations_echoes_start(self):
         obj = plus_minus_one_objective()
         settings = OptimizationSettings(theta0=(0.2,), nu0=0.0, max_iters=0)
@@ -639,6 +663,10 @@ class TestMinimize:
         obj = plus_minus_one_objective()
         with pytest.raises(DomainError):
             minimize(obj, OptimizationSettings(theta0=(0.0, 0.0)))
+
+    def test_scenario_dimension_mismatch(self):
+        with pytest.raises(DomainError, match="scenario dimension 2 does not match model dim_delta 1"):
+            ChernoffObjective(make_model("quadratic_well"), ScenarioSet.from_array(np.zeros((3, 2))))
 
     def test_outcome_round_trip(self):
         settings = OptimizationSettings(theta0=(0.4,), max_iters=50)

@@ -115,6 +115,17 @@ class TestEstimate:
         assert payload["mu_hat"] == 0.5
         assert payload["delta_achieved"] == pytest.approx(0.0497625, abs=1e-6)
 
+    def test_file_of_zeros_prints_the_boundary_note(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n" * 577)
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2")
+        note = estimate_from_batch([0.0] * 577, 0.05, 0.2).note
+        assert code == 0 and note
+        assert out.splitlines() == [
+            "mu_hat = 0 from n = 577 samples; delta_achieved = 0.0497625",
+            f"note: {note}",
+        ]
+
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -155,6 +166,18 @@ class TestEstimate:
         path.write_text("\r\n".join(lines) + "\r\n \r\n", newline="")
         code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2", "--json")
         assert code == 0
+        assert json.loads(out) == as_json(estimate_from_batch(values, 0.05, 0.2))
+
+    def test_a_valid_file_is_read_once(self, capsys, tmp_path, monkeypatch):
+        values = np.random.default_rng(5).random(40_000).tolist()
+        path = tmp_path / "once.txt"
+        path.write_text("\n".join(map(repr, values)) + "\n")
+        passes = []
+        nonblank = cli._nonblank
+        monkeypatch.setattr(cli, "_nonblank", lambda fh: passes.append(fh) or nonblank(fh))
+        monkeypatch.setattr(cli, "_first_error", None)  # only an error reads the file again
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.05", "--eps-r", "0.2", "--json")
+        assert code == 0 and len(passes) == 1
         assert json.loads(out) == as_json(estimate_from_batch(values, 0.05, 0.2))
 
     @pytest.mark.parametrize(
@@ -199,7 +222,7 @@ class TestEstimate:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_whole(self, capsys):
-        # a regular file is read twice, from its start; a pipe cannot be, so it is held
+        # a file is read again from its start to name an error's line; a pipe cannot be, so it is held
         read, write = os.pipe()
         os.write(write, b"0.5\n\n0.25\r\n")
         os.close(write)
@@ -365,6 +388,7 @@ class TestOptimize:
              "settings: lambda_cap must lie in (0, inf), got inf"),
             ({"settings": {"theta0": [0.5], "grad_tol": 1e999}},
              "settings: grad_tol must lie in (0, inf), got inf"),
+            ({"model": 3}, "model: expected str, got int"),
         ],
         ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
              "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
@@ -373,7 +397,7 @@ class TestOptimize:
              "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed",
              "huge_theta0", "huge_affine_c", "huge_affine_gradient", "unknown_certify_spec_field",
              "misspelt_certify_delta", "theta0_not_a_list",
-             "infinite_lambda_cap", "infinite_grad_tol"],
+             "infinite_lambda_cap", "infinite_grad_tol", "integer_model"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)
@@ -419,6 +443,12 @@ class TestOptimize:
         cfg_path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "optimize", "--config", str(cfg_path), "--json")
         assert (code, out, err) == (1, "", "error: n_scenarios: missing required field\n")
+
+    def test_top_level_array_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([json.loads(write_config(tmp_path).read_text())]))
+        code, out, err = run_cli(capsys, "optimize", "--config", str(path))
+        assert (code, out, err) == (1, "", "error: config: top level must be a JSON object\n")
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         path = write_config(tmp_path)

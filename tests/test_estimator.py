@@ -40,6 +40,7 @@ ACH_577 = 0.0497625041681963602055784651914
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
 SPEC_1755 = validate_spec(0.02, 0.2, 0.05)  # n = 1755: 577-draw chunks leave a remainder
+SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: three default chunks
 CHUNKS = (1, 7, 577, 16_384, 65_536)
 
 # finite doubles whose error-free extraction cannot overflow
@@ -498,6 +499,24 @@ def same_streams(a, b):
     assert a.draws_made == b.draws_made
 
 
+def record_counts(monkeypatch) -> list:
+    """The size of every ``BernoulliSource._count`` request from now on."""
+    counts = []
+    count = BernoulliSource._count
+
+    def recorded(self, k):
+        counts.append(k)
+        return count(self, k)
+
+    monkeypatch.setattr(BernoulliSource, "_count", recorded)
+    return counts
+
+
+def drawn_row(source, n: int) -> float:
+    """The sum of the source's next n values, drawn through ``draw`` (not counted from lanes) in blocks of its ``_block``."""
+    return estimator._row_sum(map(source.draw, estimator._widths(n, source._block)))[0]
+
+
 class TestLaneCounts:
     """A one-row estimate counts a BernoulliSource's lanes; the count is the
     count of its draws, from the same streams, bit for bit."""
@@ -541,19 +560,26 @@ class TestLaneCounts:
         assert counted.draws_made == drawn.draws_made == minimum_sample_size(spec).n
         same_streams(counted, drawn)
 
-    @pytest.mark.parametrize("n", [577, 40_000, 70_000])
-    def test_row_sum_counts_every_block_it_is_given_a_count_for(self, n):
+    @pytest.mark.parametrize(
+        "spec", [SPEC, SPEC_LARGE, validate_spec(8e-4, 0.2, 0.01)], ids=["n577", "n39064", "n70210"]
+    )
+    def test_a_planned_row_counts_every_block_and_draws_none(self, monkeypatch, spec):
         counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
-        counts = []
-
-        def count(k):
-            counts.append(k)
-            return counted._count(k)
-
-        sums = [estimator._row_sum(counted.draw, n, counted._block, count) for _ in range(3)]
-        assert sums == [estimator._row_sum(twin.draw, n, twin._block) for _ in range(3)]
+        counts = record_counts(monkeypatch)
+        certs = [estimate_with_plan(counted, spec) for _ in range(3)]
+        assert certs == [estimate_with_plan(twin, spec) for _ in range(3)]
+        n = minimum_sample_size(spec).n
         assert sum(counted.requests) == counted.draws_made == twin.draws_made == 3 * n
-        # no block is drawn: a row of 70,000 is a full block and the rest
+        # no block is drawn: a row of 70,210 is a full block and the rest
+        assert counts == ([65_536] * (n // 65_536) + [n % 65_536]) * 3
+
+    @pytest.mark.parametrize("n", [40_000, 70_000])
+    def test_a_trial_too_long_to_share_a_block_counts_every_block_and_draws_none(self, monkeypatch, n):
+        counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
+        counts = record_counts(monkeypatch)
+        sums = verification._trial_counts(counted, 3, n).tolist()
+        assert sums == [drawn_row(twin, n) for _ in range(3)]
+        assert sum(counted.requests) == counted.draws_made == twin.draws_made == 3 * n
         assert counts == ([65_536] * (n // 65_536) + [n % 65_536]) * 3
 
     def test_a_plain_source_is_counted_not_drawn(self, monkeypatch):
@@ -719,12 +745,13 @@ class TestExactSums:
         before = stream.copy()
         taken = 0
 
-        def take(k):  # a view of the stream, not a copy
+        def views():  # of the stream, not copies
             nonlocal taken
-            taken += k
-            return stream[taken - k : taken]
+            for k in estimator._widths(stream.size, chunk):
+                taken += k
+                yield stream[taken - k : taken]
 
-        assert estimator._row_sum(take, 6300, chunk) == math.fsum(before.tolist())
+        assert estimator._row_sum(views()) == (math.fsum(before.tolist()), 6300)
         assert taken == stream.size
         np.testing.assert_array_equal(stream, before)
 
@@ -741,9 +768,6 @@ class FloatIndicatorSource(chernoff_opt._IndicatorSource):
 
     def _generate(self, k: int) -> np.ndarray:
         return super()._generate(k).astype(float)
-
-
-SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: three default chunks
 
 
 def specs_for(chunk):
@@ -769,7 +793,7 @@ class TestCountedDraws:
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         counted, twin = BernoulliSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
         sums = verification._trial_counts(counted, 40, 577).tolist()
-        assert sums == [estimator._row_sum(twin.draw, 577, twin._block) for _ in range(40)]
+        assert sums == [drawn_row(twin, 577) for _ in range(40)]
         assert all(isinstance(total, float) for total in sums)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -789,13 +813,14 @@ class TestCountedDraws:
         rng = np.random.default_rng(5)
         taken = []
 
-        def take(k):  # boolean and float blocks by turns
-            block = rng.random(k) < 0.5 if len(taken) % 2 else rng.random(k)
-            taken.append(block.astype(float))
-            return block
+        def blocks():  # boolean and float blocks by turns
+            for k in estimator._widths(1755, chunk):
+                block = rng.random(k) < 0.5 if len(taken) % 2 else rng.random(k)
+                taken.append(block.astype(float))
+                yield block
 
-        total = estimator._row_sum(take, 1755, chunk)
-        assert total == math.fsum(np.concatenate(taken).tolist())
+        total = estimator._row_sum(blocks())
+        assert total == (math.fsum(np.concatenate(taken).tolist()), 1755)
 
     def test_trials_sharing_a_block_count_to_two_to_the_15(self):
         # the widest trials two of which share a 65,536-draw block; their counts are uint16
@@ -899,7 +924,7 @@ class TestLaneSampler:
     def test_count_of_ones_within_five_sigma(self, p):
         n = 20_000_000
         source = BernoulliSource(p, seed=12)
-        count = estimator._row_sum(source.draw, n, source._block)
+        count = drawn_row(source, n)
         assert abs(count - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
 
 

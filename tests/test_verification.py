@@ -448,6 +448,18 @@ class TestCoverageExperiment:
         with pytest.raises(DomainError, match="seed"):
             coverage_experiment(SPEC, [0.5], trials=10, seed=-1)
 
+    def test_an_undersized_plan_fails_at_every_mean(self, monkeypatch):
+        # 40 draws where the spec plans 577: the error criterion fails far more often than delta
+        plan = verification.minimum_sample_size(SPEC)
+        monkeypatch.setattr(verification, "minimum_sample_size", lambda spec: dataclasses.replace(plan, n=40))
+        report = coverage_experiment(SPEC, [0.05, 0.1, 0.25, 0.5], trials=2000, seed=5)
+        assert [point for point, _ in report.violations] == [(0.05,), (0.1,), (0.25,), (0.5,)]
+        values = report.violations[0][1]
+        assert values["threshold"] == 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 2000)
+        assert values["failure_rate"] > 4 * values["threshold"]
+        assert not report.passed
+        assert report.to_text().startswith("[coverage] FAIL (4 violations)")
+
     def test_deterministic(self):
         a = coverage_experiment(SPEC, [0.25, 0.5], trials=200, seed=37)
         b = coverage_experiment(SPEC, [0.25, 0.5], trials=200, seed=37)
@@ -464,6 +476,17 @@ class TestDominationExperiment:
         for model_id in ("affine", "uniform_gap"):
             report = domination_experiment(model_id, SPEC, points=10, seed=43)
             assert report.passed, report.to_text()
+
+    def test_a_moment_below_the_failure_rate_fails_at_every_point(self, monkeypatch):
+        # a surrogate of exp(-1000) cannot bound a failure rate estimated above its slack
+        monkeypatch.setattr(verification, "_log_moment", lambda ys, lam: -1000.0)
+        report = domination_experiment("quadratic_well", SPEC, points=25, seed=5)
+        assert len(report.violations) == 25
+        assert all(values["moment"] < values["p_hat"] - values["slack"] for _, values in report.violations)
+        assert not report.passed
+        lines = report.to_text().splitlines()
+        assert lines[0].startswith("[domination] FAIL (25 violations)")
+        assert len(lines) == 22 and lines[-1] == "    ... and 5 more"
 
     def test_zero_points_rejected(self):
         with pytest.raises(DomainError):
