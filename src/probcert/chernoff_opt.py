@@ -462,9 +462,10 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     A trial costs one model evaluation; its lambda* is warm-started from the
     last one (first from exp(nu0)).  Steps start at unit length and halve
     until the Armijo condition holds, so the trace of g is non-increasing.
-    The loop ends at gradient norm <= grad_tol, max_iters or step underflow,
-    but a vacuous end point reports ``lambda_cap`` (every Y > 0) or
-    ``trivial_bound`` (mean Y <= 0) instead.
+    The loop ends at gradient norm <= grad_tol, max_iters or step underflow
+    (a step below _STEP_FLOOR, or too short to move theta), but a vacuous
+    end point reports ``lambda_cap`` (every Y > 0) or ``trivial_bound``
+    (mean Y <= 0) instead.
     """
     if obj.model.dim_theta != len(settings.theta0):
         raise DomainError(
@@ -482,7 +483,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     termination = "max_iters"
 
     for _ in range(settings.max_iters):
-        if float(np.linalg.norm(grad)) <= settings.grad_tol:
+        if math.hypot(*grad) <= settings.grad_tol:  # no squares: a tiny gradient keeps its norm
             termination = "gradient_tol"
             break
         direction = -inverse_hessian @ grad
@@ -491,8 +492,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
             inverse_hessian = np.eye(theta.size)
             direction, slope = -grad, -float(grad @ grad)
         step = 1.0
-        while step >= _STEP_FLOOR:
-            trial = theta + step * direction
+        while step >= _STEP_FLOOR and not np.array_equal(trial := theta + step * direction, theta):
             ys_trial = obj.performance_values(trial)
             lam_trial, f_trial, weights_trial = _profile(ys_trial, lam, cap)
             if f_trial < f + _ARMIJO_C * step * slope:

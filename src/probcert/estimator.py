@@ -30,13 +30,14 @@ then converted to float and put through error-free extraction (Rump, Ogita &
 Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
 31(1), 2008), which splits the row into a few partial sums whose numpy sums
 are exact; it has no failure path, leaves the block unchanged and works in
-two scratch buffers reused across blocks.  A source is drawn at most its
-``_block`` of values at a time: ``_DRAW_CHUNK`` = 16,384 (128 KiB as
-float64), or four times that for ``BernoulliSource``, whose 65,536-draw
-block is 8,192 words (64 KiB) and as many booleans.  Memory therefore stays
+two temporaries of the block's shape that it makes itself.  A source is
+drawn at most its ``_block`` of values at a time: ``_DRAW_CHUNK`` = 16,384
+(128 KiB as float64), or four times that for ``BernoulliSource``, whose
+65,536-draw block is 8,192 words (64 KiB) and as many booleans.  Memory therefore stays
 constant in the planned n, and because the sums are exact the block size
-never changes a certificate.  A coverage trial that shares no block with
-another is counted as a planned estimate is, from its byte lanes.
+never changes a certificate.  ``BernoulliSource._row_counts`` counts the
+row of a planned estimate and the rows of the coverage trials: a row that
+shares no block with another is counted from its byte lanes.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ class BernoulliSource(SampleSource):
     gives the same values.  The private ``_key`` names another (role, index)
     child of ``seed``.
 
-    A planned estimate, and a coverage trial that shares no block, counts the
-    lanes (``_count``) without building the draws, through the same ``_lanes``
-    and ties as ``_generate``.
+    A row that shares no block with another, such as a planned estimate,
+    counts the lanes (``_count``) without building the draws, through the
+    same ``_lanes`` and ties as ``_generate`` (``_row_counts``).
     """
 
     def __init__(self, p: float, seed: int = 0, *, _key: tuple[int, int] = (_BERNOULLI, 0)):
@@ -197,6 +198,22 @@ class BernoulliSource(SampleSource):
         self.draws_made += k
         return int(ones)
 
+    def _row_counts(self, rows: int, n: int) -> np.ndarray:
+        """The ones in each of ``rows`` consecutive rows of n draws, as floats.
+
+        A row that shares no block with another is counted from its byte lanes
+        and never drawn.  Rows that share a block are drawn and summed in
+        uint16, which cannot wrap: each is at most half a block, 2^15 draws.
+        """
+        per_block = self._block // n
+        if rows == 1 or per_block < 2:
+            return np.array([sum(map(self._count, _widths(n, self._block))) for _ in range(rows)], dtype=float)
+        counts = np.empty(rows)
+        for first in range(0, rows, per_block):
+            b = min(per_block, rows - first)
+            counts[first : first + b] = self.draw(b * n).reshape(b, n).sum(axis=1, dtype=np.uint16)
+        return counts
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -221,8 +238,8 @@ class Certificate:
         return asdict(self)
 
 
-def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.ndarray) -> None:
-    """Append to ``parts[i]`` partial sums of row i of a 2-D float block whose
+def _extract(block: np.ndarray, parts: list[list[float]]) -> None:
+    """Append to ``parts[i]`` partial sums of row i of a 2-D float64 block whose
     exact sum is the row's.  Values must be finite with |v| <= 2^900, or sigma
     could overflow: every caller bounds them first, so the DomainError is unreachable.
 
@@ -232,9 +249,9 @@ def _extract(block: np.ndarray, parts: list[list[float]], r: np.ndarray, q: np.n
     of a row's q's is then below 2^(e + k) on that grid, so its numpy sum is
     exact in any order, and r - q is exact too.  Each pass removes 53 - k bits,
     until every remainder is zero.  The block is only read: remainders go to
-    the flat scratch ``r`` and q to ``q``, both reused by every pass.
+    ``r`` and q to ``q``, two arrays of its shape made here for every pass.
     """
-    r, q = r[: block.size].reshape(block.shape), q[: block.size].reshape(block.shape)
+    r, q = np.empty_like(block), np.empty_like(block)
     k = (block.shape[1] + 1).bit_length()
     top = float(np.abs(block, out=q).max())
     if not top <= 2.0**900:  # also true for nan
@@ -257,7 +274,6 @@ def _row_sum(blocks: Iterable[np.ndarray]) -> tuple[float, int]:
     checked into [0, 1] at its index in the row, so a ``draw`` override cannot
     skip the check, and then ``_extract`` takes it as float64.
     """
-    scratch = np.empty((2, 0))
     parts: list[list[float]] = [[]]
     ones = n = 0
     for values in blocks:
@@ -266,8 +282,7 @@ def _row_sum(blocks: Iterable[np.ndarray]) -> tuple[float, int]:
             ones += np.count_nonzero(values)
             continue
         _check_unit_interval(values, start)
-        scratch = np.empty((2, values.size)) if scratch.shape[1] < values.size else scratch
-        _extract(values.astype(float, copy=False).reshape(1, -1), parts, *scratch)  # a float64 block is not copied
+        _extract(values.astype(float, copy=False).reshape(1, -1), parts)  # a float64 block is not copied
     return math.fsum([*parts[0], ones]), n
 
 
@@ -278,13 +293,13 @@ def _widths(n: int, block: int) -> Iterator[int]:
 
 def _exact_sums(rows: np.ndarray) -> list[float]:
     """``math.fsum`` of each row of a 2-D float array with |values| <= 2^900, left unchanged,
-    from ``_extract`` on column blocks of at most ``_DRAW_CHUNK`` values (or one column)."""
+    from ``_extract`` on column blocks of at most ``_DRAW_CHUNK`` values (or one column),
+    which bounds each of its two temporaries too."""
     b, n = rows.shape
     width = max(1, min(n, _DRAW_CHUNK // b))
-    scratch = np.empty((2, b * width))
     parts: list[list[float]] = [[] for _ in range(b)]
     for start in range(0, n, width):
-        _extract(rows[:, start : start + width], parts, *scratch)
+        _extract(rows[:, start : start + width], parts)
     return [math.fsum(row) for row in parts]
 
 
@@ -314,11 +329,10 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     overrides ``_generate`` or ``draw``; then its values are drawn.
     """
     plan = minimum_sample_size(spec)
-    widths = _widths(plan.n, source._block)
     if type(source)._generate is BernoulliSource._generate and type(source).draw is SampleSource.draw:
-        total = sum(map(source._count, widths))  # an exact int, so total / plan.n rounds once
+        total = int(source._row_counts(1, plan.n)[0])  # an exact int, so total / plan.n rounds once
     else:
-        total = _row_sum(_require_block(source.draw(m), (m,)) for m in widths)[0]
+        total = _row_sum(_require_block(source.draw(m), (m,)) for m in _widths(plan.n, source._block))[0]
     return _certificate(total / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, make_model
 from .errors import DomainError
-from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream, _widths
+from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream
 from .tail_bounds import (ErrorSpec, _dg, _dg_eps, _g, _require_int, _require_real, lower_tail_bound,
                           minimum_sample_size, upper_tail_bound)
 
@@ -267,23 +267,6 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
     return ScanReport(lemma_id=lemma_id, grid_description=desc, violations=violations)
 
 
-def _trial_counts(source: BernoulliSource, trials: int, n: int) -> np.ndarray:
-    """The ones in each of ``trials`` consecutive rows of ``n`` draws, as floats.
-
-    Rows that share a block are summed in uint16, which cannot wrap: each is
-    at most half a block, 2^15 draws.  A longer row is counted from its byte
-    lanes, as ``estimate_with_plan`` counts it.
-    """
-    per_block = source._block // n
-    if per_block < 2:
-        return np.array([sum(map(source._count, _widths(n, source._block))) for _ in range(trials)], dtype=float)
-    counts = np.empty(trials)
-    for first in range(0, trials, per_block):
-        b = min(per_block, trials - first)
-        counts[first : first + b] = source.draw(b * n).reshape(b, n).sum(axis=1, dtype=np.uint16)
-    return counts
-
-
 def coverage_experiment(
     spec: ErrorSpec, mu_grid, trials: int, seed: int
 ) -> ScanReport:
@@ -294,11 +277,12 @@ def coverage_experiment(
     The trials of mu number i come from a Bernoulli source on coverage child
     i of ``seed`` (its ties on that child's tie child), in the order of
     `trials` sequential ``estimate_with_plan`` calls on that source, so each
-    trial's estimate is bit-identical to theirs (``_trial_counts``): trials
-    that share a block are summed from its booleans, and a trial that shares
-    no block with another is counted from its byte lanes.  Passes when every
-    empirical failure rate is within three binomial standard errors above
-    delta.  Use trials >= 1000 for meaningful slack.
+    trial's estimate is bit-identical to theirs.  The source counts them with
+    the planned estimate's own counter (``BernoulliSource._row_counts``):
+    trials that share a block are summed from its booleans, and a trial that
+    shares no block with another is counted from its byte lanes.  Passes when
+    every empirical failure rate is within three binomial standard errors
+    above delta.  Use trials >= 1000 for meaningful slack.
     """
     trials = _require_int(trials, "trials", 1)
     mus = _mu_grid(mu_grid)
@@ -308,7 +292,7 @@ def coverage_experiment(
     violations: list = []
     for index, mu in enumerate(mus):
         source = BernoulliSource(mu, seed, _key=(_COVERAGE, index))
-        errors = np.abs(_trial_counts(source, trials, n) / n - mu)
+        errors = np.abs(source._row_counts(trials, n) / n - mu)
         failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
         rate = failures / trials
         if rate > threshold:

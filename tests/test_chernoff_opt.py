@@ -557,7 +557,27 @@ class TestMinimize:
         obj = ChernoffObjective(model, ScenarioSet.from_model(base, 500, seed=11))
         out = minimize(obj, OptimizationSettings(theta0=(0.8,), max_iters=50))
         assert (out.termination, out.iterations, out.theta_star) == ("step_underflow", 0, (0.8,))
-        assert len(evaluations) <= 70
+        # the search ends once a step leaves theta as it is, and theta0 is evaluated once
+        assert len(evaluations) <= 53
+        assert sum(np.array_equal(theta, [0.8]) for theta in evaluations) == 1
+
+    def test_a_gradient_whose_square_underflows_keeps_its_norm(self, monkeypatch):
+        # |grad| is about 6.9e-171, so a norm through its square read 0 and
+        # stopped at gradient_tol; grad . direction underflows to -0.0, which
+        # takes the BFGS restart (the second identity made), and no step descends
+        model = make_model("affine", a=[1e-170], b=[-1.0], c=0.5)
+        obj = ChernoffObjective(model, ScenarioSet.from_model(model, 200, seed=3))
+        identities = []
+        eye = np.eye
+
+        def recorded(n):
+            identities.append(n)
+            return eye(n)
+
+        monkeypatch.setattr(chernoff_opt.np, "eye", recorded)
+        out = minimize(obj, OptimizationSettings(theta0=(0.0,), grad_tol=1e-300))
+        assert (out.termination, out.iterations) == ("step_underflow", 0)
+        assert identities == [1, 1]
 
     def test_zero_iterations_echoes_start(self):
         obj = plus_minus_one_objective()

@@ -147,7 +147,7 @@ class TestBatchMean:
         assert peak < 2**20
 
     def test_float_batch_of_a_million_values_peaks_below_one_mib(self):
-        # the batch is only read: the two scratch blocks are all that is allocated
+        # the batch is only read: one block's two extraction temporaries (256 KiB) are all that is allocated
         values = np.random.default_rng(6).random(1_000_000)
         cert, peak = peak_bytes(lambda: estimate_from_batch(values, 0.05, 0.2))
         assert cert.mu_hat == math.fsum(values.tolist()) / values.size
@@ -577,10 +577,22 @@ class TestLaneCounts:
     def test_a_trial_too_long_to_share_a_block_counts_every_block_and_draws_none(self, monkeypatch, n):
         counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
         counts = record_counts(monkeypatch)
-        sums = verification._trial_counts(counted, 3, n).tolist()
+        sums = counted._row_counts(3, n).tolist()
         assert sums == [drawn_row(twin, n) for _ in range(3)]
         assert sum(counted.requests) == counted.draws_made == twin.draws_made == 3 * n
         assert counts == ([65_536] * (n // 65_536) + [n % 65_536]) * 3
+
+    def test_a_lone_coverage_trial_is_counted_and_draws_none(self, monkeypatch):
+        # one trial of 577 shares its block with no other, so it is counted as a planned row is
+        expected = verification.coverage_experiment(SPEC, [0.2, 0.6], trials=1, seed=5)
+        counts = record_counts(monkeypatch)
+
+        def refuse(self, k):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(SampleSource, "draw", refuse)
+        assert verification.coverage_experiment(SPEC, [0.2, 0.6], trials=1, seed=5) == expected
+        assert counts == [577, 577]
 
     def test_a_plain_source_is_counted_not_drawn(self, monkeypatch):
         expected = estimate_with_plan(DrawnBernoulliSource(0.3, seed=4), SPEC_1755)
@@ -641,7 +653,7 @@ class TestBatchedTrials:
         n, trials = minimum_sample_size(spec).n, 12
         batched = BernoulliSource(0.3, seed=8)
         sequential = BernoulliSource(0.3, seed=8)
-        means = (verification._trial_counts(batched, trials, n) / n).tolist()
+        means = (batched._row_counts(trials, n) / n).tolist()
         expected = [estimate_with_plan(sequential, spec).mu_hat for _ in range(trials)]
         assert means == expected
         assert batched.draws_made == sequential.draws_made == trials * n
@@ -658,7 +670,7 @@ class TestBatchedTrials:
         # rows of 32,769 and 282,977 fill a block or more and are counted
         n = minimum_sample_size(spec).n
         batched, sequential = (BernoulliSource(p, seed=8, _key=(estimator._COVERAGE, 1)) for _ in range(2))
-        counts = verification._trial_counts(batched, trials, n)
+        counts = batched._row_counts(trials, n)
         assert counts.dtype == np.float64
         assert (counts / n).tolist() == [estimate_with_plan(sequential, spec).mu_hat for _ in range(trials)]
         same_streams(batched, sequential)
@@ -792,7 +804,7 @@ class TestCountedDraws:
     def test_trial_counts_match_float_twin(self, monkeypatch, chunk):
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         counted, twin = BernoulliSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
-        sums = verification._trial_counts(counted, 40, 577).tolist()
+        sums = counted._row_counts(40, 577).tolist()
         assert sums == [drawn_row(twin, 577) for _ in range(40)]
         assert all(isinstance(total, float) for total in sums)
 
@@ -826,7 +838,7 @@ class TestCountedDraws:
         # the widest trials two of which share a 65,536-draw block; their counts are uint16
         source = BernoulliSource(1.0, seed=2)
         assert source._block == 65_536
-        assert verification._trial_counts(source, 3, 32_768).tolist() == [32_768.0] * 3
+        assert source._row_counts(3, 32_768).tolist() == [32_768.0] * 3
 
     def test_short_boolean_block_exhausts(self):
         class Short(SampleSource):
