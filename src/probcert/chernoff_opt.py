@@ -37,10 +37,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .estimator import Certificate, SampleSource, _exact_sums, _require_block, estimate_with_plan
+from .errors import ConfigError, DomainError, SourceExhaustedError
+from . import estimator
+from .estimator import Certificate, _certificate, _exact_sums, _require_block, _row_sum
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
-from .tail_bounds import ErrorSpec, _require_int, _require_real
+from .tail_bounds import ErrorSpec, _require_int, _require_real, minimum_sample_size
 
 __all__ = [
     "ScenarioSet",
@@ -526,23 +527,6 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     )
 
 
-class _IndicatorSource(SampleSource):
-    """Adapts a scenario stream into the failure indicators 1{Y <= 0}, as
-    booleans that the estimator counts.  A Y that ``_evaluate`` rejects (not
-    finite, or past 2^450) is an error, never a survival.
-    """
-
-    def __init__(self, model: PerformanceModel, theta: np.ndarray, scenarios: ScenarioSource):
-        super().__init__(scenarios.seed)
-        self._model = model
-        self._theta = theta
-        self._scenarios = scenarios
-
-    def _generate(self, k: int) -> np.ndarray:
-        rows = self._scenarios.draw(k)
-        return _evaluate(self._model, self._theta, rows, self.draws_made) <= 0.0
-
-
 def certify_probability(
     model: PerformanceModel, theta, spec: ErrorSpec, source: ScenarioSource
 ) -> Certificate:
@@ -550,10 +534,21 @@ def certify_probability(
 
     The scenario source must be independent of any scenarios the candidate
     theta was optimized over; certifying on optimized-over draws would bias
-    the estimate optimistically.
+    the estimate optimistically.  The failure indicators 1{Y <= 0} of each
+    block of rows are counted.  A Y that ``_evaluate`` rejects (not finite,
+    or past 2^450) is an error, never a survival, reported at its index
+    among this certification's rows.
     """
     theta = _check_theta(theta, model.dim_theta)
-    return estimate_with_plan(_IndicatorSource(model, theta, source), spec)
+    n, chunk = minimum_sample_size(spec).n, estimator._DRAW_CHUNK
+    failures = (
+        _evaluate(model, theta, source.draw(min(chunk, n - start)), start) <= 0.0 for start in range(0, n, chunk)
+    )
+    total, drawn = _row_sum(failures)
+    if drawn != n:  # only a ``draw`` override can return other than the rows asked for
+        error = SourceExhaustedError if drawn < n else DomainError
+        raise error(f"scenario source produced {drawn} of {n} planned rows")
+    return _certificate(total / n, n, spec.eps_a, spec.eps_r, "planned")
 
 
 def optimize_probability(

@@ -109,11 +109,12 @@ def _cmd_plan(args) -> int:
     spec = validate_spec(args.eps_a, args.eps_r, args.delta)
     plan = minimum_sample_size(spec)
     payload = plan.to_dict()
+    # the risk in full: six digits could round it up onto delta
     human = (
         f"n = {plan.n} samples certify |mu_hat - mu| < {spec.eps_a} or "
         f"|mu_hat - mu| < {spec.eps_r} * mu with risk < {spec.delta}\n"
         f"worst-case exponent g = {plan.worst_case_exponent:.9g}, "
-        f"achieved risk = {achieved_confidence(plan.n, spec.eps_a, spec.eps_r):.6g}"
+        f"achieved risk = {achieved_confidence(plan.n, spec.eps_a, spec.eps_r)!r}"
     )
     _emit(args, payload, human)
     return 0

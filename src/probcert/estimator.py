@@ -19,8 +19,9 @@ would, but without a Python-level loop.  ``_row_sum`` reduces a row given
 as 1-D blocks in stream order, each cut and shape-checked by its producer:
 a source's draws in ``_widths`` of its ``_block``, a post-hoc batch's views
 of ``_DRAW_CHUNK`` values, or the values of as many lines of a sample file.
-A 0/1 source (Bernoulli draws, failure indicators) or batch may be
-booleans, which are counted exactly.
+A 0/1 source (Bernoulli draws) or batch may be booleans, which are counted
+exactly, and ``chernoff_opt.certify_probability`` hands ``_row_sum`` each
+block's failure indicators as booleans to be counted the same way.
 ``BernoulliSource`` makes eight draws from each 64-bit generator word, one
 per byte lane, and settles a lane that ties with 256 p from a tie child of
 its stream, so a draw is 1 with a probability in [p, p + 2^-61); a planned

@@ -854,6 +854,17 @@ class TestCertifyProbability:
         with pytest.raises(DomainError, match=re.escape("model 'uniform_gap' returned Y shape (577, 1), expected (577,)")):
             certify_probability(model, [0.5], SPEC, ScenarioSource.from_model(model, 3))
 
+    @pytest.mark.parametrize("error, cut", [(SourceExhaustedError, -1), (DomainError, 1)], ids=["short", "long"])
+    def test_draw_override_of_the_wrong_length_rejected(self, error, cut):
+        # a block one row short or long would otherwise be certified as the planned n rows
+        class Miscut(ScenarioSource):
+            def draw(self, k):
+                return super().draw(k + cut)
+
+        model = make_model("quadratic_well")
+        with pytest.raises(error, match=f"scenario source produced {577 + cut} of 577 planned rows"):
+            certify_probability(model, [0.3], SPEC, Miscut.from_model(model, 44))
+
     def test_source_advances(self):
         model = make_model("quadratic_well")
         source = ScenarioSource.from_model(model, 8)

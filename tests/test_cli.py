@@ -12,6 +12,7 @@ import pytest
 from probcert import (
     OptimizationSettings,
     ScanReport,
+    achieved_confidence,
     cli,
     estimate_from_batch,
     make_model,
@@ -47,6 +48,16 @@ class TestPlan:
         payload = json.loads(out)
         assert payload["n"] == 1755
         assert payload == as_json(minimum_sample_size(validate_spec(0.02, 0.2, 0.05)))
+
+    @pytest.mark.parametrize("eps_a, eps_r, delta", [(2e-4, 0.02, 1e-6), (1e-5, 0.01, 1e-9), (1e-8, 0.5, 0.05)])
+    def test_achieved_risk_is_printed_below_delta(self, capsys, eps_a, eps_r, delta):
+        # printed to six digits, each of these risks read as delta itself
+        code, out, _ = run_cli(capsys, "plan", "--eps-a", str(eps_a), "--eps-r", str(eps_r), "--delta", str(delta))
+        assert code == 0
+        risk = float(out.split("achieved risk = ")[1])
+        n = minimum_sample_size(validate_spec(eps_a, eps_r, delta)).n
+        assert risk < delta
+        assert risk == achieved_confidence(n, eps_a, eps_r)
 
     def test_constraint_error_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--eps-a", "0.3", "--eps-r", "0.5", "--delta", "0.1")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from probcert import (
     BernoulliSource,
-    chernoff_opt,
+    Certificate,
     DomainError,
     InvalidSpecError,
     SampleSource,
@@ -22,6 +22,7 @@ from probcert import (
     ScenarioSet,
     ScenarioSource,
     SourceExhaustedError,
+    achieved_confidence,
     certify_probability,
     estimate_from_batch,
     estimate_with_plan,
@@ -178,6 +179,12 @@ class TestSampleSources:
         src.draw(7)
         src.draw(1)
         assert src.draws_made == 8
+
+    def test_base_source_has_no_stream(self):
+        with pytest.raises(NotImplementedError):
+            SampleSource().draw(1)
+        with pytest.raises(NotImplementedError):
+            estimate_with_plan(SampleSource(), SPEC)
 
     def test_bernoulli_values_binary(self):
         values = BernoulliSource(0.3, seed=2).draw(500)
@@ -775,11 +782,15 @@ class FloatBernoulliSource(BernoulliSource):
         return super()._generate(k).astype(float)
 
 
-class FloatIndicatorSource(chernoff_opt._IndicatorSource):
-    """The same failure indicators as 0.0/1.0 floats."""
+class FloatIndicatorSource(SampleSource):
+    """The failure indicators 1{Y <= 0} of a scenario stream as 0.0/1.0 floats."""
+
+    def __init__(self, model, theta, scenarios: ScenarioSource):
+        super().__init__(scenarios.seed)
+        self._model, self._theta, self._scenarios = model, theta, scenarios
 
     def _generate(self, k: int) -> np.ndarray:
-        return super()._generate(k).astype(float)
+        return (self._model.evaluate(self._theta, self._scenarios.draw(k)) <= 0.0).astype(float)
 
 
 def specs_for(chunk):
@@ -817,6 +828,18 @@ class TestCountedDraws:
             counted = certify_probability(model, theta, spec, ScenarioSource.from_model(model, 44))
             twin = FloatIndicatorSource(model, theta, ScenarioSource.from_model(model, 44))
             assert counted == estimate_with_plan(twin, spec)
+
+    def test_certify_probability_draws_no_sample_source(self, monkeypatch):
+        # the failure indicators are counted where they are made, never redrawn and rechecked as samples
+        def refuse(self, k):
+            raise AssertionError("SampleSource.draw called")
+
+        monkeypatch.setattr(SampleSource, "draw", refuse)
+        model = make_model("quadratic_well")
+        for spec, failures, n in ((SPEC, 53, 577), (SPEC_LARGE, 3_300, 39_064)):
+            cert = certify_probability(model, [0.3], spec, ScenarioSource.from_model(model, 44))
+            delta = achieved_confidence(n, spec.eps_a, spec.eps_r)
+            assert cert == Certificate(failures / n, n, spec.eps_a, spec.eps_r, delta, "planned")
 
     @pytest.mark.parametrize("chunk", (7, 577))
     def test_row_of_boolean_and_float_blocks_sums_exactly(self, monkeypatch, chunk):
