@@ -321,8 +321,8 @@ def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -
 def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     """Draw exactly the planned number of samples and certify the mean.
 
-    The returned certificate has delta_achieved < spec.delta by construction
-    of the plan.  Samples are consumed in a single sequential pass, in blocks
+    The returned certificate has delta_achieved < spec.delta as computed in
+    floating point.  Samples are consumed in a single sequential pass, in blocks
     of at most the source's ``_block`` of draws that are summed exactly, so
     memory does not grow with n and the certificate is reproducible from the
     source seed whatever the block size.  A ``BernoulliSource`` is counted

@@ -17,8 +17,8 @@ no other source for them.
 
 On top of it sits the mixed absolute/relative error criterion: an estimate
 mu_hat is acceptable when |mu_hat - mu| < eps_a OR |mu_hat - mu| < eps_r * mu.
-``minimum_sample_size`` returns the smallest n for which the acceptance event
-has probability > 1 - delta, uniformly over the unknown mean; the worst case
+``minimum_sample_size`` returns the smallest n at which the Hoeffding bound on
+the risk is below delta, uniformly over the unknown mean; the worst case
 sits at mu = eps_a / eps_r, where the two tolerances coincide.
 
 All functions here are pure and reentrant.  ``_require_int`` and

@@ -4,11 +4,11 @@ Four kinds of evidence, all reported as ScanReports:
 
 * exact Bernoulli oracles: the tail-bound inequalities compared against
   exact binomial tail sums (no statistics, no slack);
-* monotonicity/domination checks of the Hoeffding exponent on closed
-  mu-intervals (the structural facts the sample-size derivation rests on);
-* uniform-bound checks: the worst-case exponent dominates exact Bernoulli
-  tails across each claimed mean range;
-* statistical experiments: planned-estimate coverage and the Chernoff
+* structural checks of the Hoeffding exponent (L2-L4) on closed
+  mu-intervals, each settled by its value at an interval end (below);
+* uniform-bound checks (L5, L6): exact Bernoulli tails against the worst-case
+  bound at the grid's means only (the CLI's: 10 per range), not between them;
+* Monte Carlo experiments: planned-estimate coverage and the Chernoff
   kernel/moment domination, with fixed seeds and 3-sigma slack.
 
 The lemma checks sample no grid.  Each claim is the sign of a quantity built
@@ -28,7 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .chernoff_opt import ChernoffObjective, ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, make_model
+from .chernoff_opt import (ChernoffObjective, ScenarioSet, ScenarioSource, _exp, _log_moment, certify_probability,
+                           make_model)
 from .errors import DomainError
 from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream
 from .tail_bounds import (ErrorSpec, _dg, _dg_eps, _g, _require_int, _require_real, lower_tail_bound,
@@ -313,10 +314,11 @@ def domination_experiment(
     """Chernoff domination on a registry model at random (lambda, theta).
 
     Per point: every summand exp(-lambda Y) must dominate the failure
-    indicator exactly (no tolerance), and the surrogate must stay above a
-    fresh-sample failure-rate estimate minus three binomial standard errors.
-    The frozen scenarios, the fresh draws and the random points come from the
-    scenario, certification and points children of ``seed``.
+    indicator exactly (no tolerance), and the surrogate must stay above the
+    fresh failure rate, ``certify_probability``'s planned mu_hat, minus three
+    binomial standard errors.  The frozen scenarios, the fresh rows (one
+    source, certified on by each point in turn) and the random points come
+    from the scenario, certification and points children of ``seed``.
     """
     _require_int(points, "points", 1)
     model = make_model(model_id)
@@ -333,17 +335,14 @@ def domination_experiment(
 
         ys = objective.performance_values(theta)
         kernel = np.exp(-lam * ys)
-        indicator = (ys <= 0.0).astype(float)
-        if not np.all(kernel >= indicator):
-            bad = int(np.flatnonzero(kernel < indicator)[0])
-            violations.append(
-                (point, {"kernel": float(kernel[bad]), "scenario": bad})
-            )
+        below = kernel < (ys <= 0.0)
+        if below.any():
+            bad = int(np.argmax(below))
+            violations.append((point, {"kernel": float(kernel[bad]), "scenario": bad}))
             continue
 
         moment = _exp(_log_moment(ys, lam))  # empirical_moment, from the ys above
-        fails = int(np.count_nonzero(_evaluate(model, theta, fresh.draw(n)) <= 0.0))
-        p_hat = fails / n
+        p_hat = certify_probability(model, theta, spec, fresh).mu_hat
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
         if moment < p_hat - slack:
             violations.append(

@@ -30,6 +30,7 @@ from probcert import (
 )
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
+SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: two certification blocks and the rest
 
 
 def binomial_tail_fraction(n: int, mu: float, k: int) -> Fraction:
@@ -549,6 +550,33 @@ class TestDominationExperiment:
         self.counting_model(monkeypatch, [], fresh_value=math.nan)
         with pytest.raises(DomainError, match="Y is not finite at scenario 0"):
             domination_experiment("quadratic_well", SPEC, points=2, seed=47)
+
+    def test_fresh_rows_are_drawn_in_certification_blocks(self, monkeypatch):
+        # the frozen scenarios in one request, then each point's planned
+        # certification rows in blocks of 16,384 and the rest
+        requests = []
+        draw = chernoff_opt.ScenarioSource.draw
+
+        def recording(self, k):
+            requests.append(k)
+            return draw(self, k)
+
+        monkeypatch.setattr(chernoff_opt.ScenarioSource, "draw", recording)
+        report = domination_experiment("quadratic_well", SPEC_LARGE, points=2, seed=47)
+        assert report.passed, report.to_text()
+        assert requests == [39_064, 16_384, 16_384, 6_296, 16_384, 16_384, 6_296]
+
+    @pytest.mark.parametrize("spec", [SPEC, SPEC_LARGE], ids=["n577", "n39064"])
+    def test_p_hat_is_the_certified_failure_rate(self, monkeypatch, spec):
+        # points certify on one fresh source in turn, so a second source from
+        # the same seed, certified point by point, gives each p_hat bit for bit
+        monkeypatch.setattr(verification, "_log_moment", lambda ys, lam: -1000.0)
+        report = domination_experiment("quadratic_well", spec, points=5, seed=11)
+        model = make_model("quadratic_well")
+        other = chernoff_opt.ScenarioSource.from_model(model, 11)
+        assert len(report.violations) == 5
+        for (_, theta), values in report.violations:
+            assert values["p_hat"] == chernoff_opt.certify_probability(model, theta, spec, other).mu_hat
 
     def test_deterministic(self):
         a = domination_experiment("quadratic_well", SPEC, points=10, seed=47)
