@@ -539,6 +539,8 @@ def certify_probability(
     or past 2^450) is an error, never a survival, reported at its index
     among this certification's rows.
     """
+    if not isinstance(source, ScenarioSource):
+        raise DomainError(f"certify_probability takes a ScenarioSource, got {type(source).__name__}")
     theta = _check_theta(theta, model.dim_theta)
     n, chunk = minimum_sample_size(spec).n, estimator._DRAW_CHUNK
     failures = (

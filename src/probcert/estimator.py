@@ -16,29 +16,21 @@ offset, so no two roles or seeds share a stream.
 
 Means are summed exactly and rounded once, bit for bit as ``math.fsum``
 would, but without a Python-level loop.  ``_row_sum`` reduces a row given
-as 1-D blocks in stream order, each cut and shape-checked by its producer:
-a source's draws in ``_widths`` of its ``_block``, a post-hoc batch's views
-of ``_DRAW_CHUNK`` values, or the values of as many lines of a sample file.
-A 0/1 source (Bernoulli draws) or batch may be booleans, which are counted
-exactly, and ``chernoff_opt.certify_probability`` hands ``_row_sum`` each
-block's failure indicators as booleans to be counted the same way.
-``BernoulliSource`` makes eight draws from each 64-bit generator word, one
-per byte lane, and settles a lane that ties with 256 p from a tie child of
-its stream, so a draw is 1 with a probability in [p, p + 2^-61); a planned
-estimate on it counts each block from its byte lanes and never builds its
-draws.  Any other block is checked into [0, 1] where it is reduced, and only
-then converted to float and put through error-free extraction (Rump, Ogita &
-Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
-31(1), 2008), which splits the row into a few partial sums whose numpy sums
-are exact; it has no failure path, leaves the block unchanged and works in
-two temporaries of the block's shape that it makes itself.  A source is
-drawn at most its ``_block`` of values at a time: ``_DRAW_CHUNK`` = 16,384
-(128 KiB as float64), or four times that for ``BernoulliSource``, whose
-65,536-draw block is 8,192 words (64 KiB) and as many booleans.  Memory therefore stays
+as blocks in stream order, each cut and shape-checked by its producer: a
+source's ``_row(n)``, its next n draws in ``_widths`` of its ``_block``
+(``_DRAW_CHUNK`` = 16,384, or 65,536 for ``BernoulliSource``), a post-hoc
+batch's views of ``_DRAW_CHUNK`` values, the values of as many lines of a
+sample file, or ``chernoff_opt.certify_probability``'s failure indicators.
+A boolean block is counted, and a ``BernoulliSource`` row is each block's
+exact count of ones, taken from its generator words' byte lanes without
+building the draws.  Any other block is checked into [0, 1] once, where it
+is reduced, and then put through error-free extraction as float64 (Rump,
+Ogita & Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
+Comput. 31(1), 2008), which splits the row into a few partial sums whose
+numpy sums are exact; it has no failure path, leaves the block unchanged
+and works in two temporaries of the block's shape.  Memory therefore stays
 constant in the planned n, and because the sums are exact the block size
-never changes a certificate.  ``BernoulliSource._row_counts`` counts the
-row of a planned estimate and the rows of the coverage trials: a row that
-shares no block with another is counted from its byte lanes.
+never changes a certificate.
 """
 
 from __future__ import annotations
@@ -123,19 +115,27 @@ class SampleSource:
     def _generate(self, k: int) -> np.ndarray:
         raise NotImplementedError
 
-    def draw(self, k: int) -> np.ndarray:
-        """Emit the next k values, validated into [0, 1].
-
-        A boolean block stays boolean, and the estimators count it; any other
-        block is converted to float64.
-        """
-        k = _require_int(k, "draw count", 0)
+    def _take(self, k: int) -> np.ndarray:  # the values of draw and _row, counted here only
         values = _require_block(self._generate(k), (k,))
-        if values.dtype != bool:  # a boolean cannot leave [0, 1]
-            values = values.astype(float, copy=False)
-            _check_unit_interval(values, self.draws_made)
         self.draws_made += k
         return values
+
+    def draw(self, k: int) -> np.ndarray:
+        """Emit the next k values, validated into [0, 1]: a boolean block stays
+        boolean, and the estimators count it; any other is converted to float64."""
+        k = _require_int(k, "draw count", 0)
+        values = self._take(k)
+        if values.dtype != bool:  # a boolean cannot leave [0, 1]
+            values = values.astype(float, copy=False)
+            _check_unit_interval(values, self.draws_made - k)
+        return values
+
+    def _row(self, n: int) -> Iterator[np.ndarray]:
+        """The next n values in ``_widths`` of ``_block``, for ``_row_sum`` to check into [0, 1]:
+        as ``_generate`` makes them, or through ``draw`` if a subclass overrides it."""
+        if type(self).draw is SampleSource.draw:
+            return map(self._take, _widths(n, self._block))
+        return (_require_block(self.draw(k), (k,)) for k in _widths(n, self._block))
 
 
 class BernoulliSource(SampleSource):
@@ -152,9 +152,8 @@ class BernoulliSource(SampleSource):
     gives the same values.  The private ``_key`` names another (role, index)
     child of ``seed``.
 
-    A row that shares no block with another, such as a planned estimate,
-    counts the lanes (``_count``) without building the draws, through the
-    same ``_lanes`` and ties as ``_generate`` (``_row_counts``).
+    Its ``_row`` counts the lanes of each block (``_count``) without building
+    the draws, through the same ``_lanes`` and ties as ``_generate``.
     """
 
     def __init__(self, p: float, seed: int = 0, *, _key: tuple[int, int] = (_BERNOULLI, 0)):
@@ -199,16 +198,19 @@ class BernoulliSource(SampleSource):
         self.draws_made += k
         return int(ones)
 
-    def _row_counts(self, rows: int, n: int) -> np.ndarray:
-        """The ones in each of ``rows`` consecutive rows of n draws, as floats.
+    def _row(self, n: int) -> Iterator:
+        """Each block's count of ones, or the values of a subclass that overrides ``_generate`` or ``draw``."""
+        if type(self)._generate is BernoulliSource._generate and type(self).draw is SampleSource.draw:
+            return map(self._count, _widths(n, self._block))
+        return super()._row(n)
 
-        A row that shares no block with another is counted from its byte lanes
-        and never drawn.  Rows that share a block are drawn and summed in
-        uint16, which cannot wrap: each is at most half a block, 2^15 draws.
-        """
+    def _row_counts(self, rows: int, n: int) -> np.ndarray:
+        """The ones in each of ``rows`` consecutive rows of n draws, as floats: each
+        row's ``_row``, as a planned estimate's, unless rows share a block; those
+        are drawn and summed in uint16, which cannot wrap (2^15 draws at most)."""
         per_block = self._block // n
         if rows == 1 or per_block < 2:
-            return np.array([sum(map(self._count, _widths(n, self._block))) for _ in range(rows)], dtype=float)
+            return np.array([_row_sum(self._row(n))[0] for _ in range(rows)])
         counts = np.empty(rows)
         for first in range(0, rows, per_block):
             b = min(per_block, rows - first)
@@ -267,17 +269,22 @@ def _extract(block: np.ndarray, parts: list[list[float]]) -> None:
         top = float(np.abs(block, out=q).max())
 
 
-def _row_sum(blocks: Iterable[np.ndarray]) -> tuple[float, int]:
-    """``math.fsum`` of a row given as 1-D blocks in stream order, and its length.
+def _row_sum(blocks: Iterable) -> tuple[float, int]:
+    """``math.fsum`` of a row given as blocks in stream order, and the number of
+    values in its 1-D array blocks.
 
     Each producer cuts its own blocks and checks their shape and dtype
-    (``_require_block``).  A boolean block is counted.  Any other block is
-    checked into [0, 1] at its index in the row, so a ``draw`` override cannot
-    skip the check, and then ``_extract`` takes it as float64.
+    (``_require_block``).  An int block is an exact count of ones, which has
+    no length (``BernoulliSource._count``).  A boolean block is counted.  Any
+    other block is checked into [0, 1] at its index in the row, the one range
+    check it gets, and then ``_extract`` takes it as float64.
     """
     parts: list[list[float]] = [[]]
     ones = n = 0
     for values in blocks:
+        if isinstance(values, int):
+            ones += values
+            continue
         start, n = n, n + values.size
         if values.dtype == bool:
             ones += np.count_nonzero(values)
@@ -306,35 +313,24 @@ def _exact_sums(rows: np.ndarray) -> list[float]:
 
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:
     delta_hat = achieved_confidence(n, eps_a, eps_r)
-    return Certificate(
-        mu_hat=mu_hat,
-        n=n,
-        eps_a=eps_a,
-        eps_r=eps_r,
-        delta_achieved=delta_hat,
-        kind=kind,
-        no_guarantee=delta_hat >= 1.0,
-        note=_BOUNDARY_NOTE if mu_hat in (0.0, 1.0) else "",
-    )
+    return Certificate(mu_hat=mu_hat, n=n, eps_a=eps_a, eps_r=eps_r, delta_achieved=delta_hat, kind=kind,
+                       no_guarantee=delta_hat >= 1.0, note=_BOUNDARY_NOTE if mu_hat in (0.0, 1.0) else "")
 
 
 def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     """Draw exactly the planned number of samples and certify the mean.
 
     The returned certificate has delta_achieved < spec.delta as computed in
-    floating point.  Samples are consumed in a single sequential pass, in blocks
-    of at most the source's ``_block`` of draws that are summed exactly, so
-    memory does not grow with n and the certificate is reproducible from the
-    source seed whatever the block size.  A ``BernoulliSource`` is counted
-    from its byte lanes, without building its draws, unless a subclass
-    overrides ``_generate`` or ``draw``; then its values are drawn.
+    floating point.  The source's ``_row`` of n draws is reduced in one pass,
+    in blocks that are summed exactly, so memory does not grow with n and the
+    certificate is reproducible from the source seed whatever the block size.
+    A value outside [0, 1] is reported at its index in the row.
     """
+    row = getattr(source, "_row", None)
+    if row is None:
+        raise DomainError(f"estimate_with_plan takes a SampleSource, got {type(source).__name__}")
     plan = minimum_sample_size(spec)
-    if type(source)._generate is BernoulliSource._generate and type(source).draw is SampleSource.draw:
-        total = int(source._row_counts(1, plan.n)[0])  # an exact int, so total / plan.n rounds once
-    else:
-        total = _row_sum(_require_block(source.draw(m), (m,)) for m in _widths(plan.n, source._block))[0]
-    return _certificate(total / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
+    return _certificate(_row_sum(row(plan.n))[0] / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 
 def estimate_from_batch(

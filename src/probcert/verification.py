@@ -278,10 +278,10 @@ def coverage_experiment(
     The trials of mu number i come from a Bernoulli source on coverage child
     i of ``seed`` (its ties on that child's tie child), in the order of
     `trials` sequential ``estimate_with_plan`` calls on that source, so each
-    trial's estimate is bit-identical to theirs.  The source counts them with
-    the planned estimate's own counter (``BernoulliSource._row_counts``):
-    trials that share a block are summed from its booleans, and a trial that
-    shares no block with another is counted from its byte lanes.  Passes when
+    trial's estimate is bit-identical to theirs.  ``BernoulliSource._row_counts``
+    counts them: trials that share a block are summed from its booleans, and a
+    trial that shares no block with another is reduced from the source's
+    ``_row``, counted from its byte lanes as a planned estimate is.  Passes when
     every empirical failure rate is within three binomial standard errors
     above delta.  Use trials >= 1000 for meaningful slack.
     """

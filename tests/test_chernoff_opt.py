@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from probcert import (
+    BernoulliSource,
     Certificate,
     ChernoffObjective,
     ConfigError,
@@ -870,3 +871,9 @@ class TestCertifyProbability:
         source = ScenarioSource.from_model(model, 8)
         certify_probability(model, [0.0], SPEC, source)
         assert source.draws_made == 577
+
+    def test_a_source_of_values_is_not_a_scenario_source(self):
+        # a BernoulliSource's 1-D draws raised an IndexError inside the model
+        model = make_model("quadratic_well")
+        with pytest.raises(DomainError, match="certify_probability takes a ScenarioSource, got BernoulliSource"):
+            certify_probability(model, [0.0], SPEC, BernoulliSource(0.3, seed=8))

@@ -367,6 +367,30 @@ class TestEstimateWithPlan:
         with pytest.raises(AssertionError, match="float64 block"):
             estimate_with_plan(ConstantSource(0.3), SPEC)
 
+    def test_a_float_block_is_range_checked_once_where_it_is_reduced(self, monkeypatch):
+        # n = 39,064 in three blocks of at most 16,384, each checked where _row_sum reduces it
+        offsets = []
+        check = estimator._check_unit_interval
+
+        def recorded(values, offset=0):
+            offsets.append(offset)
+            check(values, offset)
+
+        monkeypatch.setattr(estimator, "_check_unit_interval", recorded)
+        assert estimate_with_plan(ConstantSource(0.25), SPEC_LARGE).mu_hat == 0.25
+        assert offsets == [0, 16_384, 32_768]
+
+    @pytest.mark.parametrize(
+        "make_source, name",
+        [(lambda: ScenarioSource.from_model(make_model("quadratic_well"), 3), "ScenarioSource"),
+         (lambda: [0.5] * 577, "list"), (lambda: None, "NoneType")],
+        ids=["scenarios", "list", "none"],
+    )
+    def test_anything_but_a_sample_source_is_a_domain_error(self, make_source, name):
+        # each raised an AttributeError for '_generate'
+        with pytest.raises(DomainError, match=f"estimate_with_plan takes a SampleSource, got {name}$"):
+            estimate_with_plan(make_source(), SPEC)
+
     def test_boundary_mean_notes_open_interval(self):
         cert = estimate_with_plan(ConstantSource(0.0), SPEC)
         assert cert.mu_hat == 0.0
