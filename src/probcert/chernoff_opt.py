@@ -307,14 +307,16 @@ def _exp(log_value: float) -> float:
 
 def _weights(ys: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
     """(top, w): top = max_i(-lambda Y_i) and the shifted weights
-    w_i = exp(-lambda Y_i - top), a fresh array.  The largest weight is
-    exactly 1, so log of their mean is finite.
+    w_i = exp(-lambda Y_i - top), formed in place in one fresh array; ys is
+    unchanged.  The largest weight is exactly 1, so log of their mean is finite.
     """
     # -lambda Y, or its distance below top, may pass the double range: that weight is 1 or 0
     with np.errstate(over="ignore"):
         exponents = -lam * ys
         top = float(exponents.max())  # infinite when lambda * Y is beyond the double range
-        return top, (exponents == top).astype(float) if math.isinf(top) else np.exp(exponents - top)
+        if math.isinf(top):
+            return top, (exponents == top).astype(float)
+        return top, np.exp(np.subtract(exponents, top, out=exponents), out=exponents)
 
 
 def _log_moment(ys: np.ndarray, lam: float) -> float:
@@ -432,29 +434,31 @@ class OptimizationOutcome:
         return asdict(self)
 
 
-def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.ndarray]:
-    """(lambda*, log g, weights there) for the Y values at one theta.
-
-    lambda* minimizes the convex h = log g over (0, cap]: the cap when every
-    Y > 0.  When mean Y <= 0, h' >= 0 from 0 on, so lam is kept and theta
-    still gets a gradient.  Otherwise Newton steps from lam, clipped to the
-    cap, run until one is within _LAMBDA_RTOL of lambda; zero curvature is an
-    infinite step toward the root, and a longer step out of the bracket bisects.
+def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.ndarray, Optional[str]]:
+    """(lambda*, log g, weights there, why the bound is vacuous) for the Y
+    values at one theta.  lambda* minimizes the convex h = log g over (0, cap]:
+    the cap when every Y > 0 ("lambda_cap").  When mean Y <= 0 ("trivial_bound"),
+    h' >= 0 from 0 on, so lam is kept and theta still gets a gradient.  Otherwise
+    (None) Newton steps from lam, clipped to the cap, run until one is within
+    _LAMBDA_RTOL of lambda; zero curvature is an infinite step toward the root,
+    and a longer step out of the bracket bisects.
     """
     if ys.min() > 0.0:
-        lam = cap
-    elif _exact_sums(ys.reshape(1, -1))[0] > 0.0:
+        lam, vacuous = cap, "lambda_cap"
+    else:
+        vacuous = None if _exact_sums(ys.reshape(1, -1))[0] > 0.0 else "trivial_bound"
+    if vacuous is None:
         lo, hi = 0.0, math.inf  # h' < 0 at lo, h' > 0 at hi
         for _ in range(_LAMBDA_STEPS):
             f, d1, d2, weights = _moments(ys, lam)
             step = -d1 / d2 if d2 > 0.0 else math.copysign(math.inf, -d1) if d1 else 0.0
             nxt = min(lam + step, cap)
             if abs(nxt - lam) <= _LAMBDA_RTOL * lam:
-                return lam, f, weights
+                return lam, f, weights, None
             lo, hi = (lam, hi) if d1 < 0.0 else (lo, lam)
             lam = nxt if lo < nxt < hi else 0.5 * (lo + hi) if hi < math.inf else cap
     f, _, _, weights = _moments(ys, lam)
-    return lam, f, weights
+    return lam, f, weights, vacuous
 
 
 def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> OptimizationOutcome:
@@ -466,7 +470,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     The loop ends at gradient norm <= grad_tol, max_iters or step underflow
     (a step below _STEP_FLOOR, or too short to move theta), but a vacuous
     end point reports ``lambda_cap`` (every Y > 0) or ``trivial_bound``
-    (mean Y <= 0) instead.
+    (mean Y <= 0) instead, as ``_profile`` decided it for that point.
     """
     if obj.model.dim_theta != len(settings.theta0):
         raise DomainError(
@@ -474,9 +478,9 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
         )
     cap = settings.lambda_cap
     theta = np.array(settings.theta0)
-    ys = obj.performance_values(theta)
     # exp(log(cap)) can overshoot cap by an ulp; keep lambda <= cap exactly
-    lam, f, weights = _profile(ys, min(math.exp(min(settings.nu0, math.log(cap))), cap), cap)
+    warm = min(math.exp(min(settings.nu0, math.log(cap))), cap)
+    lam, f, weights, vacuous = _profile(obj.performance_values(theta), warm, cap)
     grad = _theta_gradient(obj, lam, theta, weights)
     inverse_hessian = np.eye(theta.size)
     trace = [f]
@@ -494,8 +498,7 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
             direction, slope = -grad, -float(grad @ grad)
         step = 1.0
         while step >= _STEP_FLOOR and not np.array_equal(trial := theta + step * direction, theta):
-            ys_trial = obj.performance_values(trial)
-            lam_trial, f_trial, weights_trial = _profile(ys_trial, lam, cap)
+            lam_trial, f_trial, weights_trial, vacuous_trial = _profile(obj.performance_values(trial), lam, cap)
             if f_trial < f + _ARMIJO_C * step * slope:
                 break
             step *= 0.5
@@ -510,20 +513,16 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
                 inverse_hessian *= sy / float(y @ y)
             v = np.eye(theta.size) - np.outer(s, y) / sy
             inverse_hessian = v @ inverse_hessian @ v.T + np.outer(s, s) / sy
-        theta, lam, f, ys, grad = trial, lam_trial, f_trial, ys_trial, grad_trial
+        theta, lam, f, vacuous, grad = trial, lam_trial, f_trial, vacuous_trial, grad_trial
         iterations += 1
         trace.append(f)
 
-    if ys.min() > 0.0:
-        termination = "lambda_cap"
-    elif _exact_sums(ys.reshape(1, -1))[0] <= 0.0:
-        termination = "trivial_bound"
     return OptimizationOutcome(
         theta_star=tuple(float(t) for t in theta),
         lambda_star=float(lam),
         objective_trace=tuple(_exp(v) for v in trace),
         iterations=iterations,
-        termination=termination,
+        termination=vacuous or termination,
     )
 
 

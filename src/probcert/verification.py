@@ -28,8 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .chernoff_opt import (ChernoffObjective, ScenarioSet, ScenarioSource, _exp, _log_moment, certify_probability,
-                           make_model)
+from .chernoff_opt import ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, certify_probability, make_model
 from .errors import DomainError
 from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream
 from .tail_bounds import (ErrorSpec, _dg, _dg_eps, _g, _require_int, _require_real, lower_tail_bound,
@@ -308,9 +307,7 @@ def coverage_experiment(
     )
 
 
-def domination_experiment(
-    model_id: str, spec: ErrorSpec, points: int, seed: int
-) -> ScanReport:
+def domination_experiment(model_id: str, spec: ErrorSpec, points: int, seed: int) -> ScanReport:
     """Chernoff domination on a registry model at random (lambda, theta).
 
     Per point: every summand exp(-lambda Y) must dominate the failure
@@ -319,11 +316,13 @@ def domination_experiment(
     binomial standard errors.  The frozen scenarios, the fresh rows (one
     source, certified on by each point in turn) and the random points come
     from the scenario, certification and points children of ``seed``.
+    Beside the frozen rows and their Y, a point holds one n-length work array
+    at a time: the kernel, formed in place, then the moment's weights.
     """
     _require_int(points, "points", 1)
     model = make_model(model_id)
     n = minimum_sample_size(spec).n
-    objective = ChernoffObjective(model, ScenarioSet.from_model(model, n, seed))
+    scenarios = ScenarioSet.from_model(model, n, seed).scenarios
     fresh = ScenarioSource.from_model(model, seed)
     rng = _stream(seed, _POINTS)
 
@@ -333,21 +332,20 @@ def domination_experiment(
         theta = rng.uniform(-2.0, 2.0, model.dim_theta)
         point = (lam, tuple(float(t) for t in theta))
 
-        ys = objective.performance_values(theta)
-        kernel = np.exp(-lam * ys)
-        below = kernel < (ys <= 0.0)
+        ys = _evaluate(model, theta, scenarios)
+        kernel = -lam * ys
+        below = np.exp(kernel, out=kernel) < (ys <= 0.0)
         if below.any():
             bad = int(np.argmax(below))
             violations.append((point, {"kernel": float(kernel[bad]), "scenario": bad}))
             continue
+        del kernel, below  # the moment's weights take their place
 
         moment = _exp(_log_moment(ys, lam))  # empirical_moment, from the ys above
         p_hat = certify_probability(model, theta, spec, fresh).mu_hat
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
         if moment < p_hat - slack:
-            violations.append(
-                (point, {"moment": moment, "p_hat": p_hat, "slack": slack})
-            )
+            violations.append((point, {"moment": moment, "p_hat": p_hat, "slack": slack}))
     return ScanReport(
         lemma_id="domination",
         grid_description=(

@@ -1,10 +1,21 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
 
 from probcert import ErrorSpec, SampleSource, SourceExhaustedError
+
+
+def peak_bytes(run):
+    """run()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_valid_specs(count: int, seed: int) -> list[ErrorSpec]:

@@ -401,6 +401,16 @@ class TestLogMoment:
             infinite_tops += -float(np.min(ys)) * lam == math.inf
         assert infinite_tops > 20
 
+    @pytest.mark.parametrize("lam", [0.5, 1e300], ids=["finite_top", "infinite_top"])
+    def test_the_y_values_are_left_unchanged(self, lam):
+        # the weights are formed in place in an array of their own, never in ys
+        ys = np.random.default_rng(22).standard_normal(1000)
+        ys[7] = -(2.0**450)  # at lambda = 1e300, -lambda Y passes the double range
+        before = ys.copy()
+        chernoff_opt._moments(ys, lam)
+        chernoff_opt._log_moment(ys, lam)
+        assert np.array_equal(ys, before)
+
 
 class TestMomentGradient:
     def test_plus_minus_one_d_lambda(self):
@@ -723,32 +733,32 @@ class TestLambdaSolve:
     def test_every_y_positive_gives_the_cap_in_one_pass(self, monkeypatch):
         counts = count_passes(monkeypatch)
         ys = np.array([0.5, 1.0, 2.0])
-        lam, f, _ = chernoff_opt._profile(ys, 1.0, 10.0)
-        assert (lam, counts) == (10.0, [1])
+        lam, f, _, vacuous = chernoff_opt._profile(ys, 1.0, 10.0)
+        assert (lam, counts, vacuous) == (10.0, [1], "lambda_cap")
         assert f == chernoff_opt._moments(ys, 10.0)[0]
 
     def test_mean_y_nonpositive_keeps_the_warm_start(self, monkeypatch):
         counts = count_passes(monkeypatch)
-        lam, _, _ = chernoff_opt._profile(np.array([-1.0, 0.5]), 0.3, 50.0)
-        assert (lam, counts) == (0.3, [1])
+        lam, _, _, vacuous = chernoff_opt._profile(np.array([-1.0, 0.5]), 0.3, 50.0)
+        assert (lam, counts, vacuous) == (0.3, [1], "trivial_bound")
 
     @pytest.mark.parametrize("warm", [1e-6, 0.05, 0.1])
     def test_root_beyond_the_cap_gives_the_cap(self, warm):
         # Y = {-1, 3}: h' = 0 at exp(4 lambda) = 3, lambda = 0.2747, past the cap 0.1
         ys = np.array([-1.0, 3.0])
-        lam, _, _ = chernoff_opt._profile(ys, warm, 0.1)
-        assert lam == 0.1
+        lam, _, _, vacuous = chernoff_opt._profile(ys, warm, 0.1)
+        assert (lam, vacuous) == (0.1, None)
         assert chernoff_opt._moments(ys, lam)[1] < 0.0
 
     def test_zero_curvature_still_ends(self, monkeypatch):
         counts = count_passes(monkeypatch)
         # Y = {-1, 100}: at lambda = 50 the weight of Y = 100 underflows, so
         # h'' = 0 and h' = 1 > 0, an infinite step down to the root ln(100) / 101
-        lam, _, _ = chernoff_opt._profile(np.array([-1.0, 100.0]), 50.0, 50.0)
+        lam, _, _, _ = chernoff_opt._profile(np.array([-1.0, 100.0]), 50.0, 50.0)
         assert lam == pytest.approx(math.log(100.0) / 101.0, rel=1e-11)
         # Y = {0, 1e10}: the weight of 1e10 underflows at lambda = 1, so h' = 0
         # and h'' = 0, a zero step
-        lam, _, _ = chernoff_opt._profile(np.array([0.0, 1e10]), 1.0, 50.0)
+        lam, _, _, _ = chernoff_opt._profile(np.array([0.0, 1e10]), 1.0, 50.0)
         assert lam == 1.0
         assert counts[-1] == 1 and counts[0] < chernoff_opt._LAMBDA_STEPS
 
@@ -763,8 +773,9 @@ class TestLambdaSolve:
         hypothesis.assume(ys.mean() >= 0.05 * np.abs(ys).max())
         root = root_of_slope(ys)
         for warm in (1e-3 * root, 1e3 * root):
-            lam, _, _ = chernoff_opt._profile(ys, warm, 1e9)
+            lam, _, _, vacuous = chernoff_opt._profile(ys, warm, 1e9)
             assert lam == pytest.approx(root, rel=1e-11)
+            assert vacuous is None
 
 
 class TestCertifyProbability:

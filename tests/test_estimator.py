@@ -4,7 +4,6 @@ import json
 import math
 import re
 import struct
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +32,7 @@ from probcert import (
     validate_spec,
     verification,
 )
-from support import ConstantSource, SequenceSource
+from support import ConstantSource, SequenceSource, peak_bytes
 
 # 50-digit oracle for the mean of 500000 copies each of float(1e-8) and 1.0
 ALT_MEAN_ORACLE = 0.500000005000000000000000104613
@@ -61,16 +60,6 @@ EXACTNESS = settings(
 def bits(x):
     """The bits of a float, so that -0.0 and 0.0 differ."""
     return struct.pack("<d", x)
-
-
-def peak_bytes(run):
-    """run()'s result and the tracemalloc peak while it ran."""
-    tracemalloc.start()
-    try:
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @st.composite

@@ -23,11 +23,13 @@ from probcert import (
     lemma_scan,
     lower_tail_bound,
     make_model,
+    minimum_sample_size,
     tail_bounds,
     upper_tail_bound,
     validate_spec,
     verification,
 )
+from support import peak_bytes
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
 SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: two certification blocks and the rest
@@ -577,6 +579,35 @@ class TestDominationExperiment:
         assert len(report.violations) == 5
         for (_, theta), values in report.violations:
             assert values["p_hat"] == chernoff_opt.certify_probability(model, theta, spec, other).mu_hat
+
+    def test_a_kernel_below_the_indicator_names_the_first_scenario_with_y_nonpositive(self, monkeypatch):
+        # an exp that returns its argument negated, lambda Y, is below the
+        # indicator 1 at every Y <= 0: the first such row in scenario order is
+        # reported with the kernel value the check saw, and no moment is taken
+        moments = []
+        monkeypatch.setattr(np, "exp", lambda x, out=None: np.negative(x, out=out))
+        monkeypatch.setattr(verification, "_log_moment", lambda ys, lam: moments.append(lam))
+        report = domination_experiment("quadratic_well", SPEC, points=3, seed=47)
+        monkeypatch.undo()
+        model = make_model("quadratic_well")
+        scenarios = ScenarioSet.from_model(model, 577, 47).scenarios
+        assert len(report.violations) == 3 and moments == []
+        for (lam, theta), values in report.violations:
+            ys = model.evaluate(np.array(theta), scenarios)
+            bad = int(np.flatnonzero(ys <= 0.0)[0])
+            assert values == {"kernel": float(lam * ys[bad]), "scenario": bad}
+            assert values["kernel"] <= 0.0
+
+    def test_a_plan_sized_run_holds_the_rows_their_y_and_one_work_array(self):
+        # n = 282,977: beside the frozen rows and their Y, one work array at a
+        # time; the peak, 4.0 * 8n bytes, is the last point's Y beside the
+        # model's two temporaries while the next Y is formed
+        spec = validate_spec(2e-3, 0.05, 1e-6)
+        n = minimum_sample_size(spec).n
+        domination_experiment("quadratic_well", SPEC, points=1, seed=11)  # imports made on first use are not counted
+        report, peak = peak_bytes(lambda: domination_experiment("quadratic_well", spec, 3, 11))
+        assert (n, report.passed) == (282_977, True)
+        assert peak <= 4.5 * 8 * n, peak / (8 * n)
 
     def test_deterministic(self):
         a = domination_experiment("quadratic_well", SPEC, points=10, seed=47)
