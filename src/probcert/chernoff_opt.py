@@ -41,7 +41,7 @@ from .errors import ConfigError, DomainError, SourceExhaustedError
 from . import estimator
 from .estimator import Certificate, _certificate, _exact_sums, _require_block, _row_sum
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
-from .tail_bounds import ErrorSpec, _require_int, _require_real, minimum_sample_size
+from .tail_bounds import ErrorSpec, _require_int, _require_real, _require_spec, minimum_sample_size
 
 __all__ = [
     "ScenarioSet",
@@ -160,11 +160,8 @@ def make_model(name: str, **params) -> PerformanceModel:
     """Instantiate a registry model by name."""
     try:
         factory = MODEL_REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            "model",
-            f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}",
-        ) from None
+    except (KeyError, TypeError):  # an unhashable name is no registry key either
+        raise ConfigError("model", f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}") from None
     try:
         for key, value in params.items():
             # float(True) is 1.0 and float("3") is 3.0: neither may pass for a number
@@ -540,6 +537,7 @@ def certify_probability(
     """
     if not isinstance(source, ScenarioSource):
         raise DomainError(f"certify_probability takes a ScenarioSource, got {type(source).__name__}")
+    _require_spec(spec, "certify_probability")
     theta = _check_theta(theta, model.dim_theta)
     n, chunk = minimum_sample_size(spec).n, estimator._DRAW_CHUNK
     failures = (
@@ -566,6 +564,8 @@ def optimize_probability(
     The guarantee on theta comes from certification on the certification
     child of ``seed``, a stream distinct from every seed's scenario child.
     """
+    if certify_spec is not None:
+        _require_spec(certify_spec, "optimize_probability")
     scenario_set = ScenarioSet.from_model(model, n_scenarios, seed)
     outcome = minimize(ChernoffObjective(model, scenario_set), settings)
     if certify_spec is not None:

@@ -24,7 +24,7 @@ import numpy as np
 from .chernoff_opt import OptimizationSettings, make_model, optimize_probability
 from .errors import ConfigError, DomainError, ProbcertError
 from .estimator import _DRAW_CHUNK, _certificate, _row_sum
-from .tail_bounds import ErrorSpec, achieved_confidence, minimum_sample_size, validate_spec
+from .tail_bounds import ErrorSpec, _require_pair, achieved_confidence, minimum_sample_size, validate_spec
 from .verification import (
     GridSpec,
     coverage_experiment,
@@ -160,6 +160,7 @@ def _first_error(fh) -> Optional[DomainError]:
 
 def _cmd_estimate(args) -> int:
     """One pass parses the values by ``float``'s rules and sums them; on an error a second names its line."""
+    _require_pair(args.eps_a, args.eps_r)  # before the file is read
     with open(args.input, errors="replace") as fh:
         fh = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe is read whole, to be read again on an error
         try:

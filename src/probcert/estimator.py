@@ -42,7 +42,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SampleValueError, SourceExhaustedError
-from .tail_bounds import ErrorSpec, _require_int, _require_real, achieved_confidence, minimum_sample_size
+from .tail_bounds import (ErrorSpec, _require_int, _require_pair, _require_real, _require_spec, achieved_confidence,
+                          minimum_sample_size)
 
 __all__ = [
     "SampleSource",
@@ -329,6 +330,7 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     row = getattr(source, "_row", None)
     if row is None:
         raise DomainError(f"estimate_with_plan takes a SampleSource, got {type(source).__name__}")
+    _require_spec(spec, "estimate_with_plan")
     plan = minimum_sample_size(spec)
     return _certificate(_row_sum(row(plan.n))[0] / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
 
@@ -342,6 +344,7 @@ def estimate_from_batch(
     in [0, 1]; the first offender is reported by its flat index.  Booleans are
     counted, and numbers read as float64 a view at a time (never copied whole) and summed exactly.
     """
+    _require_pair(eps_a, eps_r)
     arr = _require_block(values, None, "batch").reshape(-1)
     if arr.size == 0:
         raise DomainError("batch is empty")

@@ -65,6 +65,21 @@ def _require_real(value, name: str, low=None, high=math.inf) -> float:
     return float(value)
 
 
+def _require_spec(spec, caller: str) -> None:
+    """Raise unless spec is an ErrorSpec, which ``caller`` takes: every entry point's one check of its spec."""
+    if not isinstance(spec, ErrorSpec):
+        raise DomainError(f"{caller} takes an ErrorSpec, got {type(spec).__name__}")
+
+
+def _require_pair(eps_a, eps_r) -> tuple[float, float]:
+    """eps_a and eps_r as floats if they are numbers that form a valid tolerance pair."""
+    eps_a, eps_r = _require_real(eps_a, "eps_a"), _require_real(eps_r, "eps_r")
+    violations = _pair_violations(eps_a, eps_r)
+    if violations:
+        raise InvalidSpecError(violations)
+    return eps_a, eps_r
+
+
 def _pair_violations(eps_a: float, eps_r: float) -> list[str]:
     violations = []
     if not 0.0 < eps_a < 1.0:
@@ -199,6 +214,7 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
     floor.  An exponent that rounds to 0 or a ratio of 2**53 or more, where
     m * g no longer tells neighbouring counts m apart, is a DomainError.
     """
+    _require_spec(spec, "minimum_sample_size")
     exponent = hoeffding_exponent(spec.eps_a, spec.worst_case_mean)
     # ln 2 - ln delta: 2 / delta overflows for delta below about 1.1e-308
     rhs = (math.log(2.0) - math.log(spec.delta)) / -exponent if exponent < 0.0 else math.inf
@@ -228,8 +244,5 @@ def achieved_confidence(n: int, eps_a: float, eps_r: float) -> float:
     (callers flag it).  Decreases monotonically as n grows, to 5e-324, never 0.
     """
     _require_int(n, "n", 1)
-    eps_a, eps_r = _require_real(eps_a, "eps_a"), _require_real(eps_r, "eps_r")
-    violations = _pair_violations(eps_a, eps_r)
-    if violations:
-        raise InvalidSpecError(violations)
+    eps_a, eps_r = _require_pair(eps_a, eps_r)
     return min(_bound(2.0 * math.exp(n * hoeffding_exponent(eps_a, eps_a / eps_r))), 1.0)

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .chernoff_opt import ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, certify_probability, make_model
 from .errors import DomainError
 from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream
-from .tail_bounds import (ErrorSpec, _dg, _dg_eps, _g, _require_int, _require_real, lower_tail_bound,
+from .tail_bounds import (ErrorSpec, _dg, _dg_eps, _g, _require_int, _require_real, _require_spec, lower_tail_bound,
                           minimum_sample_size, upper_tail_bound)
 
 __all__ = [
@@ -118,36 +117,35 @@ def _binomial_tails(n: int, pairs) -> list[float]:
     lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1) + j log mu + (n - j) log(1 - mu)
     is built with numpy in that left-to-right order, from the same IEEE
     operations as the scalar one (j and n - j are exact doubles for n below
-    2^53, as every plan's n is), and goes through ``math.exp`` and one
-    ``math.fsum`` in blocks of ``_DRAW_CHUNK`` terms.
+    2^53, as every plan's n is), a block of ``_DRAW_CHUNK`` terms at a time.
+    One generator per pair yields ``math.exp`` of each into one ``math.fsum``.
     """
     top = max(0, *(k + 1 for _, k in pairs))
     log_j_fact = np.fromiter(map(math.lgamma, range(1, top + 1)), float, top)
     log_rest_fact = np.fromiter(map(math.lgamma, range(n + 1, n + 1 - top, -1)), float, top)
     log_n_fact = math.lgamma(n + 1)
 
-    def exponents(log_mu: float, log_q: float, start: int, stop: int) -> np.ndarray:
-        j = np.arange(start, stop, dtype=float)
-        e = log_n_fact - log_j_fact[start:stop]
-        e -= log_rest_fact[start:stop]
-        e += j * log_mu
-        e += (n - j) * log_q
-        return e
-
-    tails = []
-    for mu, k in pairs:
+    def terms(mu: float, k: int):
         log_mu, log_q = math.log(mu), math.log1p(-mu)
-        blocks = (
-            exponents(log_mu, log_q, start, min(start + _DRAW_CHUNK, k + 1)).tolist()
-            for start in range(0, k + 1, _DRAW_CHUNK)
-        )
-        tails.append(min(math.fsum(map(math.exp, chain.from_iterable(blocks))), 1.0))
-    return tails
+        for start in range(0, k + 1, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, k + 1)
+            j = np.arange(start, stop, dtype=float)
+            e = log_n_fact - log_j_fact[start:stop]
+            e -= log_rest_fact[start:stop]
+            e += j * log_mu
+            e += (n - j) * log_q
+            yield from map(math.exp, e.tolist())
+
+    return [min(math.fsum(terms(mu, k)), 1.0) for mu, k in pairs]
 
 
 def _mu_grid(mu_grid) -> list[float]:
     """The means of a check as floats: a nonempty list of numbers inside (0, 1)."""
-    mus = [_require_real(mu, "mu grid entry", 0, 1) for mu in mu_grid]
+    try:
+        entries = iter(mu_grid)
+    except TypeError:  # a number, None, a 0-d array
+        raise DomainError(f"mu grid must be an iterable of numbers, got {mu_grid!r}") from None
+    mus = [_require_real(mu, "mu grid entry", 0, 1) for mu in entries]
     if not mus:
         raise DomainError("mu grid is empty")
     return mus
@@ -239,32 +237,23 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
     tail Pr{mean >= (1+eps_r) mu} must stay below exp(n g(eps_a, eps_a/eps_r)).
     The grid must lie entirely in one of the two ranges.
     """
+    _require_spec(spec, "lemma56_check")
     _require_int(n, "n", 1)
     mus = _mu_grid(mu_grid)
     crossover = spec.worst_case_mean
-    in_lower = all(mu <= crossover for mu in mus)
-    in_upper = all(mu > crossover for mu in mus)
-    if not (in_lower or in_upper):
-        raise DomainError(
-            f"mu grid must lie entirely in (0, {crossover}] or ({crossover}, 1)"
-        )
-
-    bound = (lower_tail_bound if in_lower else upper_tail_bound)(n, spec.eps_a, crossover)
-    pairs = []  # (p, k) of each tail as Pr{Binomial(n, p) <= k}, which is 0 for k < 0
-    for mu in mus:
-        if in_lower:  # Pr{S <= n (mu - eps_a)}
-            pairs.append((mu, math.floor(n * (mu - spec.eps_a))))
-        else:  # Pr{S >= k} = Pr{n - S <= n - k} for k = ceil(n (1 + eps_r) mu), n - S ~ Binomial(n, 1 - mu)
-            pairs.append((1.0 - mu, n - math.ceil(n * (1.0 + spec.eps_r) * mu)))
-    violations: list = []
-    for mu, tail in zip(mus, _binomial_tails(n, pairs)):
-        if tail > bound:
-            violations.append(((mu,), {"exact_tail": tail, "bound": bound}))
-    if in_lower:
-        lemma_id, desc = "L5", f"lower tails at {len(mus)} mu-points in (0, {crossover}], n={n}"
+    # (p, k) of each tail as Pr{Binomial(n, p) <= k}, which is 0 for k < 0
+    if all(mu <= crossover for mu in mus):  # Pr{S <= n (mu - eps_a)}
+        lemma_id, tail_bound, desc = "L5", lower_tail_bound, f"lower tails at {len(mus)} mu-points in (0, {crossover}]"
+        pairs = [(mu, math.floor(n * (mu - spec.eps_a))) for mu in mus]
+    elif all(mu > crossover for mu in mus):  # Pr{S >= k} = Pr{n - S <= n - k}, n - S ~ Binomial(n, 1 - mu)
+        lemma_id, tail_bound, desc = "L6", upper_tail_bound, f"upper tails at {len(mus)} mu-points in ({crossover}, 1)"
+        pairs = [(1.0 - mu, n - math.ceil(n * (1.0 + spec.eps_r) * mu)) for mu in mus]  # k = ceil(n (1 + eps_r) mu)
     else:
-        lemma_id, desc = "L6", f"upper tails at {len(mus)} mu-points in ({crossover}, 1), n={n}"
-    return ScanReport(lemma_id=lemma_id, grid_description=desc, violations=violations)
+        raise DomainError(f"mu grid must lie entirely in (0, {crossover}] or ({crossover}, 1)")
+    bound = tail_bound(n, spec.eps_a, crossover)
+    tails = zip(mus, _binomial_tails(n, pairs))
+    violations = [((mu,), {"exact_tail": tail, "bound": bound}) for mu, tail in tails if tail > bound]
+    return ScanReport(lemma_id=lemma_id, grid_description=f"{desc}, n={n}", violations=violations)
 
 
 def coverage_experiment(
@@ -284,11 +273,12 @@ def coverage_experiment(
     every empirical failure rate is within three binomial standard errors
     above delta.  Use trials >= 1000 for meaningful slack.
     """
+    _require_spec(spec, "coverage_experiment")
     trials = _require_int(trials, "trials", 1)
     mus = _mu_grid(mu_grid)
     _require_int(seed, "seed", 0)
-    threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
     n = minimum_sample_size(spec).n
+    threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
     violations: list = []
     for index, mu in enumerate(mus):
         source = BernoulliSource(mu, seed, _key=(_COVERAGE, index))
@@ -297,14 +287,8 @@ def coverage_experiment(
         rate = failures / trials
         if rate > threshold:
             violations.append(((mu,), {"failure_rate": rate, "threshold": threshold}))
-    return ScanReport(
-        lemma_id="coverage",
-        grid_description=(
-            f"{len(mus)} mu-points, {trials} trials each, seed={seed}, "
-            f"threshold={threshold:.6f}"
-        ),
-        violations=violations,
-    )
+    desc = f"{len(mus)} mu-points, {trials} trials each, seed={seed}, threshold={threshold:.6f}"
+    return ScanReport(lemma_id="coverage", grid_description=desc, violations=violations)
 
 
 def domination_experiment(model_id: str, spec: ErrorSpec, points: int, seed: int) -> ScanReport:
@@ -316,9 +300,11 @@ def domination_experiment(model_id: str, spec: ErrorSpec, points: int, seed: int
     binomial standard errors.  The frozen scenarios, the fresh rows (one
     source, certified on by each point in turn) and the random points come
     from the scenario, certification and points children of ``seed``.
-    Beside the frozen rows and their Y, a point holds one n-length work array
-    at a time: the kernel, formed in place, then the moment's weights.
+    Each point is checked in its own scope, which its Y leaves with it: beside
+    the frozen rows, a point holds its Y and one n-length work array at a
+    time, the kernel, formed in place, then the moment's weights.
     """
+    _require_spec(spec, "domination_experiment")
     _require_int(points, "points", 1)
     model = make_model(model_id)
     n = minimum_sample_size(spec).n
@@ -326,31 +312,25 @@ def domination_experiment(model_id: str, spec: ErrorSpec, points: int, seed: int
     fresh = ScenarioSource.from_model(model, seed)
     rng = _stream(seed, _POINTS)
 
-    violations: list = []
-    for _ in range(points):
-        lam = float(10.0 ** rng.uniform(-3.0, 1.0))
-        theta = rng.uniform(-2.0, 2.0, model.dim_theta)
-        point = (lam, tuple(float(t) for t in theta))
-
+    def violation(lam: float, theta: np.ndarray):  # the point's violation values, or None
         ys = _evaluate(model, theta, scenarios)
         kernel = -lam * ys
         below = np.exp(kernel, out=kernel) < (ys <= 0.0)
         if below.any():
             bad = int(np.argmax(below))
-            violations.append((point, {"kernel": float(kernel[bad]), "scenario": bad}))
-            continue
+            return {"kernel": float(kernel[bad]), "scenario": bad}
         del kernel, below  # the moment's weights take their place
-
         moment = _exp(_log_moment(ys, lam))  # empirical_moment, from the ys above
         p_hat = certify_probability(model, theta, spec, fresh).mu_hat
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-        if moment < p_hat - slack:
-            violations.append((point, {"moment": moment, "p_hat": p_hat, "slack": slack}))
-    return ScanReport(
-        lemma_id="domination",
-        grid_description=(
-            f"model={model_id}, {points} random (lambda, theta) points, "
-            f"n={n}, seed={seed}"
-        ),
-        violations=violations,
-    )
+        return {"moment": moment, "p_hat": p_hat, "slack": slack} if moment < p_hat - slack else None
+
+    violations: list = []
+    for _ in range(points):
+        lam = float(10.0 ** rng.uniform(-3.0, 1.0))
+        theta = rng.uniform(-2.0, 2.0, model.dim_theta)
+        values = violation(lam, theta)
+        if values is not None:
+            violations.append(((lam, tuple(float(t) for t in theta)), values))
+    desc = f"model={model_id}, {points} random (lambda, theta) points, n={n}, seed={seed}"
+    return ScanReport(lemma_id="domination", grid_description=desc, violations=violations)

@@ -240,6 +240,10 @@ class TestModelRegistry:
         with pytest.raises(ConfigError, match="unknown model"):
             make_model("mystery")
 
+    def test_an_unhashable_name_is_an_unknown_model(self):
+        with pytest.raises(ConfigError, match=r"^model: unknown model \[\]; available: \['affine'"):
+            make_model([])
+
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             make_model("quadratic_well", gamma=2.0)

@@ -137,6 +137,19 @@ class TestEstimate:
             f"note: {note}",
         ]
 
+    def test_tolerances_are_checked_before_the_file_is_read(self, capsys, monkeypatch, tmp_path):
+        # the error line `confidence` prints for the pair, and no value is parsed
+        def unread(blocks):
+            raise AssertionError("the file was read")
+
+        path = tmp_path / "samples.txt"
+        path.write_text("0.5\n" * 577)
+        _, _, expected = run_cli(capsys, "confidence", "--n", "577", "--eps-a", "0.6", "--eps-r", "0.2")
+        monkeypatch.setattr(cli, "_row_sum", unread)
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--eps-a", "0.6", "--eps-r", "0.2")
+        assert (code, out, err) == (1, "", expected)
+        assert err.startswith("error: eps_a/eps_r + eps_a must be <= 1/2")
+
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

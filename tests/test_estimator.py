@@ -1048,6 +1048,18 @@ class TestEstimateFromBatch:
         assert cert.delta_achieved == math.ulp(0.0)
         assert not cert.no_guarantee
 
+    def test_tolerances_are_checked_before_the_batch_is_read(self, monkeypatch):
+        # the error achieved_confidence reports, raised before a value is summed
+        def unread(blocks):
+            raise AssertionError("the batch was read")
+
+        with pytest.raises(InvalidSpecError) as expected:
+            achieved_confidence(5, 0.6, 0.2)
+        monkeypatch.setattr(estimator, "_row_sum", unread)
+        with pytest.raises(InvalidSpecError) as exc_info:
+            estimate_from_batch([0.5, 2.0], 0.6, 0.2)
+        assert str(exc_info.value) == str(expected.value)
+
     def test_out_of_range_reports_index(self):
         with pytest.raises(SampleValueError) as exc_info:
             estimate_from_batch([0.5, 0.5, 1.2, 0.5], 0.05, 0.2)

@@ -24,16 +24,20 @@ from probcert import (
     ScenarioSource,
     achieved_confidence,
     binomial_tail_exact,
+    certify_probability,
+    chernoff_opt,
     coverage_experiment,
     domination_experiment,
     empirical_moment,
     empirical_moment_gradient,
+    estimate_with_plan,
     hoeffding_exponent,
     lemma56_check,
     lower_tail_bound,
     make_model,
     minimize,
     minimum_sample_size,
+    optimize_probability,
     upper_tail_bound,
     validate_spec,
 )
@@ -374,6 +378,19 @@ BAD_INPUTS = {
         lambda v: empirical_moment(OBJECTIVE, 1.0, (v,)), "theta", REALS + (math.inf, math.nan)),
 }
 
+# entry point -> call with a spec (and a sample source where it takes one)
+SPEC_TAKERS = {
+    "minimum_sample_size": lambda spec, source: minimum_sample_size(spec),
+    "estimate_with_plan": lambda spec, source: estimate_with_plan(source, spec),
+    "certify_probability": lambda spec, source: certify_probability(
+        MODEL, (0.5,), spec, ScenarioSource.from_model(MODEL, 3)),
+    "lemma56_check": lambda spec, source: lemma56_check(spec, [0.1], 10),
+    "coverage_experiment": lambda spec, source: coverage_experiment(spec, [0.1], 10, 3),
+    "domination_experiment": lambda spec, source: domination_experiment("quadratic_well", spec, 1, 3),
+    "optimize_probability": lambda spec, source: optimize_probability(
+        MODEL, OptimizationSettings(theta0=(0.5,)), seed=3, n_scenarios=100, certify_spec=spec),
+}
+
 
 class TestInputPolicy:
     """Every count, seed and number the library receives goes through
@@ -392,6 +409,28 @@ class TestInputPolicy:
         call, name, _ = BAD_INPUTS[entry]
         with pytest.raises((DomainError, InvalidSpecError), match=re.escape(name)):
             call(value)
+
+    @pytest.mark.parametrize(
+        "entry, spec",
+        # optimize_probability's certify_spec=None asks for no certificate
+        [(entry, spec) for entry in SPEC_TAKERS for spec in [(0.05, 0.2, 0.05), None]
+         if (entry, spec) != ("optimize_probability", None)],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_a_spec_that_is_no_error_spec_is_a_domain_error(self, entry, spec):
+        # raised by the entry point itself, naming it, before a draw is made
+        source = ConstantSource(0.5, seed=3)
+        with pytest.raises(DomainError, match=f"^{entry} takes an ErrorSpec, got {type(spec).__name__}$"):
+            SPEC_TAKERS[entry](spec, source)
+        assert source.draws_made == 0
+
+    def test_optimize_checks_its_certify_spec_before_the_descent(self, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("minimize ran")
+
+        monkeypatch.setattr(chernoff_opt, "minimize", no_descent)
+        with pytest.raises(DomainError, match="^optimize_probability takes an ErrorSpec, got tuple$"):
+            SPEC_TAKERS["optimize_probability"]((0.05, 0.2, 0.05), None)
 
     def test_numpy_integer_max_iters(self):
         objective = ChernoffObjective(MODEL, ScenarioSet.from_model(MODEL, 200, 4))

@@ -417,11 +417,34 @@ class TestLemma56Check:
         assert [point for point, _ in report.violations] == [(mu,) for mu in mus]
         assert all(values["bound"] == 0.0 for _, values in report.violations)
 
+    @pytest.mark.parametrize(
+        "lemma_id, mus, desc, bound",
+        [
+            ("L5", [0.1, 0.25], "lower tails at 2 mu-points in (0, 0.25], n=577", lower_tail_bound),
+            ("L6", [0.3, 0.6, 0.9], "upper tails at 3 mu-points in (0.25, 1), n=577", upper_tail_bound),
+        ],
+    )
+    def test_report_names_its_range_and_each_tail_above_the_bound(self, monkeypatch, lemma_id, mus, desc, bound):
+        # every tail read as 1: each mean is a violation, with its tail and the range's bound
+        monkeypatch.setattr(verification, "_binomial_tails", lambda n, pairs: [1.0] * len(pairs))
+        values = {"exact_tail": 1.0, "bound": bound(577, SPEC.eps_a, SPEC.worst_case_mean)}
+        assert lemma56_check(SPEC, mus, 577) == ScanReport(lemma_id, desc, [((mu,), values) for mu in mus])
+
     def test_grid_range_validation(self):
         with pytest.raises(DomainError):
             lemma56_check(SPEC, [0.0, 0.1], 100)
         with pytest.raises(DomainError):
             lemma56_check(SPEC, [], 100)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda grid: lemma56_check(SPEC, grid, 577), lambda grid: coverage_experiment(SPEC, grid, 10, 3)],
+        ids=["lemma56_check", "coverage_experiment"],
+    )
+    @pytest.mark.parametrize("grid", [0.5, None, np.array(0.5)], ids=repr)
+    def test_a_grid_that_is_not_iterable_names_the_mu_grid(self, call, grid):
+        with pytest.raises(DomainError, match="^mu grid must be an iterable of numbers, got "):
+            call(grid)
 
 
 class TestCoverageExperiment:
@@ -599,15 +622,16 @@ class TestDominationExperiment:
             assert values["kernel"] <= 0.0
 
     def test_a_plan_sized_run_holds_the_rows_their_y_and_one_work_array(self):
-        # n = 282,977: beside the frozen rows and their Y, one work array at a
-        # time; the peak, 4.0 * 8n bytes, is the last point's Y beside the
-        # model's two temporaries while the next Y is formed
+        # n = 282,977: beside the frozen rows, one point's Y and one work array
+        # at a time; a point's Y goes with its scope, so the next point's model
+        # call forms its Y beside the frozen rows alone.  The peak, about
+        # 3.3 * 8n bytes, is the kernel check: rows, Y, kernel and two masks
         spec = validate_spec(2e-3, 0.05, 1e-6)
         n = minimum_sample_size(spec).n
         domination_experiment("quadratic_well", SPEC, points=1, seed=11)  # imports made on first use are not counted
         report, peak = peak_bytes(lambda: domination_experiment("quadratic_well", spec, 3, 11))
         assert (n, report.passed) == (282_977, True)
-        assert peak <= 4.5 * 8 * n, peak / (8 * n)
+        assert peak <= 3.5 * 8 * n, peak / (8 * n)
 
     def test_deterministic(self):
         a = domination_experiment("quadratic_well", SPEC, points=10, seed=47)
