@@ -30,9 +30,10 @@ indicators, so its memory does not grow with the planned sample size.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import ConfigError, DomainError, SourceExhaustedError
 from . import estimator
 from .estimator import Certificate, _certificate, _exact_sums, _require_block, _row_sum
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
-from .tail_bounds import ErrorSpec, _require_int, _require_real, _require_spec, minimum_sample_size
+from .tail_bounds import ErrorSpec, _Record, _require_int, _require_real, _require_type, minimum_sample_size
 
 __all__ = [
     "ScenarioSet",
@@ -162,6 +163,9 @@ def make_model(name: str, **params) -> PerformanceModel:
         factory = MODEL_REGISTRY[name]
     except (KeyError, TypeError):  # an unhashable name is no registry key either
         raise ConfigError("model", f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}") from None
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))  # as the CLI's blocks report theirs
+    if unknown:
+        raise ConfigError(f"model_params.{unknown[0]}", "unknown field")
     try:
         for key, value in params.items():
             # float(True) is 1.0 and float("3") is 3.0: neither may pass for a number
@@ -230,6 +234,7 @@ class ScenarioSource:
     """
 
     def __init__(self, model: PerformanceModel, seed: int, *, _role: int = _CERTIFICATION):
+        _require_type(model, PerformanceModel, "ScenarioSource")
         self.seed = _require_int(seed, "seed", 0)
         if model.sample_scenarios is None:
             raise DomainError(f"model {model.name!r} has no scenario sampler")
@@ -257,6 +262,8 @@ class ChernoffObjective:
     scenarios: ScenarioSet
 
     def __post_init__(self):
+        _require_type(self.model, PerformanceModel, "ChernoffObjective")
+        _require_type(self.scenarios, ScenarioSet, "ChernoffObjective")
         if self.scenarios.dim_delta != self.model.dim_delta:
             raise DomainError(
                 f"scenario dimension {self.scenarios.dim_delta} does not match "
@@ -367,6 +374,7 @@ def empirical_moment(obj: ChernoffObjective, lam: float, theta) -> float:
 
     Beyond the double range the result is inf.
     """
+    _require_type(obj, ChernoffObjective, "empirical_moment")
     lam = _require_real(lam, "lambda", 0)
     return _exp(_log_moment(obj.performance_values(theta), lam))
 
@@ -380,6 +388,7 @@ def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tupl
     Models without an analytic gradient get central differences of log g in
     theta.  Beyond the double range the partials are infinite.
     """
+    _require_type(obj, ChernoffObjective, "empirical_moment_gradient")
     lam = _require_real(lam, "lambda", 0)
     theta = _check_theta(theta, obj.model.dim_theta)
     log_g, d_lambda, _, weights = _moments(obj.performance_values(theta), lam)
@@ -388,7 +397,7 @@ def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tupl
 
 
 @dataclass(frozen=True)
-class OptimizationSettings:
+class OptimizationSettings(_Record):
     """Descent configuration.  theta0 is the starting point; exp(nu0) is the
     first warm start of the lambda solve, whose range is (0, lambda_cap].
     """
@@ -412,12 +421,9 @@ class OptimizationSettings:
         if not _NU0_MIN <= self.nu0 < math.inf:  # false for nan too
             raise DomainError(f"nu0 must be finite and >= {_NU0_MIN:.6g} (exp(nu0) > 0), got {self.nu0!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class OptimizationOutcome:
+class OptimizationOutcome(_Record):
     """Result of a descent run, with an optional fresh-sample certificate."""
 
     theta_star: tuple[float, ...]
@@ -426,9 +432,6 @@ class OptimizationOutcome:
     iterations: int
     termination: str  # gradient_tol | max_iters | step_underflow | lambda_cap | trivial_bound
     certificate: Optional[Certificate] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.ndarray, Optional[str]]:
@@ -469,6 +472,8 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     end point reports ``lambda_cap`` (every Y > 0) or ``trivial_bound``
     (mean Y <= 0) instead, as ``_profile`` decided it for that point.
     """
+    _require_type(obj, ChernoffObjective, "minimize")
+    _require_type(settings, OptimizationSettings, "minimize")
     if obj.model.dim_theta != len(settings.theta0):
         raise DomainError(
             f"theta0 has {len(settings.theta0)} components, model needs {obj.model.dim_theta}"
@@ -535,9 +540,9 @@ def certify_probability(
     or past 2^450) is an error, never a survival, reported at its index
     among this certification's rows.
     """
-    if not isinstance(source, ScenarioSource):
-        raise DomainError(f"certify_probability takes a ScenarioSource, got {type(source).__name__}")
-    _require_spec(spec, "certify_probability")
+    _require_type(model, PerformanceModel, "certify_probability")
+    _require_type(source, ScenarioSource, "certify_probability")
+    _require_type(spec, ErrorSpec, "certify_probability")
     theta = _check_theta(theta, model.dim_theta)
     n, chunk = minimum_sample_size(spec).n, estimator._DRAW_CHUNK
     failures = (
@@ -564,8 +569,10 @@ def optimize_probability(
     The guarantee on theta comes from certification on the certification
     child of ``seed``, a stream distinct from every seed's scenario child.
     """
+    _require_type(model, PerformanceModel, "optimize_probability")
+    _require_type(settings, OptimizationSettings, "optimize_probability")
     if certify_spec is not None:
-        _require_spec(certify_spec, "optimize_probability")
+        _require_type(certify_spec, ErrorSpec, "optimize_probability")
     scenario_set = ScenarioSet.from_model(model, n_scenarios, seed)
     outcome = minimize(ChernoffObjective(model, scenario_set), settings)
     if certify_spec is not None:

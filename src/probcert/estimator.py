@@ -36,14 +36,14 @@ never changes a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SampleValueError, SourceExhaustedError
-from .tail_bounds import (ErrorSpec, _require_int, _require_pair, _require_real, _require_spec, achieved_confidence,
-                          minimum_sample_size)
+from .tail_bounds import (ErrorSpec, _Record, _require_int, _require_pair, _require_real, _require_type,
+                          achieved_confidence, minimum_sample_size)
 
 __all__ = [
     "SampleSource",
@@ -220,7 +220,7 @@ class BernoulliSource(SampleSource):
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """An estimate together with the exact guarantee it carries.
 
     With probability > 1 - delta_achieved over the sampling randomness,
@@ -237,9 +237,6 @@ class Certificate:
     kind: str  # "planned" or "post_hoc"
     no_guarantee: bool = False
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _extract(block: np.ndarray, parts: list[list[float]]) -> None:
@@ -322,17 +319,17 @@ def estimate_with_plan(source: SampleSource, spec: ErrorSpec) -> Certificate:
     """Draw exactly the planned number of samples and certify the mean.
 
     The returned certificate has delta_achieved < spec.delta as computed in
-    floating point.  The source's ``_row`` of n draws is reduced in one pass,
-    in blocks that are summed exactly, so memory does not grow with n and the
-    certificate is reproducible from the source seed whatever the block size.
-    A value outside [0, 1] is reported at its index in the row.
+    floating point.  A ``SampleSource`` instance (not the class) and an
+    ``ErrorSpec`` are checked for before a draw.  The source's ``_row`` of n
+    draws is reduced in one pass, in blocks that are summed exactly, so memory
+    does not grow with n and the certificate is reproducible from the source
+    seed whatever the block size.  A value outside [0, 1] is reported at its
+    index in the row.
     """
-    row = getattr(source, "_row", None)
-    if row is None:
-        raise DomainError(f"estimate_with_plan takes a SampleSource, got {type(source).__name__}")
-    _require_spec(spec, "estimate_with_plan")
+    _require_type(source, SampleSource, "estimate_with_plan")
+    _require_type(spec, ErrorSpec, "estimate_with_plan")
     plan = minimum_sample_size(spec)
-    return _certificate(_row_sum(row(plan.n))[0] / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
+    return _certificate(_row_sum(source._row(plan.n))[0] / plan.n, plan.n, spec.eps_a, spec.eps_r, "planned")
 
 
 def estimate_from_batch(

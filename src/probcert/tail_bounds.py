@@ -24,7 +24,8 @@ sits at mu = eps_a / eps_r, where the two tolerances coincide.
 All functions here are pure and reentrant.  ``_require_int`` and
 ``_require_real`` are the package's one check of an integer and of a number,
 the latter with an optional open range: every "number in (low, high)" test of
-the package is a call of it, with one message form.
+the package is a call of it, with one message form.  ``_require_type`` is its
+one check of an argument's type, and ``_Record`` its results' one ``to_dict``.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ def _require_real(value, name: str, low=None, high=math.inf) -> float:
     return float(value)
 
 
-def _require_spec(spec, caller: str) -> None:
-    """Raise unless spec is an ErrorSpec, which ``caller`` takes: every entry point's one check of its spec."""
-    if not isinstance(spec, ErrorSpec):
-        raise DomainError(f"{caller} takes an ErrorSpec, got {type(spec).__name__}")
+def _require_type(value, cls: type, caller: str) -> None:
+    """DomainError "<caller> takes a/an <cls>, got <type>" unless value is a cls: the one type check of an argument."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{caller} takes {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def _require_pair(eps_a, eps_r) -> tuple[float, float]:
@@ -96,8 +98,15 @@ def _pair_violations(eps_a: float, eps_r: float) -> list[str]:
     return violations
 
 
+class _Record:
+    """Base of the package's result dataclasses: their one ``to_dict``, the fields as nested dicts."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class ErrorSpec:
+class ErrorSpec(_Record):
     """Parameters of the mixed error criterion.
 
     eps_a: absolute error tolerance, in (0, 1).
@@ -128,9 +137,6 @@ class ErrorSpec:
         """The mean at which absolute and relative tolerances coincide."""
         return self.eps_a / self.eps_r
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def validate_spec(eps_a: float, eps_r: float, delta: float) -> ErrorSpec:
     """Construct an ErrorSpec, reporting every violated constraint at once."""
@@ -138,7 +144,7 @@ def validate_spec(eps_a: float, eps_r: float, delta: float) -> ErrorSpec:
 
 
 @dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(_Record):
     """A validated sample count together with its worst-case exponent.
 
     n is the smallest integer with 2 exp(n * worst_case_exponent) < delta,
@@ -148,9 +154,6 @@ class SamplePlan:
     n: int
     spec: ErrorSpec
     worst_case_exponent: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _g(eps: float, mu: float) -> float:
@@ -214,7 +217,7 @@ def minimum_sample_size(spec: ErrorSpec) -> SamplePlan:
     floor.  An exponent that rounds to 0 or a ratio of 2**53 or more, where
     m * g no longer tells neighbouring counts m apart, is a DomainError.
     """
-    _require_spec(spec, "minimum_sample_size")
+    _require_type(spec, ErrorSpec, "minimum_sample_size")
     exponent = hoeffding_exponent(spec.eps_a, spec.worst_case_mean)
     # ln 2 - ln delta: 2 / delta overflows for delta below about 1.1e-308
     rhs = (math.log(2.0) - math.log(spec.delta)) / -exponent if exponent < 0.0 else math.inf

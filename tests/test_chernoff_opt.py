@@ -248,6 +248,13 @@ class TestModelRegistry:
         with pytest.raises(ConfigError):
             make_model("quadratic_well", gamma=2.0)
 
+    def test_an_unknown_parameter_is_an_unknown_field(self):
+        # was "model_params: _make_quadratic_well() got an unexpected keyword argument 'mu'";
+        # the keys are compared before any value is read, and the first in sorted order is named
+        with pytest.raises(ConfigError, match=r"^model_params\.mu: unknown field$") as info:
+            make_model("quadratic_well", sigma="x", zeta=1.0, mu=1.0)
+        assert info.value.field == "model_params.mu"
+
     def test_scenario_dimensions(self):
         model = make_model("affine", a=[1.0, -1.0], b=[0.5, 0.5, 0.5], c=0.0)
         assert model.dim_theta == 2 and model.dim_delta == 3

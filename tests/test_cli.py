@@ -413,6 +413,8 @@ class TestOptimize:
             ({"settings": {"theta0": [0.5], "grad_tol": 1e999}},
              "settings: grad_tol must lie in (0, inf), got inf"),
             ({"model": 3}, "model: expected str, got int"),
+            # a model parameter the factory does not take, as every block reports its keys
+            ({"model_params": {"mu": 1.0}}, "model_params.mu: unknown field"),
         ],
         ids=["negative_seed", "unconvertible_model_param", "nu0_exp_underflows",
              "string_seed", "null_seed", "float_n_scenarios", "string_theta0",
@@ -421,7 +423,7 @@ class TestOptimize:
              "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed",
              "huge_theta0", "huge_affine_c", "huge_affine_gradient", "unknown_certify_spec_field",
              "misspelt_certify_delta", "theta0_not_a_list",
-             "infinite_lambda_cap", "infinite_grad_tol", "integer_model"],
+             "infinite_lambda_cap", "infinite_grad_tol", "integer_model", "unknown_model_param"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)

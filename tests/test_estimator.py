@@ -372,11 +372,12 @@ class TestEstimateWithPlan:
     @pytest.mark.parametrize(
         "make_source, name",
         [(lambda: ScenarioSource.from_model(make_model("quadratic_well"), 3), "ScenarioSource"),
-         (lambda: [0.5] * 577, "list"), (lambda: None, "NoneType")],
-        ids=["scenarios", "list", "none"],
+         (lambda: [0.5] * 577, "list"), (lambda: None, "NoneType"),
+         (lambda: SampleSource, "type"), (lambda: BernoulliSource, "type")],
+        ids=["scenarios", "list", "none", "source_class", "bernoulli_class"],
     )
     def test_anything_but_a_sample_source_is_a_domain_error(self, make_source, name):
-        # each raised an AttributeError for '_generate'
+        # each raised an AttributeError for '_generate'; a source class, a TypeError from its unbound _row
         with pytest.raises(DomainError, match=f"estimate_with_plan takes a SampleSource, got {name}$"):
             estimate_with_plan(make_source(), SPEC)
 

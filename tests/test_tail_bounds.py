@@ -33,6 +33,7 @@ from probcert import (
     estimate_with_plan,
     hoeffding_exponent,
     lemma56_check,
+    lemma_scan,
     lower_tail_bound,
     make_model,
     minimize,
@@ -331,7 +332,8 @@ BAD_INPUTS = {
     # counts
     "ScenarioSource.draw": (lambda v: ScenarioSource.from_model(MODEL, 1).draw(v), "draw count", INTS),
     "binomial_tail_exact.k": (lambda v: binomial_tail_exact(5, 0.5, v), "k", INTS),
-    "binomial_tail_exact.n": (lambda v: binomial_tail_exact(v, 0.5, 0), "n", INTS + (0,)),
+    # from 2**53 on, j and n - j are no longer exact doubles: (2**53, 1e-16, 3) read 0.406
+    "binomial_tail_exact.n": (lambda v: binomial_tail_exact(v, 0.5, 0), "n", INTS + (0, 2**53)),
     "upper_tail_bound.n": (lambda v: upper_tail_bound(v, 0.1, 0.5), "n", INTS + (0,)),
     "lower_tail_bound.n": (lambda v: lower_tail_bound(v, 0.1, 0.5), "n", INTS + (0,)),
     "achieved_confidence.n": (lambda v: achieved_confidence(v, 0.05, 0.2), "n", INTS + (0,)),
@@ -391,6 +393,31 @@ SPEC_TAKERS = {
         MODEL, OptimizationSettings(theta0=(0.5,)), seed=3, n_scenarios=100, certify_spec=spec),
 }
 
+SETTINGS = OptimizationSettings(theta0=(0.5,))
+# entry point's argument -> (call with the bad value, "<entry point> takes a/an <type>")
+TYPE_TAKERS = {
+    "minimize.obj": (lambda v: minimize(v, SETTINGS), "minimize takes a ChernoffObjective"),
+    "minimize.settings": (lambda v: minimize(OBJECTIVE, v), "minimize takes an OptimizationSettings"),
+    "optimize_probability.model": (
+        lambda v: optimize_probability(v, SETTINGS, seed=3, n_scenarios=100, certify_spec=SPEC),
+        "optimize_probability takes a PerformanceModel"),
+    "optimize_probability.settings": (
+        lambda v: optimize_probability(MODEL, v, seed=3, n_scenarios=100, certify_spec=SPEC),
+        "optimize_probability takes an OptimizationSettings"),
+    "certify_probability.model": (
+        lambda v: certify_probability(v, (0.5,), SPEC, ScenarioSource.from_model(MODEL, 3)),
+        "certify_probability takes a PerformanceModel"),
+    "ChernoffObjective.model": (
+        lambda v: ChernoffObjective(v, OBJECTIVE.scenarios), "ChernoffObjective takes a PerformanceModel"),
+    "ChernoffObjective.scenarios": (lambda v: ChernoffObjective(MODEL, v), "ChernoffObjective takes a ScenarioSet"),
+    "ScenarioSource": (lambda v: ScenarioSource(v, 3), "ScenarioSource takes a PerformanceModel"),
+    "ScenarioSource.from_model": (lambda v: ScenarioSource.from_model(v, 3), "ScenarioSource takes a PerformanceModel"),
+    "lemma_scan": (lambda v: lemma_scan("L2", v), "lemma_scan takes a GridSpec"),
+    "empirical_moment": (lambda v: empirical_moment(v, 1.0, (0.5,)), "empirical_moment takes a ChernoffObjective"),
+    "empirical_moment_gradient": (
+        lambda v: empirical_moment_gradient(v, 1.0, (0.5,)), "empirical_moment_gradient takes a ChernoffObjective"),
+}
+
 
 class TestInputPolicy:
     """Every count, seed and number the library receives goes through
@@ -431,6 +458,21 @@ class TestInputPolicy:
         monkeypatch.setattr(chernoff_opt, "minimize", no_descent)
         with pytest.raises(DomainError, match="^optimize_probability takes an ErrorSpec, got tuple$"):
             SPEC_TAKERS["optimize_probability"]((0.05, 0.2, 0.05), None)
+
+    @pytest.mark.parametrize("value", ["x", None], ids=["str", "None"])
+    @pytest.mark.parametrize("entry", TYPE_TAKERS)
+    def test_an_argument_of_no_library_type_is_a_domain_error(self, monkeypatch, entry, value):
+        # each raised an AttributeError from deeper down; optimize_probability's settings=None
+        # only once every scenario row had been drawn.  Now the entry point names itself first.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a draw or descent ran")
+
+        monkeypatch.setattr(chernoff_opt, "minimize", no_work)
+        monkeypatch.setattr(ScenarioSet, "from_model", no_work)
+        monkeypatch.setattr(ScenarioSource, "draw", no_work)
+        call, message = TYPE_TAKERS[entry]
+        with pytest.raises(DomainError, match=f"^{message}, got {type(value).__name__}$"):
+            call(value)
 
     def test_numpy_integer_max_iters(self):
         objective = ChernoffObjective(MODEL, ScenarioSet.from_model(MODEL, 200, 4))

@@ -97,6 +97,21 @@ class TestBinomialTailExact:
                         exact, rel=5e-13, abs=1e-300
                     )
 
+    @pytest.mark.parametrize("n, mu, k, rel", [(282_977, 0.04, 10_187, 1e-9), (7_229_021, 0.01, 70_844, 1e-7)])
+    def test_relative_error_against_a_40_digit_sum(self, n, mu, k, rel):
+        # the terms' lgamma differences cancel, so the error grows with n: 1.7e-10 and 1.6e-8 here
+        with mpmath.workdps(40):
+            p = mpmath.mpf(mu)
+            term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                              + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+            total = term
+            for j in range(k, 0, -1):  # downward from k: term(j - 1) = term(j) j (1 - mu) / ((n - j + 1) mu)
+                term *= mpmath.mpf(j) * (1 - p) / ((n - j + 1) * p)
+                total += term
+                if term < total * mpmath.mpf(10) ** -42:
+                    break
+            assert abs(binomial_tail_exact(n, mu, k) - total) / total < rel
+
     def test_large_n_stays_in_range(self):
         value = binomial_tail_exact(577, 0.05, 10)
         assert 0.0 < value < 1.0
