@@ -2,8 +2,8 @@
 
 Four kinds of evidence, all reported as ScanReports:
 
-* Bernoulli oracles: the tail-bound inequalities against binomial tails,
-  exact sums of lgamma-formed terms whose error grows with n (no slack);
+* Bernoulli oracles: the tail-bound inequalities against binomial tails summed
+  from Loader's terms, to 1e-12 relative and in memory constant in n (no slack);
 * structural checks of the Hoeffding exponent (L2-L4) on closed
   mu-intervals, each settled by its value at an interval end (below);
 * uniform-bound checks (L5, L6): Bernoulli tails against the worst-case
@@ -29,7 +29,7 @@ import numpy as np
 
 from .chernoff_opt import ScenarioSet, ScenarioSource, _evaluate, _exp, _log_moment, certify_probability, make_model
 from .errors import DomainError
-from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _stream
+from .estimator import _COVERAGE, _DRAW_CHUNK, _POINTS, BernoulliSource, _extract, _stream
 from .tail_bounds import (ErrorSpec, _Record, _dg, _dg_eps, _g, _require_int, _require_real, _require_type,
                           lower_tail_bound, minimum_sample_size, upper_tail_bound)
 
@@ -95,51 +95,91 @@ class ScanReport(_Record):
 
 
 def binomial_tail_exact(n: int, mu: float, k: int) -> float:
-    """Pr{S <= k} for S ~ Binomial(n, mu), n < 2**53, summed term by term in ascending j.
-
-    Each term is exp of lgamma differences, so large n stays in range, and the
-    sum of the computed terms is exact and rounded once.  The differences cancel:
-    the relative error against a 40-digit sum is 1.4e-16 at n = 577, 1.7e-10 at
-    282,977, 1.6e-8 at 7,229,021 and 2.2e-7 at 429,322,469.  The lgamma values are
-    tabulated once, 16 B per term (``_binomial_tails``): memory grows with k, not n.
-    """
+    """Pr{S <= k} for S ~ Binomial(n, mu), n < 2**53, from Loader's saddle-point terms
+    (``_binomial_tails``), in memory constant in n and k.  Against a 40-digit sum its
+    relative error is below 1e-12 for n up to 1e9 wherever the tail is at least 1e-300,
+    and ``np.exp`` and ``np.log`` may move it by an ulp across numpy's CPU dispatch."""
     n, mu, k = _require_int(n, "n", 1), _require_real(mu, "mu", 0, 1), _require_int(k, "k", 0)
     if k > n:
         raise DomainError(f"k must be an integer in [0, n], got {k!r}")
     return _binomial_tails(n, [(mu, k)])[0]
 
 
-def _binomial_tails(n: int, pairs) -> list[float]:
-    """``binomial_tail_exact(n, mu, k)`` for each (mu, k) pair, bit for bit,
-    and 0.0 where k < 0; mu is valid by the caller's checks, n < 2**53 by this one.
+# Loader's stirlerr(x) = ln x! - (x + 1/2) ln x + x - ln(2 pi)/2 to x = 15 (x = 0 reads 0), and bd0's series in v^2
+_STIRLERR = np.array([0.0, *(math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
+                             for x in range(1, 16))])
+_BD0_SERIES = [2.0 / i for i in range(25, 2, -2)]  # 2/25, ..., 2/3
 
-    lgamma(j + 1) and lgamma(n - j + 1) are tabulated once for j up to the
-    largest k, 16 B per term, and shared by every pair.  Each term's exponent
-    lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1) + j log mu + (n - j) log(1 - mu)
-    is built with numpy in that order, a block of ``_DRAW_CHUNK`` at a time, from
-    the scalar one's IEEE operations (j and n - j are exact doubles), and cancels,
-    so its error grows with n.  One generator per pair yields ``math.exp`` of
-    each into one ``math.fsum``: the computed terms' exact sum, rounded once.
+
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """stirlerr of whole x >= 0: the table to 15, then Stirling's series to x^-9, whose rest is below 2e-16."""
+    big = np.maximum(x, 16.0)
+    w = 1.0 / (big * big)
+    series = (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / big
+    return np.where(x < 16.0, _STIRLERR.take(x.astype(np.intp), mode="clip"), series)
+
+
+def _bd0(x: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x ln(x/m) + m - x >= 0 for d = x - m (x = 0 reads m); where |v| < 1/4, v = d/(x + m), Loader's series
+    v (d + x (2 v^2/3 + 2 v^4/5 + ...)) to v^24, whose rest is below 2^-54 of it: no rounding of a log cancels."""
+    v = d / (x + m)
+    w = v * v
+    s = _BD0_SERIES[0] * w
+    for c in _BD0_SERIES[1:]:
+        s += c
+        s *= w
+    return np.where(w < 0.0625, v * (d + x * s), x * np.log(np.maximum(x, 1.0) / m) - d)
+
+
+def _binomial_tails(n: int, pairs) -> list[float]:
+    """``binomial_tail_exact(n, mu, k)`` for each (mu, k) pair, and 0.0 where k < 0; mu is valid by the
+    caller's checks, n < 2**53 by this one, so that every count is an exact double.  Below the mean n mu,
+    Pr{S <= k} is summed down from k; at or above it Pr{n - S <= n - k - 1} is, and the tail is 1 minus it.
+    For the summed count's probability p, term j is exp of Loader's (2000) stirlerr(n) - stirlerr(j)
+    - stirlerr(n - j) - ln(2 pi j (n - j) / n) / 2 - bd0(j, n p) - bd0(n - j, n (1 - p)) (term 0 keeps
+    the bd0 alone), each count less its mean taken from n mu's exact product.  The windows advance
+    together, at most ``_DRAW_CHUNK`` terms at a time (96, 192, ... wide): memory is constant in n and k.
+    One ends at j = 0 or where the bound term(j) r / (1 - r) on the rest, r = j (1 - p) / ((n - j + 1) p)
+    the largest ratio of terms below j, is at most 2^-60 of its sum.  The terms' exact sum (``_extract``)
+    plus that bound is rounded once, so a tail below the mean never reads low; every step is elementwise
+    or along a row, so a pair's tail does not depend, by a bit, on the pairs that share its call.
     """
     if n >= 2**53:  # j and n - j would not all be exact doubles
         raise DomainError(f"n must be below 2**53, got {n!r}")
-    top = max(0, *(k + 1 for _, k in pairs))
-    log_j_fact = np.fromiter(map(math.lgamma, range(1, top + 1)), float, top)
-    log_rest_fact = np.fromiter(map(math.lgamma, range(n + 1, n + 1 - top, -1)), float, top)
-    log_n_fact = math.lgamma(n + 1)
-
-    def terms(mu: float, k: int):
-        log_mu, log_q = math.log(mu), math.log1p(-mu)
-        for start in range(0, k + 1, _DRAW_CHUNK):
-            stop = min(start + _DRAW_CHUNK, k + 1)
-            j = np.arange(start, stop, dtype=float)
-            e = log_n_fact - log_j_fact[start:stop]
-            e -= log_rest_fact[start:stop]
-            e += j * log_mu
-            e += (n - j) * log_q
-            yield from map(math.exp, e.tolist())
-
-    return [min(math.fsum(terms(mu, k)), 1.0) for mu, k in pairs]
+    mu, k = np.array(pairs, dtype=float).reshape(-1, 2).T
+    nf, c = float(n), 134217729.0  # 2^27 + 1: Veltkamp's halves of n and mu, and Dekker's product of them
+    (n1, n2), (m1, m2) = ((h, y - h) for y in (nf, mu) for h in [c * y - (c * y - y)])
+    p, q = nf * mu, nf - nf * mu
+    p_lo = ((n1 * m1 - p) + n1 * m2 + n2 * m1) + n2 * m2  # n mu = p + p_lo exactly
+    q_lo = ((nf - q) - p) - p_lo  # n (1 - mu) = q + q_lo, to about 2^-106 of it
+    upper = k >= p
+    top = np.where(upper, nf - k - 1.0, k)
+    hi, lo = np.where(upper, [[q, p], [q_lo, p_lo]], [[p, q], [p_lo, q_lo]])  # the summed count's mean, the other's
+    means = np.maximum(hi + lo, 2.0**-900)  # x / m finite in _bd0: raises only upper tails' n mu, which read 1
+    stir_n = _stirlerr(np.array(nf))
+    parts, rest = [[] for _ in range(mu.size)], np.zeros(mu.size)  # exact partials; rounded sum, then rest's bound
+    active, start, width = np.flatnonzero(top >= 0), 0, 96
+    while active.size:
+        width = max(1, min(width, _DRAW_CHUNK // active.size))
+        j = np.maximum(top[active, None] - np.arange(start, start + width), 0.0)
+        x = np.stack([j, nf - j])  # the two counts, and then each less its mean, rounded once
+        d = (x - hi[:, active, None]) - lo[:, active, None]
+        m = means[:, active, None]
+        bd0, st = _bd0(x, m, d), _stirlerr(x)
+        half_log = 0.5 * np.log(2.0 * math.pi * np.maximum(j, 1.0) * (x[1] / nf))
+        terms = np.exp(np.where(j > 0, stir_n - st[0] - st[1] - half_log, 0.0) - bd0[0] - bd0[1])
+        ratio = j * m[1] / ((x[1] + 1.0) * m[0])  # term(j - 1) / term(j), which falls as j does
+        partial = np.cumsum(np.concatenate([rest[active, None], terms], axis=1), axis=1)[:, 1:]  # whatever the widths
+        stop = terms * ratio <= 2.0**-60 * partial * (1.0 - ratio)  # at j = 0 too, where ratio is 0
+        last, done = np.argmax(stop, axis=1), stop.any(axis=1)
+        terms[np.arange(width) > np.where(done, last, width)[:, None]] = 0.0  # past each window's end
+        _extract(terms, [parts[i] for i in active])
+        rest[active] = partial[:, -1]
+        r = ratio[done, last[done]]
+        rest[active[done]] = terms[done, last[done]] * r / (1.0 - r)
+        active, start, width = active[~done], start + width, 2 * width
+    tails = (math.fsum([*part, bound]) for part, bound in zip(parts, rest.tolist()))
+    return [1.0 - tail if up else tail for tail, up in zip(tails, upper.tolist())]
 
 
 def _mu_grid(mu_grid) -> list[float]:

@@ -44,23 +44,34 @@ def binomial_tail_fraction(n: int, mu: float, k: int) -> Fraction:
     )
 
 
-def binomial_tail_per_term(n: int, mu: float, k: int) -> float:
-    """The scalar per-term sum that ``binomial_tail_exact`` must reproduce
-    bit for bit: one lgamma pair and one exponent per term, in ascending j."""
-    log_mu = math.log(mu)
-    log_q = math.log1p(-mu)
-    log_n_fact = math.lgamma(n + 1)
-    terms = (
-        math.exp(
-            log_n_fact
-            - math.lgamma(j + 1)
-            - math.lgamma(n - j + 1)
-            + j * log_mu
-            + (n - j) * log_q
-        )
-        for j in range(k + 1)
-    )
-    return min(math.fsum(terms), 1.0)
+def binomial_tail_40(n: int, mu: float, k: int):
+    """Pr{Binomial(n, mu) <= k} for the double mu, a 40-digit sum: below the
+    mean downward from k, and above it 1 minus the upper tail, summed so from
+    n - k - 1 for n - S ~ Binomial(n, 1 - mu)."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(mu)
+        if k >= n * p:
+            return 1 - binomial_tail_40(n, 1 - p, n - k - 1) if k < n else mpmath.mpf(1)
+        if k < 0:
+            return mpmath.mpf(0)
+        term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                          + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+        total, odds, tiny = term, (1 - p) / p, mpmath.mpf(10) ** -42
+        for j in range(k, 0, -1):  # term(j - 1) = term(j) j (1 - mu) / ((n - j + 1) mu)
+            term *= odds * j / (n - j + 1)
+            total += term
+            if term < total * tiny:
+                break
+        return total
+
+
+def cli_grid_pairs(spec):
+    """n and the (mu, k) of each tail ``lemma56_check`` sums on the CLI's two grids at spec."""
+    n, crossover = minimum_sample_size(spec).n, spec.worst_case_mean
+    lower = [crossover * (i + 1) / 10 for i in range(10)]
+    upper = [crossover + (1.0 - crossover) * (i + 1) / 11 for i in range(10)]
+    return n, [(mu, math.floor(n * (mu - spec.eps_a))) for mu in lower] + [
+        (1.0 - mu, n - math.ceil(n * (1.0 + spec.eps_r) * mu)) for mu in upper]
 
 
 class TestBinomialTailExact:
@@ -97,42 +108,57 @@ class TestBinomialTailExact:
                         exact, rel=5e-13, abs=1e-300
                     )
 
-    @pytest.mark.parametrize("n, mu, k, rel", [(282_977, 0.04, 10_187, 1e-9), (7_229_021, 0.01, 70_844, 1e-7)])
-    def test_relative_error_against_a_40_digit_sum(self, n, mu, k, rel):
-        # the terms' lgamma differences cancel, so the error grows with n: 1.7e-10 and 1.6e-8 here
-        with mpmath.workdps(40):
-            p = mpmath.mpf(mu)
-            term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
-                              + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
-            total = term
-            for j in range(k, 0, -1):  # downward from k: term(j - 1) = term(j) j (1 - mu) / ((n - j + 1) mu)
-                term *= mpmath.mpf(j) * (1 - p) / ((n - j + 1) * p)
-                total += term
-                if term < total * mpmath.mpf(10) ** -42:
-                    break
-            assert abs(binomial_tail_exact(n, mu, k) - total) / total < rel
+    @pytest.mark.parametrize("n, mu, k", [(282_977, 0.04, 10_187), (7_229_021, 0.01, 70_844),
+                                          (429_322_469, 0.001, 425_029)])
+    def test_relative_error_against_a_40_digit_sum(self, n, mu, k):
+        # lower tails at three plan sizes; the last two are lemma56's boundaries at the worst-case mean
+        exact = binomial_tail_40(n, mu, k)
+        assert abs(binomial_tail_exact(n, mu, k) - exact) / exact < 1e-12
+
+    def test_largest_n_is_accurate(self):
+        # the lgamma-formed terms read 1.0 here, 1.4 % off
+        exact = binomial_tail_40(2**53 - 1, 1e-16, 3)
+        assert abs(binomial_tail_exact(2**53 - 1, 1e-16, 3) - exact) / exact < 1e-12
+        assert mpmath.almosteq(exact, mpmath.mpf("0.98650568645"), 1e-11)
 
     def test_large_n_stays_in_range(self):
         value = binomial_tail_exact(577, 0.05, 10)
         assert 0.0 < value < 1.0
 
-    def test_bit_identical_to_per_term_sum(self):
-        rng = np.random.default_rng(16)
-        cases = [
-            (1, 0.3, 0), (1, 0.3, 1), (2, 0.999, 2), (577, 0.05, 0), (577, 0.05, 577),
-            # 40,001 terms: more than two blocks of terms
-            (50_000, 0.6, 40_000),
-        ]
-        for _ in range(2000):
-            n = int(np.exp(rng.uniform(0.0, math.log(1e6))))  # log-uniform in [1, 10^6)
-            top = min(n, 1000)  # k = n for small n; at most 1,001 terms a case
-            k = int(rng.choice([0, top, rng.integers(0, top + 1)]))
-            cases.append((n, float(rng.uniform(1e-6, 1.0 - 1e-6)), k))
-        assert max(k for _, _, k in cases) + 1 > 2 * verification._DRAW_CHUNK
+    def test_relative_error_against_a_40_digit_sum_at_random_n(self):
+        # n log-uniform up to 1e9, the mean n min(mu, 1 - mu) log-uniform up to
+        # 1e4 (so that the oracle sums at most a few thousand terms), and k below
+        # the mode, at it and above it, by up to 30 standard deviations; then
+        # lemma56's boundaries on the CLI grids at two plan sizes
+        rng = np.random.default_rng(36)
+        cases = []
+        for _ in range(40):
+            n = int(np.exp(rng.uniform(0.0, math.log(1e9)))) + 1
+            mean = np.exp(rng.uniform(math.log(1e-2), math.log(max(1e-2, min(n / 2, 1e4)))))
+            mu = float(mean / n if rng.random() < 0.5 else 1.0 - mean / n)
+            mode, sd = math.floor((n + 1) * mu), math.sqrt(n * mu * (1.0 - mu))
+            for z in (-rng.uniform(1.0, 30.0), 0.0, rng.uniform(1.0, 30.0)):
+                cases.append((n, mu, min(max(mode + round(z * sd), 0), n)))
+        for spec in (validate_spec(0.05, 0.2, 0.05), validate_spec(2e-4, 0.02, 1e-6)):
+            n, pairs = cli_grid_pairs(spec)
+            cases += [(n, mu, k) for mu, k in pairs if k >= 0]
+        compared = 0
         for n, mu, k in cases:
-            value = binomial_tail_exact(n, mu, k)
-            expected = binomial_tail_per_term(n, mu, k)
-            assert value.hex() == expected.hex(), (n, mu, k)
+            exact = binomial_tail_40(n, mu, k)
+            if exact >= 1e-300:
+                compared += 1
+                assert abs(binomial_tail_exact(n, mu, k) - exact) / exact < 1e-12, (n, mu, k)
+        assert compared > 100
+
+    @pytest.mark.parametrize("n, pairs", [
+        (577, [(0.3, 150), (0.05, 10), (0.7, 500), (0.5, -1), (0.5, 577)]),
+        (282_977, [(0.04, 10_187), (0.5, 141_000)]),  # a window of about 2,400 terms near the mode
+    ])
+    def test_tails_do_not_depend_on_the_block_widths(self, monkeypatch, n, pairs):
+        # windows cut into blocks of one to five terms give the same tails, bit for bit
+        expected = verification._binomial_tails(n, pairs)
+        monkeypatch.setattr(verification, "_DRAW_CHUNK", 5)
+        assert verification._binomial_tails(n, pairs) == expected
 
 
 def g50(eps, mu):
@@ -413,6 +439,15 @@ class TestLemma56Check:
         ks = [math.ceil(n * (1.0 + spec.eps_r) * mu) for mu in mus]
         expected = [binomial_tail_exact(n, 1.0 - mu, n - k) if k <= n else 0.0 for mu, k in zip(mus, ks)]
         assert tails[1] == expected and any(expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_grids_at_the_north_star_pass_in_constant_memory(self, capsys):
+        # n = 429,322,469: the windows of the 20 tails, not their k terms each, are summed
+        argv = ["verify", "--suite", "lemma56", "--eps-a", "1e-5", "--eps-r", "0.01", "--delta", "1e-9"]
+        code, peak = peak_bytes(lambda: cli.main(argv))
+        out = capsys.readouterr().out
+        assert code == 0 and out.count("PASS") == 3 and out.count("n=429322469") == 2, out
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize(
         "name, mus", [("lower_tail_bound", [0.1, 0.2]), ("upper_tail_bound", [0.3, 0.6])]
