@@ -19,12 +19,12 @@ gradient is the theta partial of log g at the optimal lambda.  The optimized
 theta is then certified on fresh scenarios, never the ones optimized over,
 via the estimator module.
 
-Models are evaluated on a whole batch of scenario rows per call, never row
-by row.  Scenario sets are immutable after construction and safe to share;
-sums are exact and rounded once (the estimator's vectorised error-free
-summation, bit-identical to ``math.fsum``), so results do not depend on
-summation order or evaluation scheduling.  Certification draws fresh
-scenarios in the estimator's fixed-size chunks and counts their failure
+Models are called on blocks of at most 16,384 scenario rows, and each pass
+over the frozen scenarios reads Y a block at a time, with no temporary of
+their length.  Scenario sets are immutable after construction and safe to
+share; sums are exact and rounded once (the estimator's error-free summation,
+bit-identical to ``math.fsum``), so results do not depend on summation order
+or block size.  Certification draws fresh scenarios in the estimator's fixed-size chunks and counts their failure
 indicators, so its memory does not grow with the planned sample size.
 """
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SourceExhaustedError
 from . import estimator
-from .estimator import Certificate, _certificate, _exact_sums, _require_block, _row_sum
+from .estimator import Certificate, _certificate, _extract, _require_block, _row_sum
 from .estimator import _CERTIFICATION, _SCENARIOS, _stream
 from .tail_bounds import ErrorSpec, _Record, _require_int, _require_real, _require_type, minimum_sample_size
 
@@ -75,11 +75,10 @@ class PerformanceModel:
     """A performance function Y(theta, delta) with optional analytic gradient.
 
     Both callables are batched: they take theta, shape (dim_theta,), and a
-    block of scenario rows, shape (n, dim_delta), and answer for every row at
-    once.  ``evaluate(theta, rows)`` returns Y for each row, shape (n,);
-    ``gradient_theta(theta, rows)`` returns dY/dtheta for each row, shape
-    (n, dim_theta).  Row i of the output must depend on row i of the input
-    only.  Both outputs must have their shape and every value finite with
+    block of at most 16,384 scenario rows, shape (k, dim_delta), and answer
+    for every row at once.  ``evaluate(theta, rows)`` returns Y for each row,
+    shape (k,); ``gradient_theta(theta, rows)`` returns dY/dtheta for each
+    row, shape (k, dim_theta).  Row i of the output must depend on row i only.  Both outputs must have their shape and every value finite with
     |v| <= 2^450; otherwise a DomainError names the first bad scenario.
     ``evaluate`` must be piecewise continuous in theta for fixed delta.
     ``sample_scenarios(rng, k)`` draws k scenario rows from the distribution
@@ -292,8 +291,15 @@ def _model_output(model: PerformanceModel, values, shape: tuple, what: str, offs
 
 
 def _evaluate(model: PerformanceModel, theta: np.ndarray, rows: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Y(theta, row) for each scenario row, one value per row with |Y| <= 2^450."""
-    return _model_output(model, model.evaluate(theta, rows), (rows.shape[0],), "Y", offset)
+    """Y(theta, row) for each scenario row, one value per row with |Y| <= 2^450, from one model
+    call per block of ``_DRAW_CHUNK`` rows: one block's output as it is, more blocks' in one array."""
+    n, chunk = rows.shape[0], estimator._DRAW_CHUNK
+    if n <= chunk:
+        return _model_output(model, model.evaluate(theta, rows), (n,), "Y", offset)
+    ys = np.empty(n)
+    for start in range(0, n, chunk):
+        ys[start : start + chunk] = _evaluate(model, theta, rows[start : start + chunk], offset + start)
+    return ys
 
 
 def _check_theta(theta, dim_theta: int) -> np.ndarray:
@@ -309,59 +315,62 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
 
 
-def _weights(ys: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
-    """(top, w): top = max_i(-lambda Y_i) and the shifted weights
-    w_i = exp(-lambda Y_i - top), formed in place in one fresh array; ys is
-    unchanged.  The largest weight is exactly 1, so log of their mean is finite.
-    """
-    # -lambda Y, or its distance below top, may pass the double range: that weight is 1 or 0
+def _weighted_sums(ys: np.ndarray, lam: float, factors=lambda y, start: ()) -> tuple[float, list[float]]:
+    """(top, sums): top = max_i(-lambda Y_i), and the exact sums, each rounded
+    once, of the shifted weights w_i = exp(-lambda Y_i - top) and of w times
+    each row of ``factors(y, start)`` for the block y of Y from scenario
+    ``start``.  Y is read, unchanged, in blocks of ``_DRAW_CHUNK``.  The
+    largest weight is exactly 1, so log of their mean is finite."""
+    # max(-lambda Y) bit for bit, as rounding is monotone; past the double range each weight is 1 or 0
+    top = -lam * float(ys.min())
+    chunk, parts = estimator._DRAW_CHUNK, []
     with np.errstate(over="ignore"):
-        exponents = -lam * ys
-        top = float(exponents.max())  # infinite when lambda * Y is beyond the double range
-        if math.isinf(top):
-            return top, (exponents == top).astype(float)
-        return top, np.exp(np.subtract(exponents, top, out=exponents), out=exponents)
+        for start in range(0, ys.size, chunk):
+            y = ys[start : start + chunk]
+            rows = factors(y, start)
+            block = np.empty((1 + len(rows), y.size))
+            w = np.multiply(y, -lam, out=block[0])
+            if math.isinf(top):
+                np.equal(w, top, out=w)
+            else:
+                np.exp(np.subtract(w, top, out=w), out=w)
+            for row, factor in zip(block[1:], rows):
+                np.multiply(factor, w, out=row)
+            parts = parts or [[] for _ in block]
+            _extract(block, parts)
+    return top, [math.fsum(row) for row in parts]
 
 
 def _log_moment(ys: np.ndarray, lam: float) -> float:
     """h = log g at lambda from the Y values, ``_moments(ys, lam)[0]`` bit for
-    bit: the weights' exact sum is the same with or without the other rows.
-    """
-    top, weights = _weights(ys, lam)
-    (s0,) = _exact_sums(weights.reshape(1, -1))
+    bit: the weights' exact sum is the same with or without the other rows."""
+    top, (s0,) = _weighted_sums(ys, lam)
     return top + math.log(s0 / ys.size)
 
 
-def _moments(ys: np.ndarray, lam: float) -> tuple[float, float, float, np.ndarray]:
-    """(h, h', h'', w): h = log g at lambda from the Y values, h' = -E_w[Y] and
-    h'' = Var_w(Y) under the shifted weights w, from exact sums in one pass.
-    """
-    top, weights = _weights(ys, lam)
-    rows = np.empty((3, ys.size))  # |Y| <= 2^450 keeps Y * Y * w in its range
-    rows[0], rows[1] = 1.0, ys
-    np.multiply(ys, ys, out=rows[2])
-    s0, s1, s2 = _exact_sums(np.multiply(rows, weights, out=rows))
+def _moments(ys: np.ndarray, lam: float) -> tuple[float, float, float]:
+    """(h, h', h''): h = log g at lambda from the Y values, h' = -E_w[Y] and
+    h'' = Var_w(Y) under the shifted weights w, from exact sums in one pass."""
+    top, (s0, s1, s2) = _weighted_sums(ys, lam, lambda y, start: (y, y * y))  # |Y| <= 2^450: Y * Y * w is in range
     mean = s1 / s0
-    return top + math.log(s0 / ys.size), -mean, s2 / s0 - mean * mean, weights
+    return top + math.log(s0 / ys.size), -mean, s2 / s0 - mean * mean
 
 
-def _theta_gradient(
-    obj: ChernoffObjective, lam: float, theta: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """d log g / d theta_j = -lambda sum(dY/dtheta_j w) / sum(w), from exact
-    sums in one pass.
+def _theta_gradient(obj: ChernoffObjective, lam: float, theta: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """d log g / d theta_j = -lambda sum(dY/dtheta_j w) / sum(w) at the Y values
+    of theta, from exact sums in one pass that takes dY/dtheta a block at a time.
 
     Models without an analytic gradient get central differences of log g at
     fixed lambda, step 1e-6 * (1 + |theta_j|) per component.
     """
     model = obj.model
     if model.gradient_theta is not None:
-        grads = model.gradient_theta(theta, obj.scenarios.scenarios)
-        grads = _model_output(model, grads, (weights.size, model.dim_theta), "gradient")
-        rows = np.empty((1 + model.dim_theta, weights.size))
-        rows[0], rows[1:] = 1.0, grads.T
-        sums = _exact_sums(np.multiply(rows, weights, out=rows))
-        return -lam * np.array(sums[1:]) / sums[0]
+        def gradient_rows(y: np.ndarray, start: int) -> np.ndarray:
+            grads = model.gradient_theta(theta, obj.scenarios.scenarios[start : start + y.size])
+            return _model_output(model, grads, (y.size, model.dim_theta), "gradient", start).T
+
+        _, (s0, *sums) = _weighted_sums(ys, lam, gradient_rows)
+        return -lam * np.array(sums) / s0
     d_theta = np.empty(model.dim_theta)
     for j, bump in enumerate(np.diag(1e-6 * (1.0 + np.abs(theta)))):
         up, down = (_log_moment(obj.performance_values(t), lam) for t in (theta + bump, theta - bump))
@@ -391,9 +400,10 @@ def empirical_moment_gradient(obj: ChernoffObjective, lam: float, theta) -> tupl
     _require_type(obj, ChernoffObjective, "empirical_moment_gradient")
     lam = _require_real(lam, "lambda", 0)
     theta = _check_theta(theta, obj.model.dim_theta)
-    log_g, d_lambda, _, weights = _moments(obj.performance_values(theta), lam)
+    ys = obj.performance_values(theta)
+    log_g, d_lambda, _ = _moments(ys, lam)
     g = _exp(log_g)
-    return float(g * d_lambda), g * _theta_gradient(obj, lam, theta, weights)
+    return float(g * d_lambda), g * _theta_gradient(obj, lam, theta, ys)
 
 
 @dataclass(frozen=True)
@@ -434,39 +444,39 @@ class OptimizationOutcome(_Record):
     certificate: Optional[Certificate] = None
 
 
-def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, np.ndarray, Optional[str]]:
-    """(lambda*, log g, weights there, why the bound is vacuous) for the Y
-    values at one theta.  lambda* minimizes the convex h = log g over (0, cap]:
-    the cap when every Y > 0 ("lambda_cap").  When mean Y <= 0 ("trivial_bound"),
-    h' >= 0 from 0 on, so lam is kept and theta still gets a gradient.  Otherwise
-    (None) Newton steps from lam, clipped to the cap, run until one is within
-    _LAMBDA_RTOL of lambda; zero curvature is an infinite step toward the root,
-    and a longer step out of the bracket bisects.
+def _profile(ys: np.ndarray, lam: float, cap: float) -> tuple[float, float, Optional[str]]:
+    """(lambda*, log g there, why the bound is vacuous) for the Y values at one
+    theta.  lambda* minimizes the convex h = log g over (0, cap]: the cap when
+    every Y > 0 ("lambda_cap").  When the sum of Y, the weights' at lambda = 0,
+    is <= 0 ("trivial_bound"), h' >= 0 from 0 on, so lam is kept and theta
+    still gets a gradient.  Otherwise (None) Newton steps from lam, clipped to
+    the cap, run until one is within _LAMBDA_RTOL of lambda; zero curvature is
+    an infinite step toward the root, and a longer step out of the bracket bisects.
     """
     if ys.min() > 0.0:
         lam, vacuous = cap, "lambda_cap"
     else:
-        vacuous = None if _exact_sums(ys.reshape(1, -1))[0] > 0.0 else "trivial_bound"
+        vacuous = None if _weighted_sums(ys, 0.0, lambda y, start: (y,))[1][1] > 0.0 else "trivial_bound"
     if vacuous is None:
         lo, hi = 0.0, math.inf  # h' < 0 at lo, h' > 0 at hi
         for _ in range(_LAMBDA_STEPS):
-            f, d1, d2, weights = _moments(ys, lam)
+            f, d1, d2 = _moments(ys, lam)
             step = -d1 / d2 if d2 > 0.0 else math.copysign(math.inf, -d1) if d1 else 0.0
             nxt = min(lam + step, cap)
             if abs(nxt - lam) <= _LAMBDA_RTOL * lam:
-                return lam, f, weights, None
+                return lam, f, None
             lo, hi = (lam, hi) if d1 < 0.0 else (lo, lam)
             lam = nxt if lo < nxt < hi else 0.5 * (lo + hi) if hi < math.inf else cap
-    f, _, _, weights = _moments(ys, lam)
-    return lam, f, weights, vacuous
+    return lam, _moments(ys, lam)[0], vacuous
 
 
 def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> OptimizationOutcome:
     """BFGS descent on F(theta) = min over lambda in (0, lambda_cap] of log g.
 
     A trial costs one model evaluation; its lambda* is warm-started from the
-    last one (first from exp(nu0)).  Steps start at unit length and halve
-    until the Armijo condition holds, so the trace of g is non-increasing.
+    last one (first from exp(nu0)), and its Y replaces the last one's.  Steps
+    start at unit length and halve until the Armijo condition holds, so the
+    trace of g is non-increasing.
     The loop ends at gradient norm <= grad_tol, max_iters or step underflow
     (a step below _STEP_FLOOR, or too short to move theta), but a vacuous
     end point reports ``lambda_cap`` (every Y > 0) or ``trivial_bound``
@@ -482,8 +492,8 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
     theta = np.array(settings.theta0)
     # exp(log(cap)) can overshoot cap by an ulp; keep lambda <= cap exactly
     warm = min(math.exp(min(settings.nu0, math.log(cap))), cap)
-    lam, f, weights, vacuous = _profile(obj.performance_values(theta), warm, cap)
-    grad = _theta_gradient(obj, lam, theta, weights)
+    lam, f, vacuous = _profile(ys := obj.performance_values(theta), warm, cap)
+    grad = _theta_gradient(obj, lam, theta, ys)
     inverse_hessian = np.eye(theta.size)
     trace = [f]
     iterations = 0
@@ -500,14 +510,14 @@ def minimize(obj: ChernoffObjective, settings: OptimizationSettings) -> Optimiza
             direction, slope = -grad, -float(grad @ grad)
         step = 1.0
         while step >= _STEP_FLOOR and not np.array_equal(trial := theta + step * direction, theta):
-            lam_trial, f_trial, weights_trial, vacuous_trial = _profile(obj.performance_values(trial), lam, cap)
+            lam_trial, f_trial, vacuous_trial = _profile(ys := obj.performance_values(trial), lam, cap)
             if f_trial < f + _ARMIJO_C * step * slope:
                 break
             step *= 0.5
         else:
             termination = "step_underflow"
             break
-        grad_trial = _theta_gradient(obj, lam_trial, trial, weights_trial)
+        grad_trial = _theta_gradient(obj, lam_trial, trial, ys)
         s, y = trial - theta, grad_trial - grad
         sy = float(s @ y)
         if sy > 0.0:  # the curvature condition; otherwise keep the approximation

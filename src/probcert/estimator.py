@@ -297,18 +297,6 @@ def _widths(n: int, block: int) -> Iterator[int]:
     return (min(block, n - start) for start in range(0, n, block))
 
 
-def _exact_sums(rows: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of a 2-D float array with |values| <= 2^900, left unchanged,
-    from ``_extract`` on column blocks of at most ``_DRAW_CHUNK`` values (or one column),
-    which bounds each of its two temporaries too."""
-    b, n = rows.shape
-    width = max(1, min(n, _DRAW_CHUNK // b))
-    parts: list[list[float]] = [[] for _ in range(b)]
-    for start in range(0, n, width):
-        _extract(rows[:, start : start + width], parts)
-    return [math.fsum(row) for row in parts]
-
-
 def _certificate(mu_hat: float, n: int, eps_a: float, eps_r: float, kind: str) -> Certificate:
     delta_hat = achieved_confidence(n, eps_a, eps_r)
     return Certificate(mu_hat=mu_hat, n=n, eps_a=eps_a, eps_r=eps_r, delta_achieved=delta_hat, kind=kind,

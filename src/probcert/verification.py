@@ -345,8 +345,8 @@ def domination_experiment(model_id: str, spec: ErrorSpec, points: int, seed: int
     source, certified on by each point in turn) and the random points come
     from the scenario, certification and points children of ``seed``.
     Each point is checked in its own scope, which its Y leaves with it: beside
-    the frozen rows, a point holds its Y and one n-length work array at a
-    time, the kernel, formed in place, then the moment's weights.
+    the frozen rows, a point holds its Y, and its kernel check and moment
+    work on blocks of ``_DRAW_CHUNK`` values of Y, so no work array grows with n.
     """
     _require_type(spec, ErrorSpec, "domination_experiment")
     _require_int(points, "points", 1)
@@ -358,12 +358,13 @@ def domination_experiment(model_id: str, spec: ErrorSpec, points: int, seed: int
 
     def violation(lam: float, theta: np.ndarray):  # the point's violation values, or None
         ys = _evaluate(model, theta, scenarios)
-        kernel = -lam * ys
-        below = np.exp(kernel, out=kernel) < (ys <= 0.0)
-        if below.any():
-            bad = int(np.argmax(below))
-            return {"kernel": float(kernel[bad]), "scenario": bad}
-        del kernel, below  # the moment's weights take their place
+        for start in range(0, n, _DRAW_CHUNK):
+            y = ys[start : start + _DRAW_CHUNK]
+            kernel = -lam * y
+            below = np.exp(kernel, out=kernel) < (y <= 0.0)
+            if below.any():
+                bad = int(np.argmax(below))
+                return {"kernel": float(kernel[bad]), "scenario": start + bad}
         moment = _exp(_log_moment(ys, lam))  # empirical_moment, from the ys above
         p_hat = certify_probability(model, theta, spec, fresh).mu_hat
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)

@@ -7,6 +7,10 @@ import numpy as np
 
 from probcert import ErrorSpec, SampleSource, SourceExhaustedError
 
+# block sizes a test sets ``estimator._DRAW_CHUNK`` to: one value, a few, a
+# size that leaves remainders, the default and four times the default
+CHUNKS = (1, 7, 577, 16_384, 65_536)
+
 
 def peak_bytes(run):
     """run()'s result and the tracemalloc peak while it ran."""

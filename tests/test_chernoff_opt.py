@@ -34,6 +34,7 @@ from probcert import (
     optimize_probability,
     validate_spec,
 )
+from support import CHUNKS, peak_bytes
 
 # closed-form E[exp(-lambda (theta - U))] at lambda=1, theta=0.5, U ~ Uniform(0,1):
 # exp(-lambda theta) (exp(lambda) - 1) / lambda, to 30 digits
@@ -423,6 +424,100 @@ class TestLogMoment:
         assert np.array_equal(ys, before)
 
 
+def whole_array_sums(ys, lam, rows=()):
+    """top = max(-lambda Y), and ``math.fsum`` of the weights
+    w = exp(-lambda Y - top) and of w times each row, from whole-array numpy operations."""
+    with np.errstate(over="ignore"):
+        exponents = -lam * ys
+        top = float(exponents.max())
+        weights = (exponents == top).astype(float) if math.isinf(top) else np.exp(exponents - top)
+    return top, [math.fsum(weights)] + [math.fsum(row * weights) for row in rows]
+
+
+class TestBlockedPasses:
+    """Each pass over the frozen scenarios reads Y, and asks the model for Y
+    or its gradient, one block of ``_DRAW_CHUNK`` rows at a time."""
+
+    @staticmethod
+    def objective(tied, nan_in=None, n=40_000):
+        """Y = delta_1 + theta . (delta_2, delta_3) over n standard normal rows,
+        smallest and tied at the rows (tied, 1, 0) of scenarios 3, 20,000 and
+        n - 1.  ``nan_in`` names the output, "evaluate" or "gradient_theta",
+        that is NaN at scenario 20,000 alone."""
+        rows = np.random.default_rng(31).standard_normal((n, 3))
+        rows[[3, 20_000, n - 1]] = tied, 1.0, 0.0
+        outputs = {
+            "evaluate": lambda theta, rows: rows[:, 0] + rows[:, 1:] @ theta,
+            "gradient_theta": lambda theta, rows: rows[:, 1:].copy(),
+        }
+        if nan_in is not None:
+            rows[20_000, 2] = 7.0
+            clean = outputs[nan_in]
+
+            def with_nan(theta, rows):
+                values = clean(theta, rows)
+                values[rows[:, 2] == 7.0] = math.nan
+                return values
+
+            outputs[nan_in] = with_nan
+        return ChernoffObjective(PerformanceModel("tilted", 2, 3, **outputs), ScenarioSet.from_array(rows))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("lam, tied", [(0.5, -6.0), (1e300, -(2.0**450))], ids=["finite_top", "infinite_top"])
+    def test_blocking_never_moves_a_bit(self, monkeypatch, chunk, lam, tied):
+        # at lambda = 1e300, -lambda Y = 1e300 * 2^450 passes the double range
+        obj, theta = self.objective(tied), np.array([0.3, -0.2])
+        ys = obj.performance_values(theta)
+        assert np.flatnonzero(ys == ys.min()).tolist() == [3, 20_000, 39_999]
+        before = ys.copy()
+        top, (s0,) = whole_array_sums(ys, lam)
+        log_moment = top + math.log(s0 / ys.size)
+        _, (_, s1, s2) = whole_array_sums(ys, lam, (ys, ys * ys))
+        mean = s1 / s0
+        grads = obj.model.gradient_theta(theta, obj.scenarios.scenarios)
+        _, (_, *sums) = whole_array_sums(ys, lam, grads.T)
+        expected = [log_moment, log_moment, -mean, s2 / s0 - mean * mean, *(-lam * np.array(sums) / s0)]
+        assert math.isinf(top) == (lam == 1e300)
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        got = [
+            chernoff_opt._log_moment(ys, lam),
+            *chernoff_opt._moments(ys, lam),
+            *chernoff_opt._theta_gradient(obj, lam, theta, ys),
+        ]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+        np.testing.assert_array_equal(ys, before)
+
+    def test_a_y_that_is_not_finite_is_named_at_its_scenario(self):
+        obj = self.objective(-6.0, nan_in="evaluate")
+        with pytest.raises(DomainError, match="Y is not finite at scenario 20000: nan"):
+            obj.performance_values([0.3, -0.2])
+
+    def test_a_gradient_that_is_not_finite_is_named_at_its_scenario(self):
+        obj = self.objective(-6.0, nan_in="gradient_theta")
+        with pytest.raises(DomainError, match="gradient is not finite at scenario 20000: nan"):
+            empirical_moment_gradient(obj, 0.5, [0.3, -0.2])
+
+    def test_moments_of_a_million_values_peak_below_two_mib(self):
+        # the weights and their products exist a block at a time: the parent's
+        # whole-array passes peaked at 30.8 MiB here
+        ys = np.random.default_rng(32).standard_normal(1_000_000)
+        chernoff_opt._moments(ys[:10], 0.5)  # imports made on first use are not counted
+        _, peak = peak_bytes(lambda: chernoff_opt._moments(ys, 0.5))
+        assert peak < 2 * 2**20, peak / 2**20
+
+    def test_minimize_holds_two_y_arrays_beside_the_frozen_set(self):
+        # each trial's Y, filled a block at a time, replaces the last one, so
+        # two Y arrays exist only while one is formed; the parent held Y, the
+        # weights and their products for the accepted point and for a trial
+        model = make_model("quadratic_well", sigma=0.5)
+        settings = OptimizationSettings(theta0=(0.8,), max_iters=1000)
+        obj = ChernoffObjective(model, ScenarioSet.from_model(model, 200_000, 7))
+        minimize(ChernoffObjective(model, ScenarioSet.from_model(model, 10, 7)), settings)
+        out, peak = peak_bytes(lambda: minimize(obj, settings))
+        assert out.termination == "gradient_tol"
+        assert peak <= 2.5 * 8 * obj.scenarios.n, peak / (8 * obj.scenarios.n)
+
+
 class TestMomentGradient:
     def test_plus_minus_one_d_lambda(self):
         obj = plus_minus_one_objective()
@@ -744,20 +839,20 @@ class TestLambdaSolve:
     def test_every_y_positive_gives_the_cap_in_one_pass(self, monkeypatch):
         counts = count_passes(monkeypatch)
         ys = np.array([0.5, 1.0, 2.0])
-        lam, f, _, vacuous = chernoff_opt._profile(ys, 1.0, 10.0)
+        lam, f, vacuous = chernoff_opt._profile(ys, 1.0, 10.0)
         assert (lam, counts, vacuous) == (10.0, [1], "lambda_cap")
         assert f == chernoff_opt._moments(ys, 10.0)[0]
 
     def test_mean_y_nonpositive_keeps_the_warm_start(self, monkeypatch):
         counts = count_passes(monkeypatch)
-        lam, _, _, vacuous = chernoff_opt._profile(np.array([-1.0, 0.5]), 0.3, 50.0)
+        lam, _, vacuous = chernoff_opt._profile(np.array([-1.0, 0.5]), 0.3, 50.0)
         assert (lam, counts, vacuous) == (0.3, [1], "trivial_bound")
 
     @pytest.mark.parametrize("warm", [1e-6, 0.05, 0.1])
     def test_root_beyond_the_cap_gives_the_cap(self, warm):
         # Y = {-1, 3}: h' = 0 at exp(4 lambda) = 3, lambda = 0.2747, past the cap 0.1
         ys = np.array([-1.0, 3.0])
-        lam, _, _, vacuous = chernoff_opt._profile(ys, warm, 0.1)
+        lam, _, vacuous = chernoff_opt._profile(ys, warm, 0.1)
         assert (lam, vacuous) == (0.1, None)
         assert chernoff_opt._moments(ys, lam)[1] < 0.0
 
@@ -765,11 +860,11 @@ class TestLambdaSolve:
         counts = count_passes(monkeypatch)
         # Y = {-1, 100}: at lambda = 50 the weight of Y = 100 underflows, so
         # h'' = 0 and h' = 1 > 0, an infinite step down to the root ln(100) / 101
-        lam, _, _, _ = chernoff_opt._profile(np.array([-1.0, 100.0]), 50.0, 50.0)
+        lam, _, _ = chernoff_opt._profile(np.array([-1.0, 100.0]), 50.0, 50.0)
         assert lam == pytest.approx(math.log(100.0) / 101.0, rel=1e-11)
         # Y = {0, 1e10}: the weight of 1e10 underflows at lambda = 1, so h' = 0
         # and h'' = 0, a zero step
-        lam, _, _, _ = chernoff_opt._profile(np.array([0.0, 1e10]), 1.0, 50.0)
+        lam, _, _ = chernoff_opt._profile(np.array([0.0, 1e10]), 1.0, 50.0)
         assert lam == 1.0
         assert counts[-1] == 1 and counts[0] < chernoff_opt._LAMBDA_STEPS
 
@@ -784,7 +879,7 @@ class TestLambdaSolve:
         hypothesis.assume(ys.mean() >= 0.05 * np.abs(ys).max())
         root = root_of_slope(ys)
         for warm in (1e-3 * root, 1e3 * root):
-            lam, _, _, vacuous = chernoff_opt._profile(ys, warm, 1e9)
+            lam, _, vacuous = chernoff_opt._profile(ys, warm, 1e9)
             assert lam == pytest.approx(root, rel=1e-11)
             assert vacuous is None
 

@@ -32,7 +32,7 @@ from probcert import (
     validate_spec,
     verification,
 )
-from support import ConstantSource, SequenceSource, peak_bytes
+from support import CHUNKS, ConstantSource, SequenceSource, peak_bytes
 
 # 50-digit oracle for the mean of 500000 copies each of float(1e-8) and 1.0
 ALT_MEAN_ORACLE = 0.500000005000000000000000104613
@@ -41,7 +41,6 @@ ACH_577 = 0.0497625041681963602055784651914
 SPEC = validate_spec(0.05, 0.2, 0.05)
 SPEC_1755 = validate_spec(0.02, 0.2, 0.05)  # n = 1755: 577-draw chunks leave a remainder
 SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: three default chunks
-CHUNKS = (1, 7, 577, 16_384, 65_536)
 
 # finite doubles whose error-free extraction cannot overflow
 EXTRACTABLE = st.floats(
@@ -720,6 +719,17 @@ class TestBatchedTrials:
         assert len({int(x) for head in heads for x in head}) == 8 * len(seqs)
 
 
+def exact_sums(rows):
+    """``math.fsum`` of each row of a 2-D float array, from ``_extract`` on column
+    blocks of at most ``_DRAW_CHUNK`` values (or one column) in all."""
+    b, n = rows.shape
+    width = max(1, min(n, estimator._DRAW_CHUNK // b))
+    parts = [[] for _ in range(b)]
+    for start in range(0, n, width):
+        estimator._extract(rows[:, start : start + width], parts)
+    return [math.fsum(row) for row in parts]
+
+
 class TestExactSums:
     """The extraction reads a float block and never writes it: the caller's
     array, or a stream's views, are left as they were."""
@@ -736,28 +746,28 @@ class TestExactSums:
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         rows = self.scaled_rows(*shape, seed=chunk)
         before = rows.copy()
-        assert estimator._exact_sums(rows) == [math.fsum(row) for row in before.tolist()]
+        assert exact_sums(rows) == [math.fsum(row) for row in before.tolist()]
         np.testing.assert_array_equal(rows, before)
 
     @given(st.lists(EXTRACTABLE, min_size=1, max_size=3000))
     @EXACTNESS
     def test_bit_identical_to_fsum(self, values):
-        assert bits(estimator._exact_sums(np.array([values]))[0]) == bits(math.fsum(values))
+        assert bits(exact_sums(np.array([values]))[0]) == bits(math.fsum(values))
 
     @given(spread_arrays())
     @EXACTNESS
     def test_bit_identical_to_fsum_across_exponents(self, values):
-        assert bits(estimator._exact_sums(np.array([values]))[0]) == bits(math.fsum(values))
+        assert bits(exact_sums(np.array([values]))[0]) == bits(math.fsum(values))
 
     @given(st.lists(st.one_of(EXTRACTABLE, SPECIAL), min_size=1, max_size=50))
     @EXACTNESS
     def test_values_past_2_to_the_900_raise_and_leave_the_input(self, values):
         rows = np.array([values])
         if all(abs(v) <= 2.0**900 for v in values):  # false for nan
-            assert bits(estimator._exact_sums(rows)[0]) == bits(math.fsum(values))
+            assert bits(exact_sums(rows)[0]) == bits(math.fsum(values))
         else:
             with pytest.raises(DomainError, match=r"up to 2\*\*900"):
-                estimator._exact_sums(rows)
+                exact_sums(rows)
         np.testing.assert_array_equal(rows, np.array([values]))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -768,7 +778,7 @@ class TestExactSums:
         rows[1, -1] = special  # in the last of several column blocks, after the others are extracted
         before = rows.copy()
         with pytest.raises(DomainError, match=r"up to 2\*\*900"):
-            estimator._exact_sums(rows)
+            exact_sums(rows)
         np.testing.assert_array_equal(rows, before)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
