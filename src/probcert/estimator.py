@@ -18,7 +18,7 @@ Means are summed exactly and rounded once, bit for bit as ``math.fsum``
 would, but without a Python-level loop.  ``_row_sum`` reduces a row given
 as blocks in stream order, each cut and shape-checked by its producer: a
 source's ``_row(n)``, its next n draws in ``_widths`` of its ``_block``
-(``_DRAW_CHUNK`` = 16,384, or 65,536 for ``BernoulliSource``), a post-hoc
+(``_DRAW_CHUNK`` = 16,384, or 131,072 for ``BernoulliSource``), a post-hoc
 batch's views of ``_DRAW_CHUNK`` values, the values of as many lines of a
 sample file, or ``chernoff_opt.certify_probability``'s failure indicators.
 A boolean block is counted, and a ``BernoulliSource`` row is each block's
@@ -169,8 +169,8 @@ class BernoulliSource(SampleSource):
         self._tie_cut = math.ldexp(256.0 * p - self._cut, 53)  # frac 2^53, exact
         self._spare = np.empty(0, np.uint8)
 
-    # 8,192 words (64 KiB) and as many booleans: per-block costs are paid once per 65,536 draws
-    _block = property(lambda self: 4 * _DRAW_CHUNK)
+    # 16,384 words (128 KiB) and as many booleans: per-block costs are paid once per 131,072 draws
+    _block = property(lambda self: 8 * _DRAW_CHUNK)
 
     def _lanes(self, k: int) -> np.ndarray:
         """The next k byte lanes: the spare ones first, then those of new words."""
@@ -208,8 +208,8 @@ class BernoulliSource(SampleSource):
     def _row_counts(self, rows: int, n: int) -> np.ndarray:
         """The ones in each of ``rows`` consecutive rows of n draws, as floats: each
         row's ``_row``, as a planned estimate's, unless rows share a block; those
-        are drawn and summed in uint16, which cannot wrap (2^15 draws at most)."""
-        per_block = self._block // n
+        are drawn and summed in uint16, which cannot wrap (2^16 - 1 draws at most)."""
+        per_block = (self._block - 1) // n  # two rows share a block only when 2n < _block
         if rows == 1 or per_block < 2:
             return np.array([_row_sum(self._row(n))[0] for _ in range(rows)])
         counts = np.empty(rows)

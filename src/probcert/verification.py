@@ -22,7 +22,9 @@ within 1e-15 of a 50-digit evaluation, and above 1e-6.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,6 +302,19 @@ def lemma56_check(spec: ErrorSpec, mu_grid, n: int) -> ScanReport:
     return ScanReport(lemma_id=lemma_id, grid_description=f"{desc}, n={n}", violations=violations)
 
 
+def _helpers() -> int:
+    """Usable CPUs besides the calling thread's, one helper thread each."""
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(pid: int, helpers: int):
+    """The helper threads of process ``pid``, made at first use: a forked child makes its own."""
+    from concurrent.futures import ThreadPoolExecutor  # not at module load, which it would slow by ~3 ms
+    return ThreadPoolExecutor(helpers)
+
+
 def coverage_experiment(
     spec: ErrorSpec, mu_grid, trials: int, seed: int
 ) -> ScanReport:
@@ -316,6 +331,10 @@ def coverage_experiment(
     ``_row``, counted from its byte lanes as a planned estimate is.  Passes when
     every empirical failure rate is within three binomial standard errors
     above delta.  Use trials >= 1000 for meaningful slack.
+
+    The calling thread and one helper thread per other usable CPU take the
+    means from one queue and store each rate at its mean's index.  Each mean
+    has its own source, so which thread counts it changes no bit of the report.
     """
     _require_type(spec, ErrorSpec, "coverage_experiment")
     trials = _require_int(trials, "trials", 1)
@@ -323,14 +342,25 @@ def coverage_experiment(
     _require_int(seed, "seed", 0)
     n = minimum_sample_size(spec).n
     threshold = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / trials)
-    violations: list = []
-    for index, mu in enumerate(mus):
-        source = BernoulliSource(mu, seed, _key=(_COVERAGE, index))
-        errors = np.abs(source._row_counts(trials, n) / n - mu)
-        failures = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu))))
-        rate = failures / trials
-        if rate > threshold:
-            violations.append(((mu,), {"failure_rate": rate, "threshold": threshold}))
+    from queue import SimpleQueue
+    helpers = _helpers()
+    threads = min(helpers, len(mus) - 1)  # besides the calling one
+    means, rates = SimpleQueue(), [0.0] * len(mus)
+    for item in [*enumerate(mus)] + [None] * (threads + 1):  # then one None per thread, which stops it
+        means.put(item)
+
+    def drain():
+        for index, mu in iter(means.get, None):
+            errors = np.abs(BernoulliSource(mu, seed, _key=(_COVERAGE, index))._row_counts(trials, n) / n - mu)
+            rates[index] = int(np.count_nonzero(~((errors < spec.eps_a) | (errors < spec.eps_r * mu)))) / trials
+
+    futures = [_pool(os.getpid(), helpers).submit(drain) for _ in range(threads)]
+    try:
+        drain()
+    finally:  # the helpers are done, and any error of theirs raised, before the report is made
+        for future in futures:
+            future.result()
+    violations = [((mu,), {"failure_rate": rate, "threshold": threshold}) for mu, rate in zip(mus, rates) if rate > threshold]
     desc = f"{len(mus)} mu-points, {trials} trials each, seed={seed}, threshold={threshold:.6f}"
     return ScanReport(lemma_id="coverage", grid_description=desc, violations=violations)
 

@@ -462,12 +462,12 @@ class TestChunkedDraws:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_no_request_exceeds_the_chunk(self, monkeypatch, chunk):
-        # the chunk sets a Bernoulli source's block, four chunks; every request but the last fills one
+        # the chunk sets a Bernoulli source's block, eight chunks; every request but the last fills one
         monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
         source = RecordingSource(0.3, seed=4)
         estimate_with_plan(source, SPEC_1755)
         block = source._block
-        assert block == 4 * chunk
+        assert block == 8 * chunk
         assert max(source.requests) <= block
         full, rest = divmod(1755, block)
         assert source.requests == [block] * full + ([rest] if rest else [])
@@ -492,13 +492,14 @@ class TestChunkedDraws:
         certify_probability(model, [0.3], SPEC_LARGE, RecordedRows.from_model(model, 44))
         assert requests == [16_384, 16_384, n - 32_768] * 2
 
-    def test_plan_of_7_229_021_draws_makes_111_requests(self):
+    def test_plan_of_7_229_021_draws_makes_56_requests(self):
         spec = validate_spec(2e-4, 0.02, 1e-6)
         source = RecordingSource(0.01, seed=4)
         cert = estimate_with_plan(source, spec)
+        block = source._block
         assert cert.n == source.draws_made == 7_229_021
-        assert len(source.requests) == -(-7_229_021 // 65_536) == 111
-        assert source.requests[:-1] == [65_536] * 110
+        assert len(source.requests) == -(-7_229_021 // block) == 56
+        assert source.requests == [block] * 55 + [7_229_021 - 55 * block] == [block] * 55 + [20_061]
 
 
 class DrawnBernoulliSource(BernoulliSource):
@@ -581,7 +582,7 @@ class TestLaneCounts:
         same_streams(counted, drawn)
 
     @pytest.mark.parametrize(
-        "spec", [SPEC, SPEC_LARGE, validate_spec(8e-4, 0.2, 0.01)], ids=["n577", "n39064", "n70210"]
+        "spec", [SPEC, SPEC_LARGE, validate_spec(4e-4, 0.2, 0.01)], ids=["n577", "n39064", "n140719"]
     )
     def test_a_planned_row_counts_every_block_and_draws_none(self, monkeypatch, spec):
         counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
@@ -590,17 +591,20 @@ class TestLaneCounts:
         assert certs == [estimate_with_plan(twin, spec) for _ in range(3)]
         n = minimum_sample_size(spec).n
         assert sum(counted.requests) == counted.draws_made == twin.draws_made == 3 * n
-        # no block is drawn: a row of 70,210 is a full block and the rest
-        assert counts == ([65_536] * (n // 65_536) + [n % 65_536]) * 3
+        # no block is drawn: a row of 140,719 is a full block and the rest
+        block = counted._block
+        assert counts == ([block] * (n // block) + [n % block]) * 3
 
-    @pytest.mark.parametrize("n", [40_000, 70_000])
+    @pytest.mark.parametrize("n", [70_000, 140_000])
     def test_a_trial_too_long_to_share_a_block_counts_every_block_and_draws_none(self, monkeypatch, n):
         counted, twin = RecordingSource(0.3, seed=8), FloatBernoulliSource(0.3, seed=8)
         counts = record_counts(monkeypatch)
         sums = counted._row_counts(3, n).tolist()
         assert sums == [drawn_row(twin, n) for _ in range(3)]
         assert sum(counted.requests) == counted.draws_made == twin.draws_made == 3 * n
-        assert counts == ([65_536] * (n // 65_536) + [n % 65_536]) * 3
+        block = counted._block
+        assert 2 * n >= block  # no two trials share a block; 70,000 fills part of one, 140,000 one and part of the next
+        assert counts == ([block] * (n // block) + [n % block]) * 3
 
     def test_a_lone_coverage_trial_is_counted_and_draws_none(self, monkeypatch):
         # one trial of 577 shares its block with no other, so it is counted as a planned row is
@@ -881,11 +885,16 @@ class TestCountedDraws:
         total = estimator._row_sum(blocks())
         assert total == (math.fsum(np.concatenate(taken).tolist()), 1755)
 
-    def test_trials_sharing_a_block_count_to_two_to_the_15(self):
-        # the widest trials two of which share a 65,536-draw block; their counts are uint16
+    @pytest.mark.parametrize("wider", [0, 1], ids=["shared", "alone"])
+    def test_the_widest_trials_count_every_draw(self, monkeypatch, wider):
+        # the widest trials two of which share a block count to 2^16 - 1 in uint16; one draw
+        # wider, no two share one and each is counted from its lanes, not summed in uint16
         source = BernoulliSource(1.0, seed=2)
-        assert source._block == 65_536
-        assert source._row_counts(3, 32_768).tolist() == [32_768.0] * 3
+        n = source._block // 2 - 1 + wider
+        assert n == 65_535 + wider
+        counts = record_counts(monkeypatch)
+        assert source._row_counts(3, n).tolist() == [float(n)] * 3
+        assert counts == ([n] * 3 if wider else [])
 
     def test_short_boolean_block_exhausts(self):
         class Short(SampleSource):

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -29,7 +33,7 @@ from probcert import (
     validate_spec,
     verification,
 )
-from support import peak_bytes
+from support import CHUNKS, peak_bytes
 
 SPEC = validate_spec(0.05, 0.2, 0.05)
 SPEC_LARGE = validate_spec(0.001, 0.2, 0.05)  # n = 39,064: two certification blocks and the rest
@@ -540,6 +544,58 @@ class TestCoverageExperiment:
         a = coverage_experiment(SPEC, [0.25, 0.5], trials=200, seed=37)
         b = coverage_experiment(SPEC, [0.25, 0.5], trials=200, seed=37)
         assert a == b
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_the_report_does_not_depend_on_the_helper_count(self, monkeypatch, chunk):
+        # 40 draws where the spec plans 577: every mean fails, so the report holds each one's failure rate
+        plan = verification.minimum_sample_size(SPEC)
+        monkeypatch.setattr(verification, "minimum_sample_size", lambda spec: dataclasses.replace(plan, n=40))
+        monkeypatch.setattr(estimator, "_DRAW_CHUNK", chunk)
+        reports, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a mean counted twice or lost would show
+        try:
+            for helpers in range(4):
+                monkeypatch.setattr(verification, "_helpers", lambda: helpers)
+                reports.append(coverage_experiment(SPEC, COVERAGE_MUS, trials=200, seed=5).to_dict())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports[0]["violations"]) == len(COVERAGE_MUS)
+        assert all(report == reports[0] for report in reports)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_one_usable_cpu_starts_no_thread_and_prints_the_same_bytes(self):
+        import probcert
+
+        script = ("import sys, threading; from probcert import cli; code = cli.main(sys.argv[1:]); "
+                  "print(threading.active_count(), file=sys.stderr); sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": str(os.path.dirname(os.path.dirname(probcert.__file__)))}
+
+        def run(preexec_fn=None):
+            done = subprocess.run([sys.executable, "-c", script, "verify", "--suite", "coverage", "--json"],
+                                  env=env, capture_output=True, timeout=120, preexec_fn=preexec_fn)
+            assert done.returncode == 0, done.stderr
+            return done.stdout, int(done.stderr)
+
+        def pin():  # runs in the child only, between its fork and exec
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        (unpinned, _), (pinned, threads) = run(), run(pin)
+        assert pinned == unpinned
+        assert threads == 1
+
+    def test_a_forked_child_counts_on_helpers_of_its_own(self, monkeypatch):
+        # the parent's pool has a helper thread, which a fork does not copy: the child must make its own
+        monkeypatch.setattr(verification, "_helpers", lambda: 1)
+        expected = coverage_in_a_child()
+        with multiprocessing.get_context("fork").Pool(1) as child:
+            assert child.apply_async(coverage_in_a_child).get(timeout=60) == expected
+
+
+COVERAGE_MUS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)  # as many means as the CLI checks; 40 draws fail at each
+
+
+def coverage_in_a_child() -> ScanReport:
+    return coverage_experiment(SPEC, COVERAGE_MUS, trials=200, seed=11)
 
 
 class TestDominationExperiment:
