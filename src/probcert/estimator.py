@@ -206,11 +206,12 @@ class BernoulliSource(SampleSource):
         return super()._row(n)
 
     def _row_counts(self, rows: int, n: int) -> np.ndarray:
-        """The ones in each of ``rows`` consecutive rows of n draws, as floats: each
-        row's ``_row``, as a planned estimate's, unless rows share a block; those
-        are drawn and summed in uint16, which cannot wrap (2^16 - 1 draws at most)."""
+        """The ones in each of ``rows`` consecutive rows of n draws, as floats: rows
+        short enough to share a block, a lone row too, are drawn and summed in
+        uint16, which cannot wrap (2^16 - 1 draws at most); a longer row is its
+        ``_row``, as a planned estimate's."""
         per_block = (self._block - 1) // n  # two rows share a block only when 2n < _block
-        if rows == 1 or per_block < 2:
+        if per_block < 2:
             return np.array([_row_sum(self._row(n))[0] for _ in range(rows)])
         counts = np.empty(rows)
         for first in range(0, rows, per_block):

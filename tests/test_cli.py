@@ -412,6 +412,7 @@ class TestOptimize:
              "settings: lambda_cap must lie in (0, inf), got inf"),
             ({"settings": {"theta0": [0.5], "grad_tol": 1e999}},
              "settings: grad_tol must lie in (0, inf), got inf"),
+            ({"settings": {"theta0": [1e999]}}, "settings: theta0 must lie in (-inf, inf), got inf"),
             ({"model": 3}, "model: expected str, got int"),
             # a model parameter the factory does not take, as every block reports its keys
             ({"model_params": {"mu": 1.0}}, "model_params.mu: unknown field"),
@@ -423,7 +424,7 @@ class TestOptimize:
              "string_model_param", "nested_affine_a", "infinite_sigma", "spec_block", "misspelt_seed",
              "huge_theta0", "huge_affine_c", "huge_affine_gradient", "unknown_certify_spec_field",
              "misspelt_certify_delta", "theta0_not_a_list",
-             "infinite_lambda_cap", "infinite_grad_tol", "integer_model", "unknown_model_param"],
+             "infinite_lambda_cap", "infinite_grad_tol", "infinite_theta0", "integer_model", "unknown_model_param"],
     )
     def test_bad_config_value_exits_one(self, capsys, tmp_path, overrides, named):
         path = write_config(tmp_path, **overrides)
@@ -532,6 +533,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "domination", "--points", "10", "--seed", "3")
         assert code == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_suite_keeps_numpy_arithmetic_finite(self, capsys):
+        # numpy's divide, invalid and overflow warnings are errors, in the coverage helper threads too
+        assert run_cli(capsys, "verify", "--suite", "all", "--seed", "11")[0] == 0
+
     def test_negative_seed_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "coverage", "--seed", "-3")
         assert code == 1
@@ -625,3 +631,16 @@ class TestRecordFormat:
         }
         assert list(outcome.to_dict()["certificate"]) == keys["Certificate"]
         assert list(minimum_sample_size(spec).to_dict()["spec"]) == keys["ErrorSpec"]
+
+
+def test_ci_runs_each_gate_in_one_step():
+    # tier1.yml: Install, then `python tests/gates.py NAME` once per gate, then the tier-1 tests
+    import gates
+
+    text = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    install, *steps, tier1 = [line.split("run:", 1)[1].strip() for line in text.splitlines() if "run:" in line]
+    assert install == "pip install -e '.[test]'" and " -m pytest " in tier1
+    names = [step.removeprefix("python tests/gates.py ") for step in steps]
+    assert [f"python tests/gates.py {name}" for name in names] == steps
+    assert len(set(names)) == len(names)
+    assert set(names) == set(gates.GATES)

@@ -606,18 +606,6 @@ class TestLaneCounts:
         assert 2 * n >= block  # no two trials share a block; 70,000 fills part of one, 140,000 one and part of the next
         assert counts == ([block] * (n // block) + [n % block]) * 3
 
-    def test_a_lone_coverage_trial_is_counted_and_draws_none(self, monkeypatch):
-        # one trial of 577 shares its block with no other, so it is counted as a planned row is
-        expected = verification.coverage_experiment(SPEC, [0.2, 0.6], trials=1, seed=5)
-        counts = record_counts(monkeypatch)
-
-        def refuse(self, k):
-            raise AssertionError("drew a block")
-
-        monkeypatch.setattr(SampleSource, "draw", refuse)
-        assert verification.coverage_experiment(SPEC, [0.2, 0.6], trials=1, seed=5) == expected
-        assert counts == [577, 577]
-
     def test_a_plain_source_is_counted_not_drawn(self, monkeypatch):
         expected = estimate_with_plan(DrawnBernoulliSource(0.3, seed=4), SPEC_1755)
 
@@ -685,12 +673,12 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("p", [0.3, 7 / 256 + 1e-9])
     @pytest.mark.parametrize(
         "spec, trials",
-        [(SPEC, 300), (SPEC_1755, 80), (validate_spec(0.0011909, 0.2, 0.05), 4),
+        [(SPEC, 300), (SPEC, 1), (SPEC_1755, 80), (validate_spec(0.0011909, 0.2, 0.05), 4),
          (validate_spec(2e-3, 0.05, 1e-6), 3)],
-        ids=["n577", "n1755", "n32769", "n282977"],
+        ids=["n577", "n577-lone", "n1755", "n32769", "n282977"],
     )
     def test_both_coverage_branches_are_sequential_estimates(self, spec, trials, p):
-        # rows of 577 and 1,755 share blocks and are summed in uint16;
+        # rows of 577 and 1,755 share blocks, a lone row of 577 too, and are summed in uint16;
         # rows of 32,769 and 282,977 fill a block or more and are counted
         n = minimum_sample_size(spec).n
         batched, sequential = (BernoulliSource(p, seed=8, _key=(estimator._COVERAGE, 1)) for _ in range(2))
@@ -959,7 +947,8 @@ class TestLaneSampler:
         total, sizes = 20_000, (1, 7, 577, 3, 16_384)
         splits = [sizes + (total - sum(sizes),)]
         splits += [pieces(chunk, total) for chunk in CHUNKS]
-        # around a 65,536-draw block, and 3 draws first, so that every block after starts on 5 spare lanes
+        # pieces of 2^16 - 1 and 2^16 + 1 draws end inside a word; 3 draws first leave
+        # 5 spare lanes for every piece of 2^16 after them to start on
         wide = 2 * 65_536 + 11
         splits += [pieces(size, wide) for size in (65_535, 65_536, 65_537)] + [[3] + pieces(65_536, wide - 3)]
         for split in splits:

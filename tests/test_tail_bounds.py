@@ -249,6 +249,22 @@ class TestMinimumSampleSize:
         assert math.exp(plan.n * plan.worst_case_exponent) < spec.delta / 2.0
         assert math.exp((plan.n - 1) * plan.worst_case_exponent) >= spec.delta / 2.0
 
+    def test_a_floor_estimate_below_the_bound_is_stepped_up(self):
+        # floor((ln 2 - ln delta) / -g) + 1 can round to one count short of the smallest n
+        plans = {
+            (1.2672113878782007e-09, 0.0014794115289078896, 8.233288644484684e-229): 561_293_163_476_496,
+            (7.768878721938665e-10, 0.0012189942912889074, 3.476183754057376e-224): 1_088_539_271_744_690,
+            (1.0896426365414046e-09, 0.0012040944081017422, 1.4182097020659214e-144): 506_159_520_661_331,
+        }
+        short = 0
+        for (eps_a, eps_r, delta), n in plans.items():
+            plan = minimum_sample_size(validate_spec(eps_a, eps_r, delta))
+            g = plan.worst_case_exponent
+            assert plan.n == n
+            assert 2.0 * math.exp(n * g) < delta <= 2.0 * math.exp((n - 1) * g)
+            short += math.floor((math.log(2.0) - math.log(delta)) / -g) + 1 < n
+        assert short
+
     def test_delta_below_the_smallest_normal_plans(self):
         # 2 / delta overflows at delta = 1e-320; ln 2 - ln delta does not
         plan = minimum_sample_size(validate_spec(0.05, 0.2, 1e-320))
